@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Incremental dataflow maintenance vs. recompute-per-batch.
 
-Two standing dataflow views — ``triangle-count`` (two self-joins +
-distinct + count) and ``edge-label-count`` (map + group-aggregate) —
-are maintained through a skewed update stream in both regimes:
+Two standing dataflow views — ``triangle-count`` (a three-atom
+``multijoin`` + canonical rotation + distinct + count) and
+``edge-label-count`` (map + group-aggregate) — are maintained through a
+skewed update stream in both regimes:
 
 * **incremental** — one :class:`~repro.dataflow.DataflowView` built
   once, each batch absorbed through ``stabilize()`` (dirty-only,
@@ -21,6 +22,13 @@ after every batch; the run fails unless incremental maintenance wins
 by at least 2x on every program — the change-proportionality claim the
 dataflow layer inherits from the paper's incremental-computation
 story, measured end to end.
+
+A second series grows a **hub** (k edges into one node, k out of it, a
+tenth of the k² wedges' worth of closing edges): ``triangle-count``'s
+build time and the rows its dataflow graph holds (``describe()``) must
+track |E|, not the wedge count a binary join chain would materialise,
+and maintaining it through hub-edge updates must beat recompute by the
+same 2x.
 
 Run:  PYTHONPATH=src python benchmarks/bench_dataflow.py
 """
@@ -49,6 +57,10 @@ ALPHABET = label_alphabet(6)
 REQUIRED_SPEEDUP = 2.0
 
 PROGRAMS = ("triangle-count", "edge-label-count")
+
+#: Hub sizes of the second series (k in-edges and k out-edges).
+HUB_SIZES = (100, 200, 400, 800)
+HUB_BATCH = 4
 
 
 def emit(text: str = "") -> None:
@@ -94,10 +106,20 @@ def delta_stream(base: DiGraph) -> list[Delta]:
     return deltas
 
 
+def rows_held(view: DataflowView) -> int:
+    """Rows the view's dataflow graph holds, values and state."""
+    return sum(
+        node["value_rows"] + node["state_rows"] for node in view.describe()
+    )
+
+
 def run_incremental(base: DiGraph, deltas: list[Delta], program: str):
-    """Build once, maintain per batch; returns (seconds, answers, work)."""
+    """Build once, maintain per batch; returns (maintenance seconds,
+    answers, maintenance work, build seconds, rows held at the end)."""
     meter = CostMeter()
+    started = time.perf_counter()
     view = DataflowView(base.copy(), program, meter=meter)
+    build_s = time.perf_counter() - started
     build_work = meter.total()
     answers = []
     started = time.perf_counter()
@@ -105,7 +127,7 @@ def run_incremental(base: DiGraph, deltas: list[Delta], program: str):
         view.apply(delta)
         answers.append(view.value())
     elapsed = time.perf_counter() - started
-    return elapsed, answers, meter.total() - build_work, build_work
+    return elapsed, answers, meter.total() - build_work, build_s, rows_held(view)
 
 
 def run_recompute(base: DiGraph, deltas: list[Delta], program: str):
@@ -121,6 +143,35 @@ def run_recompute(base: DiGraph, deltas: list[Delta], program: str):
     return elapsed, answers, meter.total()
 
 
+def hub_graph(k: int) -> DiGraph:
+    """Spokes 1..k point at hub 0, which points at k+1..2k: 2k edges
+    carrying k² wedges; every tenth out-spoke closes a triangle."""
+    graph = DiGraph(labels={node: ALPHABET[0] for node in range(2 * k + 1)})
+    for spoke in range(1, k + 1):
+        graph.add_edge(spoke, 0)
+        graph.add_edge(0, k + spoke)
+    for spoke in range(1, k + 1, 10):
+        graph.add_edge(k + spoke, spoke)
+    return graph
+
+
+def hub_stream(k: int) -> list[Delta]:
+    """Hub-edge churn: each batch drops two in-spokes and toggles the
+    edges that close a triangle through them."""
+    deltas = []
+    for round_ in range(ROUNDS):
+        first = 1 + HUB_BATCH * round_
+        updates = []
+        for spoke in range(first, first + HUB_BATCH // 2):
+            updates.append(delete(spoke, 0))
+            closing = (k + spoke, spoke)
+            updates.append(
+                delete(*closing) if spoke % 10 == 1 else insert(*closing)
+            )
+        deltas.append(Delta(updates))
+    return deltas
+
+
 def main() -> None:
     base = uniform_random_graph(NUM_NODES, NUM_EDGES, ALPHABET, seed=37)
     deltas = delta_stream(base)
@@ -131,13 +182,13 @@ def main() -> None:
     emit()
     header = (
         f"{'program':>17} | {'incremental (ms)':>16} | {'recompute (ms)':>14} | "
-        f"{'speedup':>7} | {'work ratio':>10}"
+        f"{'speedup':>7} | {'work ratio':>10} | {'rows held':>9}"
     )
     emit(header)
     emit("-" * len(header))
     failures = []
     for program in PROGRAMS:
-        inc_s, inc_answers, inc_work, build_work = run_incremental(
+        inc_s, inc_answers, inc_work, _, held = run_incremental(
             base, deltas, program
         )
         rec_s, rec_answers, rec_work = run_recompute(base, deltas, program)
@@ -146,7 +197,7 @@ def main() -> None:
         work_ratio = rec_work / max(inc_work, 1)
         emit(
             f"{program:>17} | {inc_s * 1e3:>16.1f} | {rec_s * 1e3:>14.1f} | "
-            f"{speedup:>6.1f}x | {work_ratio:>9.1f}x"
+            f"{speedup:>6.1f}x | {work_ratio:>9.1f}x | {held:>9}"
         )
         if speedup < REQUIRED_SPEEDUP:
             failures.append((program, speedup))
@@ -154,7 +205,41 @@ def main() -> None:
     emit("incremental = one DataflowView maintained via stabilize() per batch;")
     emit("recompute   = the program re-run from scratch on G after every batch;")
     emit("work ratio  = metered cost units (visits+probes+writes+pq), ")
-    emit("              recompute / incremental — the wall-clock-free measure.")
+    emit("              recompute / incremental — the wall-clock-free measure;")
+    emit("rows held   = rows in every node's value, index and arrangement.")
+    emit()
+    emit(
+        f"triangle-count on a hub (k in, k out, k/10 closing edges), "
+        f"{ROUNDS} rounds of |dG|={HUB_BATCH} hub-edge updates"
+    )
+    emit()
+    header = (
+        f"{'k':>5} | {'|E|':>6} | {'wedges':>7} | {'build (ms)':>10} | "
+        f"{'rows held':>9} | {'incremental (ms)':>16} | {'recompute (ms)':>14} | "
+        f"{'speedup':>7}"
+    )
+    emit(header)
+    emit("-" * len(header))
+    for k in HUB_SIZES:
+        hub = hub_graph(k)
+        stream = hub_stream(k)
+        inc_s, inc_answers, _, build_s, held = run_incremental(
+            hub, stream, "triangle-count"
+        )
+        rec_s, rec_answers, _ = run_recompute(hub, stream, "triangle-count")
+        assert inc_answers == rec_answers, f"hub k={k}: regimes diverged"
+        assert held <= 5 * hub.num_edges, (
+            f"hub k={k}: {held} rows held for {hub.num_edges} edges — "
+            "state must be linear in |E|, not in the wedge count"
+        )
+        speedup = rec_s / max(inc_s, 1e-9)
+        emit(
+            f"{k:>5} | {hub.num_edges:>6} | {k * k:>7} | {build_s * 1e3:>10.1f} | "
+            f"{held:>9} | {inc_s * 1e3:>16.2f} | {rec_s * 1e3:>14.1f} | "
+            f"{speedup:>6.1f}x"
+        )
+        if speedup < REQUIRED_SPEEDUP:
+            failures.append((f"triangle-count on hub k={k}", speedup))
     if failures:
         for program, speedup in failures:
             emit(

@@ -14,7 +14,8 @@ Four programs register at import time:
 * ``two-hop`` — the distinct ``(x, y, z)`` paths of length two, a
   self-``join`` on the edge relation.
 * ``triangle-count`` — the number of directed 3-cycles, maintained as a
-  join chain → canonical rotation → ``distinct`` → ``count``.
+  three-atom ``multijoin`` → canonical rotation → ``distinct`` →
+  ``count``.
 
 Example::
 
@@ -31,11 +32,10 @@ Example::
 from __future__ import annotations
 
 from repro.engine.relevance import AlphabetRelevance
-from repro.kws.kdist import node_order
 from repro.rpq.batch import compile_query
 
 from repro.dataflow.view import GraphInputs, register_program
-from repro.dataflow.runtime import Dataflow, Node
+from repro.dataflow.runtime import Dataflow, Node, row_order
 
 __all__ = [
     "build_edge_label_count",
@@ -163,40 +163,27 @@ def build_two_hop(flow: Dataflow, inputs: GraphInputs) -> Node:
 
 
 # ----------------------------------------------------------------------
-# triangle-count — join chain + canonical rotation + distinct + count
+# triangle-count — multijoin + canonical rotation + distinct + count
 # ----------------------------------------------------------------------
 
 
 def _canonical_cycle(row):
-    """Rotate a 3-cycle so its node_order-minimal node leads — all three
-    rotations of one directed triangle collapse to the same row."""
+    """The node_order-minimal rotation of a closed 3-walk — all rotations
+    of one walk collapse to the same row, also when its minimal node
+    occurs more than once (self-loops, reciprocal edges)."""
     a, b, c = row
-    best = min((a, b, c), key=node_order)
-    if best == b:
-        return (b, c, a)
-    if best == c:
-        return (c, a, b)
-    return (a, b, c)
+    return min(((a, b, c), (b, c, a), (c, a, b)), key=row_order)
 
 
 def build_triangle_count(flow: Dataflow, inputs: GraphInputs) -> Node:
-    """The number of directed 3-cycles, one count per cycle."""
-    paths = flow.join(
-        inputs.edges,
-        inputs.edges,
-        left_key=lambda e: e[1],
-        right_key=lambda e: e[0],
-        merge=lambda first, second: (first[0], first[1], second[1]),
-        name="tri.paths",
+    """The number of directed 3-cycles: rotation classes of closed
+    3-walks ``a→b→c→a`` (self-loops are legal edges, so ``a→a→a`` and
+    ``a→a→b→a`` are walks too), one count per class."""
+    edges = inputs.edges
+    walks = flow.multijoin(
+        [(edges, "ab"), (edges, "bc"), (edges, "ca")], out="abc", name="tri.walks"
     )
-    cycles = flow.join(
-        paths,
-        inputs.edges,
-        left_key=lambda p: (p[2], p[0]),
-        right_key=lambda e: (e[0], e[1]),
-        merge=lambda p, _e: _canonical_cycle(p),
-        name="tri.cycles",
-    )
+    cycles = flow.map(walks, _canonical_cycle, name="tri.cycles")
     return flow.count(flow.distinct(cycles, name="tri.distinct"), name="tri.count")
 
 

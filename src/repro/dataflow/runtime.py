@@ -24,7 +24,8 @@ Combinators
 -----------
 
 ``map``/``filter`` (per-row), ``join`` (keyed, bilinear in both input
-deltas), ``reduce`` (group-aggregate with invertible step), ``distinct``
+deltas), ``multijoin`` (≥ 2 atoms as a delta query, state linear in the
+inputs), ``reduce`` (group-aggregate with invertible step), ``distinct``
 (set projection), ``count`` (scalar cardinality), ``map_value``/``map2``
 (whole-value functions with equality cutoff), and a bounded ``fixpoint``
 for reachability-style recursion.  The fixpoint owns a private *inner
@@ -54,6 +55,8 @@ Example::
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from repro.core.cost import CostMeter, NULL_METER
@@ -94,6 +97,11 @@ def row_order(row: Row) -> tuple:
     serializations never depend on dict/set history.
     """
     return tuple((type(token).__name__, repr(token)) for token in row)
+
+
+def _held(index: dict) -> int:
+    """Rows held by a ``key → bucket`` index."""
+    return sum(len(bucket) for bucket in index.values())
 
 
 def _apply_delta(value: Multiset, delta: Multiset) -> Multiset:
@@ -201,6 +209,10 @@ class Node:
             return None
         self.flow.meter.write(len(actual))
         return actual
+
+    def _state_rows(self) -> int:
+        """Rows held outside ``value`` (indexes, groups, arrangements)."""
+        return 0
 
     def rows(self) -> Iterator[Row]:
         """The relation's distinct rows (positive count)."""
@@ -391,6 +403,201 @@ class _JoinNode(Node):
         self._probe(right_delta, self.right_key, self._left_index, out, False)
         return self._merge(out)
 
+    def _state_rows(self) -> int:
+        return _held(self._left_index) + _held(self._right_index)
+
+
+def _columns(positions: tuple) -> Callable:
+    """``seq -> key`` over the given positions: the bare element for one
+    position, a tuple otherwise — rows and variable slots of equal
+    positions-arity therefore always produce comparable keys."""
+    if not positions:
+        return lambda seq: ()
+    return itemgetter(*positions)
+
+
+class _MultiJoinNode(Node):
+    """Natural join of ≥ 2 atoms, evaluated as a *delta query*.
+
+    An atom ``(relation, variables)`` binds the variables to the leading
+    columns of the relation's rows (trailing columns are projected away,
+    counts summing).  Changed input rows are taken one at a time: the
+    row is bound into every non-empty set of atom positions its relation
+    occupies (a row filling several atoms of a self-join at once is the
+    cross term of the product rule, weighted ``change ** |positions|``),
+    every other atom is read as of *before* the row, and only then is
+    the row folded into the arrangements — so the per-row deltas sum to
+    exactly ``Δ(A₁ ⋈ … ⋈ Aₙ)``.  The unbound variables are extended one
+    at a time, generic-join style: enumerate the smallest candidate
+    bucket among the atoms constraining the variable, verify the others.
+
+    The only state is ``_arrangements``: per ``(relation, key columns,
+    value column)`` a ``key → {value: count}`` map shared by every atom
+    and plan that probes that shape — linear in the inputs, never in an
+    intermediate result.
+    """
+
+    def __init__(self, flow, atoms, out, name=""):
+        atoms = [(relation, tuple(variables)) for relation, variables in atoms]
+        if len(atoms) < 2:
+            raise DataflowError("multijoin needs at least two atoms")
+        slots: dict = {}
+        for relation, variables in atoms:
+            if not variables or len(set(variables)) != len(variables):
+                raise DataflowError(
+                    f"multijoin atom over {relation.name} needs distinct "
+                    f"variables, got {variables!r}"
+                )
+            for variable in variables:
+                slots.setdefault(variable, len(slots))
+        unknown = [variable for variable in out if variable not in slots]
+        if unknown:
+            raise DataflowError(f"multijoin output names unbound {unknown!r}")
+        self._atoms = [
+            (relation, tuple(slots[v] for v in variables))
+            for relation, variables in atoms
+        ]
+        self._width = len(slots)
+        self._project = tuple(slots[variable] for variable in out)
+        #: (relation id, key columns, value column) -> key -> {value: count}
+        self._arrangements: dict = {}
+        #: per parent: the positions it occupies, then one delta-query
+        #: plan per non-empty set of them
+        occupied: dict = {}
+        for position, (relation, _) in enumerate(atoms):
+            occupied.setdefault(relation, []).append(position)
+        parents = tuple(occupied)
+        self._plans = {
+            parent.id: [
+                self._compile(seeds)
+                for size in range(1, len(positions) + 1)
+                for seeds in combinations(positions, size)
+            ]
+            for parent, positions in occupied.items()
+        }
+        #: per parent: (key-of-row, value column, arrangement) to maintain
+        self._maintained = {
+            parent.id: [
+                (_columns(key_columns), value_column, arrangement)
+                for (rel_id, key_columns, value_column), arrangement
+                in self._arrangements.items()
+                if rel_id == parent.id
+            ]
+            for parent in parents
+        }
+        super().__init__(flow, parents, name=name)
+
+    def _compile(self, seeds: tuple) -> tuple:
+        """Plan for one set of seed positions: ``(binds, equalities,
+        power, steps)`` — slot ← row column, row-column pairs that must
+        agree for the row to fill every seed, the seed count (the
+        exponent of the row's change), and one step per variable left to
+        probe, each ``(slot, known, [(arrangement, key-of-slots)],
+        finals)`` (a *final* probe fully binds its atom and therefore
+        contributes the atom's count)."""
+        bound: dict = {}
+        equalities = []
+        for position in seeds:
+            for column, slot in enumerate(self._atoms[position][1]):
+                if slot in bound:
+                    equalities.append((bound[slot], column))
+                else:
+                    bound[slot] = column
+        order = list(bound)
+        pending = [a for p, a in enumerate(self._atoms) if p not in seeds]
+        while len(order) < self._width:
+            # next: the free variable of the atom with most bound columns
+            _, slots = max(
+                (a for a in pending if set(a[1]) - set(order)),
+                key=lambda a: sum(slot in order for slot in a[1]),
+            )
+            order.append(next(slot for slot in slots if slot not in order))
+        rank = {slot: index for index, slot in enumerate(order)}
+        probes: dict = {}
+        for relation, slots in pending:
+            columns = sorted(range(len(slots)), key=lambda c: rank[slots[c]])
+            # probe at each variable the seeds left free — or, for an
+            # atom the seeds bind entirely, once at its last column
+            first = min(sum(slot in bound for slot in slots), len(slots) - 1)
+            for index in range(first, len(slots)):
+                key_columns = tuple(sorted(columns[:index]))
+                arrangement = self._arrangements.setdefault(
+                    (relation.id, key_columns, columns[index]), {}
+                )
+                probes.setdefault(slots[columns[index]], []).append(
+                    (
+                        (arrangement, _columns(tuple(slots[c] for c in key_columns))),
+                        index == len(slots) - 1,
+                    )
+                )
+        steps = [
+            (slot, slot in bound, *zip(*probes[slot]))
+            for slot in order
+            if slot in probes
+        ]
+        return tuple(bound.items()), tuple(equalities), len(seeds), steps
+
+    def _extend(self, steps, depth, slots, weight, out) -> None:
+        if depth == len(steps):
+            row = tuple(slots[slot] for slot in self._project)
+            out[row] = out.get(row, 0) + weight
+            return
+        slot, known, probes, finals = steps[depth]
+        buckets = []
+        for arrangement, key_of in probes:
+            bucket = arrangement.get(key_of(slots))
+            if not bucket:
+                return
+            buckets.append(bucket)
+        candidates = (slots[slot],) if known else min(buckets, key=len)
+        self.flow.meter.traverse_edge(len(candidates))
+        checks = list(zip(buckets, finals))
+        for value in candidates:
+            product = weight
+            for bucket, final in checks:
+                count = bucket.get(value)
+                if not count:
+                    break
+                if final:
+                    product *= count
+            else:
+                slots[slot] = value
+                self._extend(steps, depth + 1, slots, product, out)
+
+    def _recompute(self):
+        out: Multiset = {}
+        slots = [None] * self._width
+        for parent in self.parents:
+            delta = parent.value if not self.initialized else self._take_pending(parent)
+            plans = self._plans[parent.id]
+            maintained = self._maintained[parent.id]
+            for row, change in delta.items():
+                for binds, equalities, power, steps in plans:
+                    for left, right in equalities:
+                        if row[left] != row[right]:
+                            break
+                    else:
+                        for slot, column in binds:
+                            slots[slot] = row[column]
+                        self._extend(steps, 0, slots, change**power, out)
+                for key_of, value_column, arrangement in maintained:
+                    key = key_of(row)
+                    bucket = arrangement.get(key)
+                    if bucket is None:
+                        bucket = arrangement[key] = {}
+                    value = row[value_column]
+                    count = bucket.get(value, 0) + change
+                    if count:
+                        bucket[value] = count
+                    else:
+                        del bucket[value]
+                        if not bucket:
+                            del arrangement[key]
+        return self._merge(out)
+
+    def _state_rows(self) -> int:
+        return sum(_held(index) for index in self._arrangements.values())
+
 
 class _ReduceNode(Node):
     """Group-aggregate with an invertible step.
@@ -436,6 +643,9 @@ class _ReduceNode(Node):
                 new_row = self._out_row(key, acc)
                 out[new_row] = out.get(new_row, 0) + 1
         return self._merge(out)
+
+    def _state_rows(self) -> int:
+        return len(self._groups)
 
 
 class _DistinctNode(Node):
@@ -690,6 +900,30 @@ class Dataflow:
         self._require_relation(right, "join")
         return _JoinNode(self, left, right, left_key, right_key, merge, name=name)
 
+    def multijoin(self, atoms, out, name: str = "") -> Node:
+        """Natural join of ≥ 2 atoms as a delta query.
+
+        ``atoms`` is a sequence of ``(relation, variables)``: the
+        variables name the leading columns of the relation's rows, and
+        atoms sharing a variable join on it; ``out`` lists the variables
+        of the output row.  Same multiset semantics as chained ``join``
+        (output count = product of the atom counts) with state linear in
+        the inputs; see :class:`_MultiJoinNode`::
+
+            >>> flow = Dataflow()
+            >>> edges = flow.var()
+            >>> cycles = flow.multijoin(
+            ...     [(edges, "ab"), (edges, "bc"), (edges, "ca")], out="abc")
+            >>> edges.update({(1, 2): 1, (2, 3): 1, (3, 1): 1, (3, 4): 1})
+            >>> _ = flow.stabilize()
+            >>> sorted(cycles.rows())
+            [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+        """
+        atoms = list(atoms)
+        for relation, _ in atoms:
+            self._require_relation(relation, "multijoin")
+        return _MultiJoinNode(self, atoms, out, name=name)
+
     def reduce(self, node: Node, key, zero, step, name: str = "") -> Node:
         """Group-aggregate; see :class:`_ReduceNode` for the contract."""
         self._require_relation(node, "reduce")
@@ -767,6 +1001,26 @@ class Dataflow:
                 f"{combinator} requires a relation input; {node.name} is "
                 "scalar (wrap scalar post-processing in map_value/map2)"
             )
+
+    # -- introspection -------------------------------------------------
+
+    def describe(self) -> list[dict]:
+        """The graph as data, one record per node in creation order:
+        ``name``, ``kind`` (the combinator), ``height``, ``eval_count``,
+        ``value_rows`` (distinct rows in ``value``; 1 for a scalar) and
+        ``state_rows`` (rows held beside it: join indexes, reduce
+        groups, multijoin arrangements)."""
+        return [
+            {
+                "name": node.name,
+                "kind": type(node).__name__.lstrip("_").lower().removesuffix("node"),
+                "height": node.height,
+                "eval_count": node.eval_count,
+                "value_rows": len(node.value) if node.is_relation else 1,
+                "state_rows": node._state_rows(),
+            }
+            for node in self.nodes
+        ]
 
     # -- stabilization -------------------------------------------------
 

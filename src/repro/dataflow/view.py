@@ -317,3 +317,22 @@ class DataflowView:
         if output.is_relation:
             return frozenset(output.value)
         return output.value
+
+    def describe(self) -> list[dict]:
+        """The program's dataflow graph as data — per node its name,
+        combinator, height, evaluation count and the rows it holds (see
+        :meth:`~repro.dataflow.runtime.Dataflow.describe`)::
+
+            >>> g = DiGraph(labels={1: "a", 2: "a", 3: "a"},
+            ...             edges=[(1, 2), (2, 3), (3, 1)])
+            >>> for node in DataflowView(g, "triangle-count").describe():
+            ...     print(node["name"], node["kind"], node["height"],
+            ...           node["value_rows"], node["state_rows"])
+            graph.nodes var 0 3 0
+            graph.edges var 0 3 0
+            tri.walks multijoin 1 3 6
+            tri.cycles map 2 1 0
+            tri.distinct distinct 3 1 0
+            tri.count count 4 1 0
+        """
+        return self.flow.describe()

@@ -37,6 +37,14 @@ is returned when the repository's session pool is exhausted — the two
 bounds shed load at different depths (event loop vs. session pool) but
 present one retry contract.
 
+**Encode once.**  A cached answer is immutable, so its encoded form is
+too: the first wire read of a ``(view, query, version)`` builds the
+reply payload (:func:`jsonable`, then ``json.dumps``), the repository
+keeps the bytes beside the frozen answer until the entry is evicted,
+and every later read of it — one-shot or through any session whose
+generation resolves to that version — splices the same bytes into its
+reply envelope.
+
 The event loop never blocks on the engine: repository calls (which may
 wait on the engine's read/write lock) run on the default thread-pool
 executor.  All frontend state (in-flight counter, per-connection
@@ -48,8 +56,9 @@ frontend itself needs no locks — the thread-safety boundary is the
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.core.delta import Update, delete, insert
 from repro.serving.repository import (
@@ -83,19 +92,45 @@ def jsonable(value: Any) -> Any:
 
     Frozen answers use frozensets and tuples (see
     :func:`repro.serving.repository.freeze_answer`); JSON has neither,
-    so sets become sorted lists (sorted by ``repr`` — total even over
-    mixed element types) and tuples become lists.
+    so sets become sorted lists and tuples become lists.  Elements sort
+    in their natural order; a set whose elements do not compare (mixed
+    types) sorts by ``repr``, which is total.
 
-    >>> jsonable(frozenset({frozenset({2, 1}), frozenset({3})}))
-    [[1, 2], [3]]
+    >>> jsonable(frozenset({frozenset({2, 1}), frozenset({10})}))
+    [[1, 2], [10]]
+    >>> jsonable(frozenset({"b", 1}))
+    ['b', 1]
     """
     if isinstance(value, (set, frozenset)):
-        return sorted((jsonable(item) for item in value), key=repr)
+        items = [jsonable(item) for item in value]
+        try:
+            return sorted(items)
+        except TypeError:
+            return sorted(items, key=repr)
     if isinstance(value, (list, tuple)):
         return [jsonable(item) for item in value]
     if isinstance(value, dict):
         return {str(key): jsonable(item) for key, item in value.items()}
     return value
+
+
+def _encode_answer(answer: Any) -> bytes:
+    """The ``"answer"`` member of a read reply: what the repository
+    keeps beside each frozen answer.  ``jsonable`` is looked up in the
+    module on every call so a tracer that replaces it sees each encode."""
+    return json.dumps(jsonable(answer)).encode()
+
+
+class _Answer(NamedTuple):
+    """A successful read: the generation it resolved at and the encoded
+    answer, spliced into the envelope without being parsed again."""
+
+    generation: int
+    payload: bytes
+
+
+def _encode_reply(reply: Any) -> bytes:
+    return json.dumps(reply).encode()
 
 
 def _parse_updates(raw: Any) -> list[Update]:
@@ -217,8 +252,7 @@ class ServingFrontend:
                     break  # oversized line: drop the connection
                 if not line:
                     break
-                reply = await self._handle_line(line, sessions)
-                writer.write(json.dumps(reply).encode() + b"\n")
+                writer.write(await self._handle_line(line, sessions) + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -238,16 +272,17 @@ class ServingFrontend:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _handle_line(
-        self, line: bytes, sessions: dict[int, Any]
-    ) -> dict[str, Any]:
+    async def _handle_line(self, line: bytes, sessions: dict[int, Any]) -> bytes:
+        """One request line in, one encoded reply (no newline) out."""
         try:
             request = json.loads(line)
         except json.JSONDecodeError as error:
-            return self._error("bad_request", f"not JSON: {error}")
+            return _encode_reply(self._error("bad_request", f"not JSON: {error}"))
         if not isinstance(request, dict) or "op" not in request:
-            return self._error("bad_request", "request must be {'op': ...}")
-        reply: dict[str, Any]
+            return _encode_reply(
+                self._error("bad_request", "request must be {'op': ...}")
+            )
+        reply: Union[dict[str, Any], _Answer]
         # The load-shed decision happens before any work is enqueued:
         # past max_inflight the request is refused *now*, not queued.
         if self._inflight >= self.max_inflight:
@@ -267,13 +302,22 @@ class ServingFrontend:
                 reply = await self._dispatch(request, sessions)
             finally:
                 self._inflight -= 1
+        if isinstance(reply, _Answer):
+            # the envelope json.dumps would write, around the kept bytes
+            head = b'{"ok": true, "generation": %d, "answer": %b' % (
+                reply.generation,
+                reply.payload,
+            )
+            if "id" not in request:
+                return head + b"}"
+            return head + b', "id": %b}' % _encode_reply(request["id"])
         if "id" in request:
             reply["id"] = request["id"]
-        return reply
+        return _encode_reply(reply)
 
     async def _dispatch(
         self, request: dict[str, Any], sessions: dict[int, Any]
-    ) -> dict[str, Any]:
+    ) -> Union[dict[str, Any], _Answer]:
         op = request.get("op")
         loop = asyncio.get_running_loop()
         try:
@@ -295,12 +339,8 @@ class ServingFrontend:
                         "bad_request", "read needs string 'view' and 'query'"
                     )
                 session_id = request.get("session")
-                if session_id is None:
-                    answer = await loop.run_in_executor(
-                        None, self.repository.read_latest, view, query
-                    )
-                    generation = self.repository.generation
-                else:
+                session = None
+                if session_id is not None:
                     session = sessions.get(session_id)
                     if session is None:
                         return self._error(
@@ -308,15 +348,13 @@ class ServingFrontend:
                             f"session {session_id} is not open on this "
                             "connection",
                         )
-                    answer = await loop.run_in_executor(
-                        None, session.read, view, query
+                read = self.repository.read_latest if session is None else session.read
+                return _Answer(
+                    *await loop.run_in_executor(
+                        None,
+                        functools.partial(read, view, query, encode=_encode_answer),
                     )
-                    generation = session.generation
-                return {
-                    "ok": True,
-                    "generation": generation,
-                    "answer": jsonable(answer),
-                }
+                )
             if op == "close":
                 session = sessions.pop(request.get("session"), None)
                 if session is None:
@@ -337,6 +375,7 @@ class ServingFrontend:
                 return {
                     "ok": True,
                     "generation": self.repository.generation,
+                    "seq": report.seq,
                     "routed": sorted(
                         name
                         for name, view_report in report.views.items()

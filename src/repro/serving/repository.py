@@ -18,7 +18,10 @@ writer, with three guarantees:
   filters already compute (:mod:`repro.engine.relevance`) is the
   invalidation signal: a batch bumps the version of — and thereby
   invalidates — exactly the views it was routed to; entries for views
-  the batch skipped survive untouched and keep serving hits.
+  the batch skipped survive untouched and keep serving hits.  An entry
+  is immutable, so what is derived from it is too: the reply payload a
+  wire front end encodes from an answer (``encode=`` on the read
+  methods) is built once and kept on the entry until it is evicted.
 * **Bounded admission.**  Sessions come from a bounded pool with
   lease/timeout semantics: admission blocks up to a timeout when the
   pool is full (:class:`SessionLimitError` is the load-shed signal), and
@@ -73,9 +76,10 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional, Union
 
 from repro.core.delta import Delta, Update
@@ -99,8 +103,20 @@ __all__ = [
 #: A registered query: a read-only function of one view's live state.
 QueryFn = Callable[[Any], Any]
 
-#: Cache-miss sentinel (``None`` is a legal cached answer).
-_MISS = object()
+#: Builds a reply payload from a frozen answer (the wire front end's).
+Encoder = Callable[[Any], bytes]
+
+
+class _Entry:
+    """One cache slot: a frozen answer and, once a wire read has asked
+    for it, the reply payload encoded from it.  Both are immutable and
+    die together when the slot is evicted."""
+
+    __slots__ = ("answer", "wire")
+
+    def __init__(self, answer: Any) -> None:
+        self.answer = answer
+        self.wire: Optional[bytes] = None
 
 
 class ServingError(RuntimeError):
@@ -244,15 +260,19 @@ class CacheStats:
     a retained generation; ``invalidations`` counts view-version bumps
     (each one retires the view's current-version keys from future
     reads); ``evicted`` counts entries dropped because no retained
-    generation can reach them any more; ``entries`` is the current
-    resident count."""
+    generation can reach them any more; ``encodes`` counts reply
+    payloads built for wire reads (one per entry, however many reads
+    it serves); ``entries`` and ``wire_bytes`` are gauges: the resident
+    entry count and the payload bytes held beside them."""
 
     hits: int = 0
     misses: int = 0
     frozen: int = 0
     invalidations: int = 0
     evicted: int = 0
+    encodes: int = 0
     entries: int = 0
+    wire_bytes: int = 0
 
 
 class ReadSession:
@@ -296,13 +316,17 @@ class ReadSession:
         """Has the session been closed (or reaped)?"""
         return self._closed
 
-    def read(self, view: str, query: str) -> Any:
+    def read(
+        self, view: str, query: str, *, encode: Optional[Encoder] = None
+    ) -> Any:
         """The named query's answer at the pinned generation.
 
-        Raises :class:`SessionClosedError` / :class:`SessionExpiredError`
+        ``encode`` is the wire front end's, as on
+        :meth:`Repository.read_latest`.  Raises
+        :class:`SessionClosedError` / :class:`SessionExpiredError`
         when the lease ran out, :class:`UnknownQueryError` for names the
         repository does not serve."""
-        return self._repository._session_read(self, view, query)
+        return self._repository._read(view, query, self, encode)
 
     def renew(self) -> None:
         """Extend the lease by the repository's configured duration."""
@@ -381,13 +405,14 @@ class Repository:
         #: view -> ascending generations at which the view changed
         #: (0 = admission state).  ``_version(view, g)`` resolves reads.
         self._changes: dict[str, list[int]] = {}
-        #: (view, query, version) -> frozen answer.
-        self._cache: dict[tuple[str, str, int], Any] = {}
+        #: (view, query, version) -> frozen answer (+ its wire payload).
+        self._cache: dict[tuple[str, str, int], _Entry] = {}
         self._queries: dict[str, dict[str, QueryFn]] = {}
         self._sessions: dict[int, ReadSession] = {}
         self._reserved = 0
         self._next_session_id = 1
-        self._stats = CacheStats()
+        #: the counting fields of :class:`CacheStats`, by name
+        self._counts: Counter[str] = Counter()
         self._poisoned: Optional[str] = None
         self._closed = False
         self._applying = False
@@ -574,22 +599,51 @@ class Repository:
                 self._durable_generation = self._generation
                 return self._durable_generation
 
-    def read_latest(self, view: str, query: str) -> Any:
+    def read_latest(
+        self, view: str, query: str, *, encode: Optional[Encoder] = None
+    ) -> Any:
         """One-shot read at the current generation, outside any session.
 
         Holds the read side of the engine lock across resolve+compute,
-        so the answer is one consistent generation's — but unlike a
+        so the answer is one consistent generation's and — like
+        admission — orders after any in-flight write; but unlike a
         session there is no pin: two consecutive ``read_latest`` calls
-        may observe different generations."""
-        with self._engine_lock.read():
-            with self._meta_lock:
-                generation = self._generation
-            return self._read_at(view, query, generation, under_read_lock=True)
+        may observe different generations.
 
-    def _session_read(self, session: ReadSession, view: str, query: str) -> Any:
-        with self._meta_lock:
-            self._check_session_locked(session)
-        return self._read_at(view, query, session.generation, under_read_lock=False)
+        With ``encode`` (the wire front end's reply encoder; one per
+        repository, because its output is kept per entry, not per
+        encoder) the result is ``(generation, payload)``: the
+        generation the read resolved at and ``encode(answer)``, built
+        by the first such read of a ``(view, query, version)`` and kept
+        beside the frozen answer until the entry is evicted."""
+        return self._read(view, query, None, encode)
+
+    def _read(
+        self,
+        view: str,
+        query: str,
+        session: Optional[ReadSession],
+        encode: Optional[Encoder],
+    ) -> Any:
+        """Every read, pinned or one-shot, wire or in-process."""
+        entry = None
+        if session is not None:  # a pinned hit needs no engine lock
+            with self._meta_lock:
+                self._check_session_locked(session)
+                generation, _, _, entry = self._resolve_locked(view, query, session)
+        if entry is None:
+            with self._engine_lock.read():
+                generation, entry = self._resolve_or_compute(view, query, session)
+        if encode is None:
+            return entry.answer
+        payload = entry.wire
+        if payload is None:
+            # outside every lock: a slow encode delays nobody else
+            payload = encode(entry.answer)
+            with self._meta_lock:
+                entry.wire = payload
+                self._count_locked(encodes=1)
+        return generation, payload
 
     def _check_session_locked(self, session: ReadSession) -> None:
         self._check_serving_locked()
@@ -628,58 +682,42 @@ class Repository:
         changes = self._changes[view]
         return changes[bisect_right(changes, generation) - 1]
 
-    def _read_at(
-        self, view: str, query: str, generation: int, under_read_lock: bool
-    ) -> Any:
+    def _resolve_locked(
+        self, view: str, query: str, session: Optional[ReadSession]
+    ) -> tuple[int, int, QueryFn, Optional[_Entry]]:
+        """The resolve step every read shares: generation -> version ->
+        cache entry, counting a hit (``None`` is a miss, not yet
+        counted)."""
         fn = self._query_fn(view, query)
-        with self._meta_lock:
-            self._check_serving_locked()
-            version = self._version(view, generation)
-            if self._cache_enabled:
-                answer = self._cache.get((view, query, version), _MISS)
-                if answer is not _MISS:
-                    self._stats = CacheStats(
-                        hits=self._stats.hits + 1,
-                        misses=self._stats.misses,
-                        frozen=self._stats.frozen,
-                        invalidations=self._stats.invalidations,
-                        evicted=self._stats.evicted,
-                        entries=len(self._cache),
-                    )
-                    return answer
-        if under_read_lock:
-            return self._compute_live(view, query, fn, version)
-        with self._engine_lock.read():
-            return self._compute_live(view, query, fn, version)
+        self._check_serving_locked()
+        generation = self._generation if session is None else session.generation
+        version = self._version(view, generation)
+        entry = self._cache.get((view, query, version))
+        if entry is not None:
+            self._count_locked(hits=1)
+        return generation, version, fn, entry
 
-    def _compute_live(
-        self, view: str, query: str, fn: QueryFn, version: int
-    ) -> Any:
-        """Compute a missed answer from the live view (read lock held).
+    def _resolve_or_compute(
+        self, view: str, query: str, session: Optional[ReadSession]
+    ) -> tuple[int, _Entry]:
+        """The cached entry, or one computed from the live view (read
+        lock held).
 
-        Re-checks the cache first: the writer may have frozen the entry
-        while this reader was between locks.  If the view's version has
-        moved past ``version`` and no frozen entry exists, the snapshot
-        is unservable — with the cache enabled that is an invariant
-        breach (the freeze always runs before the version bump for
-        pinned generations), reported as poison rather than served
-        wrong."""
-        key = (view, query, version)
+        Resolves under the read lock — the generation cannot move while
+        it is held, and for a pinned read that already missed the writer
+        may have frozen the entry in between.  If the view's version
+        has moved past the resolved one and no frozen entry exists, the
+        snapshot is unservable — with the cache enabled that is an
+        invariant breach (the freeze always runs before the version
+        bump for pinned generations), reported as poison rather than
+        served wrong."""
         with self._meta_lock:
-            self._check_serving_locked()
-            if self._cache_enabled:
-                answer = self._cache.get(key, _MISS)
-                if answer is not _MISS:
-                    self._stats = CacheStats(
-                        hits=self._stats.hits + 1,
-                        misses=self._stats.misses,
-                        frozen=self._stats.frozen,
-                        invalidations=self._stats.invalidations,
-                        evicted=self._stats.evicted,
-                        entries=len(self._cache),
-                    )
-                    return answer
+            generation, version, fn, entry = self._resolve_locked(
+                view, query, session
+            )
             current = self._changes[view][-1]
+        if entry is not None:
+            return generation, entry
         if version != current:
             if self._cache_enabled:
                 self._poison(
@@ -695,19 +733,16 @@ class Repository:
                 "cannot be served (cache=False forfeits MVCC for changed "
                 "views)"
             )
-        answer = freeze_answer(fn(self.engine.view(view)))
+        entry = _Entry(freeze_answer(fn(self.engine.view(view))))
         with self._meta_lock:
             if self._cache_enabled:
-                self._cache[key] = answer
-            self._stats = CacheStats(
-                hits=self._stats.hits,
-                misses=self._stats.misses + 1,
-                frozen=self._stats.frozen,
-                invalidations=self._stats.invalidations,
-                evicted=self._stats.evicted,
-                entries=len(self._cache),
-            )
-        return answer
+                self._cache[(view, query, version)] = entry
+            self._count_locked(misses=1)
+        return generation, entry
+
+    def _count_locked(self, **increments: int) -> None:
+        """Advance the named :class:`CacheStats` counters."""
+        self._counts.update(increments)
 
     # ------------------------------------------------------------------
     # The write stream
@@ -839,17 +874,10 @@ class Repository:
                     if (name, query, version) not in self._cache
                 ]
             for query, fn in missing:
-                answer = freeze_answer(fn(self.engine.view(name)))
+                entry = _Entry(freeze_answer(fn(self.engine.view(name))))
                 with self._meta_lock:
-                    self._cache[(name, query, version)] = answer
-                    self._stats = CacheStats(
-                        hits=self._stats.hits,
-                        misses=self._stats.misses,
-                        frozen=self._stats.frozen + 1,
-                        invalidations=self._stats.invalidations,
-                        evicted=self._stats.evicted,
-                        entries=len(self._cache),
-                    )
+                    self._cache[(name, query, version)] = entry
+                    self._count_locked(frozen=1)
 
     def _preview_changed_views(self, delta: Delta) -> frozenset[str]:
         """The views the routed fan-out *may* deliver this batch to,
@@ -931,14 +959,7 @@ class Repository:
                             "fan-out disagree"
                         )
                 versions.append(self._generation)
-                self._stats = CacheStats(
-                    hits=self._stats.hits,
-                    misses=self._stats.misses,
-                    frozen=self._stats.frozen,
-                    invalidations=self._stats.invalidations + 1,
-                    evicted=self._stats.evicted,
-                    entries=len(self._cache),
-                )
+                self._count_locked(invalidations=1)
             self._note_durability_locked(report)
             self._evict_unreachable_locked()
 
@@ -1006,14 +1027,7 @@ class Repository:
         for key in doomed:
             del self._cache[key]
         if doomed:
-            self._stats = CacheStats(
-                hits=self._stats.hits,
-                misses=self._stats.misses,
-                frozen=self._stats.frozen,
-                invalidations=self._stats.invalidations,
-                evicted=self._stats.evicted + len(doomed),
-                entries=len(self._cache),
-            )
+            self._count_locked(evicted=len(doomed))
 
     # ------------------------------------------------------------------
     # Health: poison tripwires, stats, lifecycle
@@ -1057,9 +1071,17 @@ class Repository:
             return self._poisoned
 
     def cache_stats(self) -> CacheStats:
-        """A consistent snapshot of the cache counters."""
+        """A consistent snapshot of the cache counters and gauges."""
         with self._meta_lock:
-            return self._stats
+            return CacheStats(
+                **self._counts,
+                entries=len(self._cache),
+                wire_bytes=sum(
+                    len(entry.wire)
+                    for entry in self._cache.values()
+                    if entry.wire is not None
+                ),
+            )
 
     def stats(self) -> dict[str, Any]:
         """Operational snapshot for monitoring and the wire ``stats``
@@ -1072,14 +1094,7 @@ class Repository:
                 "max_sessions": self._max_sessions,
                 "pinned_generations": sorted(self._pins),
                 "poisoned": self._poisoned,
-                "cache": {
-                    "hits": self._stats.hits,
-                    "misses": self._stats.misses,
-                    "frozen": self._stats.frozen,
-                    "invalidations": self._stats.invalidations,
-                    "evicted": self._stats.evicted,
-                    "entries": len(self._cache),
-                },
+                "cache": asdict(self.cache_stats()),
             }
 
     def close(self) -> None:

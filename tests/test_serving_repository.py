@@ -114,6 +114,37 @@ def test_read_latest_needs_no_session():
     assert repo.open_sessions == 0
 
 
+def test_encoded_reads_keep_one_payload_per_entry():
+    """``encode=`` for one-shot and pinned reads: the generation the
+    read resolved at, and one payload per ``(view, query, version)``."""
+    repo = make_repo()
+    calls = []
+
+    def encode(answer):
+        calls.append(answer)
+        return repr(sorted(map(sorted, answer))).encode()
+
+    old = repo.session()
+    for _ in range(2):
+        assert repo.read_latest("scc", "components", encode=encode) == (
+            0, b"[[1], [2], [3]]",
+        )
+    repo.apply([insert(3, 1)])
+    new = repo.session()
+    # the pinned read resolves at its own generation, from the kept bytes
+    assert old.read("scc", "components", encode=encode) == (
+        0, b"[[1], [2], [3]]",
+    )
+    assert new.read("scc", "components", encode=encode) == (1, b"[[1, 2, 3]]")
+    assert repo.read_latest("scc", "components", encode=encode) == (
+        1, b"[[1, 2, 3]]",
+    )
+    assert len(calls) == repo.cache_stats().encodes == 2
+    assert repo.cache_stats().wire_bytes == len(b"[[1], [2], [3]][[1, 2, 3]]")
+    old.close(), new.close()
+    assert repo.cache_stats().wire_bytes == len(b"[[1, 2, 3]]")
+
+
 def test_unknown_names_raise():
     repo = make_repo()
     with pytest.raises(UnknownQueryError):

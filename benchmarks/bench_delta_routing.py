@@ -13,23 +13,21 @@ across views: each view's ``relevance()`` filter routes it only the
 sub-delta that can affect its answer, and a view routed an empty
 sub-delta is skipped at zero cost.
 
-Three dispatch strategies process identical delta streams:
+Two fan-out modes process identical delta streams:
 
-* **broadcast**       — ``Engine(routing=False)``: every view absorbs
-  every batch (the pre-scheduler fan-out);
-* **routed**          — relevance routing on (the default);
-* **routed+threads**  — routing plus the ``threads`` executor, so the
-  views that *do* absorb a batch repair concurrently.
+* **broadcast** — ``Engine(routing=False)``: every view absorbs every
+  batch (the pre-scheduler fan-out);
+* **routed**    — relevance routing on (the default).
 
-All three are cross-checked to identical final answers; the run also
+Both are cross-checked to identical final answers; the run also
 asserts that every skipped (view, batch) pair recorded exactly zero cost
 units.  The reproduced claim: on a skewed stream, routed dispatch beats
 broadcast because irrelevant deliveries are never dispatched at all, and
 the win grows with the skew.
 
 A topology-subscribed view (SCC) is deliberately *not* in the pool: its
-``SubscribeAll`` escape hatch receives every batch under every strategy,
-adding identical cost to all three columns (its fan-out economics are
+``SubscribeAll`` escape hatch receives every batch under either mode,
+adding identical cost to both columns (its fan-out economics are
 measured by ``bench_engine_fanout.py``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_delta_routing.py
@@ -170,7 +168,7 @@ def main() -> None:
     emit()
     header = (
         f"{'skew':>5} | {'broadcast (ms)':>14} | {'routed (ms)':>11} | "
-        f"{'+threads (ms)':>13} | {'routed vs bcast':>15} | "
+        f"{'routed vs bcast':>15} | "
         f"{'skipped':>7} | {'delivered':>9}"
     )
     emit(header)
@@ -179,19 +177,16 @@ def main() -> None:
         deltas = delta_stream(base, skew)
         bcast_s, bcast_final, _ = run(base, deltas, routing=False)
         routed_s, routed_final, stats = run(base, deltas)
-        thread_s, thread_final, _ = run(base, deltas, executor="threads")
         assert routed_final == bcast_final, "routed diverged from broadcast"
-        assert thread_final == bcast_final, "threaded diverged from broadcast"
         emit(
             f"{skew:>5.0%} | {bcast_s * 1e3:>14.1f} | {routed_s * 1e3:>11.1f} | "
-            f"{thread_s * 1e3:>13.1f} | {bcast_s / max(routed_s, 1e-9):>14.2f}x | "
+            f"{bcast_s / max(routed_s, 1e-9):>14.2f}x | "
             f"{skip_fraction(stats):>6.0%} | {delivered_fraction(stats):>8.0%}"
         )
     emit()
     emit("broadcast = every view absorbs every batch (routing=False);")
     emit("routed    = relevance filters deliver each view only its sub-delta,")
     emit("            empty deliveries are skipped at zero recorded cost;")
-    emit("+threads  = routed plus parallel dispatch of the surviving absorbs;")
     emit("skipped   = fraction of (view, batch) pairs never dispatched;")
     emit("delivered = unit updates delivered / (views x |dG| x rounds).")
 

@@ -23,7 +23,8 @@ changed region, not the whole store.
 The run cross-checks every configuration to the identical final graph,
 recovers each store from disk afterwards (`SnapshotStore.load`) and
 compares again, and **asserts the acceptance criterion: >= 1.5x apply
-throughput at 4 shards vs 1 shard under the `processes` executor.**
+throughput at 4 shards vs 1 shard under the `serial` executor** (the
+`workers` tier is measured by ``bench_workers.py``).
 
 Views are deliberately absent: this bench isolates the storage + journal
 + compaction path (view fan-out economics are measured by
@@ -68,9 +69,7 @@ SNAPSHOT_EVERY = 400
 COMPACT_EVERY = 5
 
 SHARD_COUNTS = (1, 2, 4)
-EXECUTORS = ("serial", "threads", "processes")
 ACCEPTANCE_SHARDS = 4
-ACCEPTANCE_EXECUTOR = "processes"
 ACCEPTANCE_SPEEDUP = 1.5
 
 
@@ -121,7 +120,7 @@ def boundaries_for(count: int) -> list[int]:
 
 
 def run_stream(
-    shards: int, executor: str, stream: list[Delta], root: Path
+    shards: int, stream: list[Delta], root: Path
 ) -> tuple[float, SnapshotPolicy, SnapshotStore, Engine]:
     """One full configuration: journaling engine + snapshot policy +
     background compaction, timed end to end over the stream."""
@@ -134,8 +133,7 @@ def run_stream(
         shard_map = ShardMap(kind="range", boundaries=boundaries_for(shards))
         graph = ShardedGraphStore(shard_map=shard_map)
         store = SnapshotStore(root, shard_map=shard_map)
-        store.log.executor = executor
-    engine = Engine(graph, executor=executor)
+    engine = Engine(graph, executor="serial")
     policy = SnapshotPolicy(
         every_batches=SNAPSHOT_EVERY, compact_every_batches=COMPACT_EVERY
     )
@@ -163,7 +161,6 @@ def compaction_pause_profile(
         shard_map = ShardMap(kind="range", boundaries=boundaries_for(shards))
         graph = ShardedGraphStore(shard_map=shard_map)
         store = SnapshotStore(root, shard_map=shard_map)
-        store.log.executor = "serial"
     engine = Engine(graph, executor="serial")
     store.attach(engine)
     store.save(engine)
@@ -199,45 +196,41 @@ def main() -> None:
 
     workspace = Path(tempfile.mkdtemp(prefix="bench_sharding_"))
     header = (
-        f"{'executor':>9} | {'shards':>6} | {'applies/s':>9} | "
+        f"{'shards':>6} | {'applies/s':>9} | "
         f"{'vs 1 shard':>10} | {'saves':>5} | {'compactions':>11}"
     )
     emit(header)
     emit("-" * len(header))
 
     reference_graph = None
-    acceptance: dict[str, float] = {}
-    for executor in EXECUTORS:
-        baseline = None
-        for shards in SHARD_COUNTS:
-            root = workspace / f"{executor}-{shards}"
-            elapsed, policy, store, engine = run_stream(
-                shards, executor, stream, root
+    baseline = None
+    verdict = 0.0
+    for shards in SHARD_COUNTS:
+        root = workspace / f"serial-{shards}"
+        elapsed, policy, store, engine = run_stream(shards, stream, root)
+        throughput = STREAM_BATCHES / elapsed
+        if baseline is None:
+            baseline = throughput
+        speedup = throughput / baseline
+        if shards == ACCEPTANCE_SHARDS:
+            verdict = speedup
+        # every configuration must land on the identical final graph
+        if reference_graph is None:
+            reference_graph = engine.graph
+        else:
+            assert engine.graph == reference_graph, (
+                f"{shards} shards diverged from the reference graph"
             )
-            throughput = STREAM_BATCHES / elapsed
-            if baseline is None:
-                baseline = throughput
-            speedup = throughput / baseline
-            if shards == ACCEPTANCE_SHARDS:
-                acceptance[executor] = speedup
-            # every configuration must land on the identical final graph
-            if reference_graph is None:
-                reference_graph = engine.graph
-            else:
-                assert engine.graph == reference_graph, (
-                    f"{executor}/{shards} diverged from the reference graph"
-                )
-            # and recover to it from disk
-            revived = SnapshotStore(root).load(attach_journal=False)
-            assert revived.graph == reference_graph, (
-                f"{executor}/{shards} recovery diverged"
-            )
-            emit(
-                f"{executor:>9} | {shards:>6} | {throughput:>9.0f} | "
-                f"{speedup:>9.2f}x | {policy.saves:>5} | "
-                f"{policy.compactions:>11}"
-            )
-        emit("-" * len(header))
+        # and recover to it from disk
+        revived = SnapshotStore(root).load(attach_journal=False)
+        assert revived.graph == reference_graph, (
+            f"{shards} shards: recovery diverged"
+        )
+        emit(
+            f"{shards:>6} | {throughput:>9.0f} | "
+            f"{speedup:>9.2f}x | {policy.saves:>5} | "
+            f"{policy.compactions:>11}"
+        )
 
     emit()
     emit("compaction pause per firing (rotate=True):")
@@ -256,17 +249,16 @@ def main() -> None:
         )
 
     emit()
-    verdict = acceptance.get(ACCEPTANCE_EXECUTOR, 0.0)
     status = "PASS" if verdict >= ACCEPTANCE_SPEEDUP else "FAIL"
     emit(
         f"acceptance: {ACCEPTANCE_SHARDS} shards vs 1 under "
-        f"'{ACCEPTANCE_EXECUTOR}' = {verdict:.2f}x "
+        f"'serial' = {verdict:.2f}x "
         f"(required >= {ACCEPTANCE_SPEEDUP}x) ... {status}"
     )
     emit()
     emit("applies/s   = end-to-end engine.apply throughput, journal fsyncs,")
     emit("              auto-snapshots and in-stream compactions included;")
-    emit("vs 1 shard  = same executor, monolithic DiGraph + deltas.log;")
+    emit("vs 1 shard  = monolithic DiGraph + deltas.log;")
     emit("pause       = wall time of one background-compaction firing —")
     emit("              whole-log rewrite (1 shard) vs one rotating segment.")
     shutil.rmtree(workspace, ignore_errors=True)

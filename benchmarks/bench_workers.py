@@ -1,16 +1,13 @@
 #!/usr/bin/env python
-"""Resident shard workers + group-commit windows vs. the older tiers.
+"""Resident shard workers + group-commit windows vs. inline journaling.
 
 The scenario is a **sustained shard-local update stream** under
 production journaling — every batch is routed, journaled, and durable
-before the stream ends.  The four executor tiers differ only in *who*
+before the stream ends.  The two executor tiers differ only in *who*
 does the journaling and *when* durability is acknowledged:
 
-* ``serial`` / ``threads`` — the coordinator appends and fsyncs every
-  batch inline (one fsync per batch, format v1–v3 framing);
-* ``processes`` — the append-offload tier: per-segment appends ship to
-  a stateless spawn pool, still one pickling round-trip and one fsync
-  per batch;
+* ``serial`` — the coordinator appends and fsyncs every batch inline
+  (one fsync per batch, format v1–v3 framing);
 * ``workers`` — the resident shared-nothing tier (format v4): each
   shard's worker owns its replica and segment, sub-deltas stream over
   persistent pipes with **no per-batch acknowledgement**, and fsync
@@ -81,7 +78,7 @@ STREAM_BATCHES = 1000
 BATCH_SIZE = 2
 
 SHARD_COUNTS = (1, 2, 4, 8)
-EXECUTORS = ("serial", "threads", "processes", "workers")
+EXECUTORS = ("serial", "workers")
 #: Group-commit window (batches) for the `workers` rows of the main
 #: table; the sweep below varies it.
 WINDOW_SIZE = 16
@@ -196,8 +193,8 @@ def main() -> None:
     emit(
         f"stream: {STREAM_BATCHES} shard-local batches, {total_updates} "
         f"unit updates, round-robin across 8 source ranges; workers rows "
-        f"journal under {WINDOW_SIZE}-batch group-commit windows, every "
-        f"other tier fsyncs per batch"
+        f"journal under {WINDOW_SIZE}-batch group-commit windows, serial "
+        f"rows fsync per batch"
     )
     emit(
         f"storage: sustained fsync ~{fsync_us:.0f} us -> "

@@ -11,9 +11,9 @@ The finale re-runs the same stream through an :class:`~repro.Engine`
 over a **sharded** graph store (``ShardedGraphStore``, 4 hash shards)
 — the drop-in storage layout that partitions mutations, journaling,
 and compaction per shard — and shows the answers are identical.  The
-engine's dispatch strategy follows ``REPRO_ENGINE_EXECUTOR``
-(``serial`` / ``threads`` / ``processes``), so this script doubles as
-a smoke test for every executor.
+engine's executor strategy follows ``REPRO_ENGINE_EXECUTOR``
+(``serial`` / ``workers``), so this script doubles as a smoke test for
+both executors.
 
 Run:  python examples/quickstart.py
 """

@@ -11,7 +11,7 @@ The subsystem has four layers:
 * :mod:`repro.engine.scheduler` — the :class:`FanOutScheduler` that
   pre-partitions each normalized batch per view (skipping views routed
   an empty sub-delta at zero cost), dispatches the remaining absorbs
-  serially or on a thread pool, and reports which views went dirty;
+  in registration order, and reports which views went dirty;
 * :mod:`repro.engine.session` — the :class:`Engine` (alias
   :class:`IncrementalSession`) that owns the authoritative graph,
   normalizes and validates each incoming batch once, applies ``G ⊕ ΔG``

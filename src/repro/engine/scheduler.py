@@ -1,4 +1,4 @@
-"""The fan-out scheduler: relevance routing, parallel dispatch, dirty
+"""The fan-out scheduler: relevance routing, executor strategy, dirty
 accounting.
 
 :class:`~repro.engine.session.Engine.apply` used to hand the entire
@@ -16,42 +16,27 @@ hottest path in three ways:
   per-batch cost is exactly zero.  Views without a filter — or with
   :class:`~repro.engine.relevance.SubscribeAll` — receive the full
   batch (the topology-only escape hatch).
-* **Parallel dispatch** — views own disjoint auxiliary state and only
-  *read* the shared graph during ``absorb``, so independent views can
-  repair concurrently.  The executor strategy is pluggable:
-  ``"serial"`` (default), ``"threads"`` (a shared
-  :class:`concurrent.futures.ThreadPoolExecutor`), ``"processes"``, or
-  ``"workers"``; pick one per engine via ``Engine(executor=...)`` or
-  process-wide via the ``REPRO_ENGINE_EXECUTOR`` environment variable
-  (an unknown value raises :class:`SchedulerError` naming the accepted
-  strategies).  Every :class:`ViewReport` carries wall-clock
+* **Executor strategy** — absorbs always run in registration order on
+  the caller's thread: a view repairs auxiliary state that lives in the
+  engine's address space, and pure-Python absorbs neither overlap under
+  the GIL nor survive a pickling round-trip cheaper than the repair
+  itself.  What the strategy decides is **where the journal is
+  written**: ``"serial"`` (default) appends and fsyncs every touched
+  segment of a :class:`~repro.persist.deltalog.SegmentedDeltaLog` in
+  the caller, per batch; ``"workers"`` is the resident shared-nothing
+  tier (:mod:`repro.shardexec`) — one long-lived process per shard
+  owns its log segment and sub-graph replica, appends pipeline across
+  batches under group-commit windows (format v4), and durability is
+  acknowledged per sealed window instead of per batch.  Where worker
+  processes cannot start, ``workers`` degrades to in-process windowed
+  appends — same framing, same durability rules.  Pick one per engine
+  via ``Engine(executor=...)`` or process-wide via the
+  ``REPRO_ENGINE_EXECUTOR`` environment variable;
+  :func:`resolve_executor` is the one place either is read, and an
+  unknown value raises :class:`SchedulerError` naming the accepted
+  strategies.  Every :class:`ViewReport` carries wall-clock
   ``wall_seconds`` alongside its
-  :class:`~repro.core.cost.CostSnapshot` units.
-
-  **Absorbs never cross a process boundary** under any strategy: a
-  view repairs auxiliary state that lives in the engine's address
-  space, and shipping that structure both ways would cost more than
-  the repair.  The two process-backed strategies differ in what they
-  offload and how:
-
-  * ``"processes"`` is the **append-offload tier**: absorbs run on the
-    shared thread pool, and the picklable per-segment write-ahead
-    appends of a :class:`~repro.persist.deltalog.SegmentedDeltaLog`
-    (which resolves the same ``REPRO_ENGINE_EXECUTOR`` variable) ship
-    to a spawn-based pool — paying one pickling round-trip *per
-    batch*.  Prefer ``workers`` for throughput; this tier survives as
-    the stateless fallback shape.
-  * ``"workers"`` is the **resident shared-nothing tier**
-    (:mod:`repro.shardexec`): one long-lived process per shard owns
-    its log segment and sub-graph replica, appends pipeline across
-    batches under group-commit windows (format v4) with no per-batch
-    pickling of graphs or pools, and durability is acknowledged per
-    sealed window instead of per batch.  Where worker processes
-    cannot start, it degrades to in-process windowed appends — same
-    framing, same durability rules.
-
-  (Per-segment *compaction* runs in the caller — its pause is bounded
-  by rotating one segment per firing, not by offload.)  See
+  :class:`~repro.core.cost.CostSnapshot` units.  See
   ``docs/OPERATIONS.md`` §2 for when each strategy wins.
 * **Dirty accounting** — the dispatch result says which views absorbed a
   non-empty delivery; the engine folds that into its dirty set, which is
@@ -76,10 +61,8 @@ False
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -96,22 +79,18 @@ __all__ = [
     "RouteStats",
     "SchedulerError",
     "ViewReport",
+    "resolve_executor",
 ]
 
 #: Environment variable selecting the default executor strategy.
 EXECUTOR_ENV = "REPRO_ENGINE_EXECUTOR"
 
-#: Accepted executor strategy names.  View absorbs dispatch on the
-#: thread tier under every parallel strategy (shared-memory repair
-#: cannot cross a process boundary); the strategies differ in how the
-#: shard-local persistence stage runs.  ``processes`` is the
-#: append-offload tier: it ships each batch's segmented-log sub-appends
-#: to a stateless worker-process pool, pickling per batch.
-#: ``workers`` is the resident shared-nothing tier
-#: (:mod:`repro.shardexec`): long-lived per-shard processes own their
-#: segment and replica, and appends pipeline under group-commit
-#: windows — prefer it wherever worker processes can start.
-EXECUTOR_STRATEGIES = ("serial", "threads", "processes", "workers")
+#: Accepted executor strategy names.  Absorbs run on the caller's
+#: thread under both; the strategy decides where a segmented journal is
+#: written — in the caller with an fsync per batch (``serial``), or by
+#: the resident per-shard worker processes of :mod:`repro.shardexec`
+#: under group-commit windows (``workers``).
+EXECUTOR_STRATEGIES = ("serial", "workers")
 
 _ZERO_COST = CostSnapshot(
     node_visits=0, distinct_nodes=0, edges_traversed=0, writes=0, pq_ops=0
@@ -175,7 +154,11 @@ class _Dispatch:
     skipped: bool
 
 
-def _resolve_executor(executor: Optional[str]) -> str:
+def resolve_executor(executor: Optional[str]) -> str:
+    """The strategy in effect: the explicit name, else the
+    :data:`EXECUTOR_ENV` environment variable, else ``serial``.  The
+    engine's scheduler and the segmented delta log both resolve through
+    here, so an unknown name fails the same way wherever it enters."""
     if executor is None:
         executor = os.environ.get(EXECUTOR_ENV) or "serial"
     if executor not in EXECUTOR_STRATEGIES:
@@ -187,22 +170,11 @@ def _resolve_executor(executor: Optional[str]) -> str:
     return executor
 
 
-#: Process-wide absorb pool, created on first threaded dispatch and
-#: shared by every scheduler — engines come and go (one per recovered
-#: session, for instance) but worker threads should not accumulate.
-#: Lazy-init is double-checked under :data:`_POOL_LOCK`: first dispatch
-#: can itself arrive from many threads at once (e.g. concurrent
-#: sessions recovering in parallel), and an unguarded check-then-create
-#: would build two pools, leaking one's workers forever.
-_SHARED_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
-
-
 class FanOutScheduler:
     """Routes one normalized batch to many views and dispatches absorbs."""
 
     def __init__(self, executor: Optional[str] = None) -> None:
-        self.executor = _resolve_executor(executor)
+        self.executor = resolve_executor(executor)
 
     # ------------------------------------------------------------------
     # Routing
@@ -271,18 +243,8 @@ class FanOutScheduler:
     # ------------------------------------------------------------------
 
     def dispatch(self, plans: list[_Dispatch]) -> dict[str, ViewReport]:
-        """Run every non-skipped plan under the executor strategy and
-        assemble the per-view reports in registration order."""
-        live = [plan for plan in plans if not plan.skipped]
-        if self.executor in ("threads", "processes", "workers") and len(live) > 1:
-            results = dict(
-                zip(
-                    (plan.name for plan in live),
-                    self._thread_pool().map(self._run_one, live),
-                )
-            )
-        else:
-            results = {plan.name: self._run_one(plan) for plan in live}
+        """Run every non-skipped plan's absorb, in registration order on
+        the caller's thread, and assemble the per-view reports."""
         reports: dict[str, ViewReport] = {}
         for plan in plans:
             if plan.skipped:
@@ -296,7 +258,7 @@ class FanOutScheduler:
                     routed_updates=0,
                 )
             else:
-                reports[plan.name] = results[plan.name]
+                reports[plan.name] = self._run_one(plan)
         return reports
 
     @staticmethod
@@ -314,18 +276,3 @@ class FanOutScheduler:
             skipped=False,
             routed_updates=len(plan.delta),
         )
-
-    @staticmethod
-    def _thread_pool() -> ThreadPoolExecutor:
-        global _SHARED_POOL
-        pool = _SHARED_POOL
-        if pool is None:
-            with _POOL_LOCK:
-                pool = _SHARED_POOL
-                if pool is None:
-                    workers = min(32, (os.cpu_count() or 2))
-                    pool = ThreadPoolExecutor(
-                        max_workers=workers, thread_name_prefix="repro-fanout"
-                    )
-                    _SHARED_POOL = pool
-        return pool

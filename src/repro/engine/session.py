@@ -15,8 +15,7 @@ maintain *many* query answers with bounded / localizable work.  The
   each view's :meth:`relevance` filter (see
   :mod:`repro.engine.relevance`) selects the sub-delta that can actually
   affect its answer, views routed an empty sub-delta are skipped at zero
-  cost, and the remaining absorbs run under a pluggable executor
-  strategy (``serial`` default, ``threads`` for parallel dispatch) —
+  cost, and the remaining absorbs run in registration order —
   collecting each view's ΔO, cost units, and wall-clock into one
   :class:`EngineReport`;
 * :meth:`Engine.checkpoint` / :meth:`Engine.rollback` undo applied
@@ -168,9 +167,8 @@ class Engine:
     ) -> None:
         self.graph = graph if graph is not None else DiGraph()
         #: Fan-out scheduler (see :mod:`repro.engine.scheduler`).
-        #: ``executor`` is ``"serial"``, ``"threads"``, or
-        #: ``"processes"``; ``None`` reads the
-        #: ``REPRO_ENGINE_EXECUTOR`` environment variable.
+        #: ``executor`` is ``"serial"`` or ``"workers"``; ``None``
+        #: reads the ``REPRO_ENGINE_EXECUTOR`` environment variable.
         self.scheduler = FanOutScheduler(executor)
         #: With ``routing=False`` every view receives the full batch
         #: (broadcast fan-out) — the pre-scheduler behavior, kept for

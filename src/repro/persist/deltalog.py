@@ -33,10 +33,9 @@ source nodes (:func:`repro.graph.sharding.route_updates`) and each
 touched segment records a *sub-entry* under that seq; the optional
 ``<participants>`` operand of ``%batch`` counts the touched segments,
 and a seq is committed exactly when every participant's sub-entry is.
-Segments append and fsync independently — which is what the
-``threads``/``processes`` executors parallelize — and compact
-independently too (one rotating segment per background firing, run in
-the caller).  The full framing contract lives in ``docs/FORMATS.md``.
+Segments append and fsync independently and compact independently too
+(one rotating segment per background firing, run in the caller).  The
+full framing contract lives in ``docs/FORMATS.md``.
 
 **Group-commit windows** (format v4): with a ``window_size`` set (or
 under the ``workers`` executor), consecutive batches pipeline under a
@@ -71,13 +70,12 @@ Example::
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.delta import Delta, insert
+from repro.engine.scheduler import resolve_executor
 from repro.graph.io import update_from_fields, update_to_line
 from repro.graph.sharding import ShardMap, route_updates
 from repro.persist.format import (
@@ -96,12 +94,6 @@ __all__ = [
     "SegmentedDeltaLog",
     "fsync_directory",
 ]
-
-#: Environment variable selecting the default append/compaction
-#: executor for segmented logs (shared with the engine's fan-out — see
-#: :data:`repro.engine.scheduler.EXECUTOR_ENV`; duplicated here so the
-#: persistence layer does not import the engine).
-EXECUTOR_ENV = "REPRO_ENGINE_EXECUTOR"
 
 
 def _directive_seq(line: str) -> int | None:
@@ -914,20 +906,6 @@ class DeltaLog:
 # ----------------------------------------------------------------------
 
 
-def _resolve_log_executor(executor: Optional[str]) -> str:
-    """Resolve the segmented-log executor strategy (param, then the
-    shared ``REPRO_ENGINE_EXECUTOR`` environment variable, then
-    ``serial``)."""
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV) or "serial"
-    if executor not in ("serial", "threads", "processes", "workers"):
-        raise ValueError(
-            f"unknown log executor {executor!r}; expected 'serial', "
-            "'threads', 'processes', or 'workers'"
-        )
-    return executor
-
-
 #: Environment variable setting the default group-commit window size
 #: for logs journaling under the ``workers`` executor (see
 #: ``docs/OPERATIONS.md``).  Unset/invalid → 1: windowed framing with
@@ -942,127 +920,6 @@ def _default_window_size() -> int:
     except ValueError:
         return 1
     return max(1, size)
-
-
-#: Process-wide pools for parallel segment appends/compactions, created
-#: on first use and shared by every segmented log (mirrors the fan-out
-#: scheduler's shared absorb pool).  Lazy-init is double-checked under
-#: :data:`_POOL_LOCK`: first appends can race in from many threads
-#: (every engine under ``threads`` dispatch journals through here), and
-#: an unguarded check-then-create would build duplicate pools, leaking
-#: workers and breaking the one-pool-per-process invariant.
-_SEGMENT_THREAD_POOL: Optional[ThreadPoolExecutor] = None
-_SEGMENT_PROCESS_POOL: Optional[ProcessPoolExecutor] = None
-#: Set when the process pool provably cannot start in this interpreter
-#: (see :func:`_segment_process_pool`); appends then degrade to the
-#: thread tier instead of failing every batch.
-_PROCESS_POOL_UNAVAILABLE = False
-_POOL_LOCK = threading.Lock()
-
-
-def _segment_thread_pool() -> ThreadPoolExecutor:
-    """The shared thread pool for parallel per-segment file writes."""
-    global _SEGMENT_THREAD_POOL
-    pool = _SEGMENT_THREAD_POOL
-    if pool is None:
-        with _POOL_LOCK:
-            pool = _SEGMENT_THREAD_POOL
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=min(16, (os.cpu_count() or 2)),
-                    thread_name_prefix="repro-segment",
-                )
-                _SEGMENT_THREAD_POOL = pool
-    return pool
-
-
-def _probe_worker() -> bool:
-    """No-op task proving a worker process can start and import us."""
-    return True
-
-
-def _drain_futures(futures) -> None:
-    """Wait for **every** future, then re-raise the first failure.
-
-    Raising on the first failed future would return control to the
-    caller while sibling tasks are still writing their segment files —
-    and the caller's next append to one of those segments would race a
-    stale in-flight write on the same file.  Draining first keeps the
-    one-writer-per-segment invariant even on error paths.  The barrier
-    is :func:`concurrent.futures.wait` (no exception swallowed, none
-    re-raised early); only then does ``result()`` surface the first
-    failure in submission order.
-    """
-    futures = list(futures)
-    wait(futures)
-    for future in futures:
-        future.result()
-
-
-def _segment_process_pool() -> Optional[ProcessPoolExecutor]:
-    """The shared process pool for picklable per-segment work, or
-    ``None`` when worker processes cannot start here.
-
-    Created with the ``spawn`` start method: the parent may be running
-    fan-out threads, and forking a multi-threaded process can inherit
-    locks in a held state.  Workers import this module fresh, so every
-    task function must be module-level (picklable by qualified name) —
-    and the *parent's* ``__main__`` must be importable, which an
-    interactive session / stdin script is not.  The first use probes
-    the pool with a no-op task; if workers cannot start, the pool is
-    marked unavailable once and appends silently degrade to the thread
-    tier (correct, just not process-parallel) instead of poisoning
-    every batch with ``BrokenProcessPool``.
-
-    Probe failures that mean "this interpreter cannot host workers"
-    are ``OSError`` (spawn/pipe failures) and ``RuntimeError``
-    (``BrokenProcessPool`` and the spawn re-import guard); anything
-    else propagates — an unexpected probe crash must not be silently
-    reclassified as "degrade to threads".  The whole
-    probe-and-publish runs under :data:`_POOL_LOCK` so exactly one
-    thread probes and every other thread observes either the
-    published pool or the unavailable verdict.
-    """
-    global _SEGMENT_PROCESS_POOL, _PROCESS_POOL_UNAVAILABLE
-    with _POOL_LOCK:
-        if _PROCESS_POOL_UNAVAILABLE:
-            return None
-        if _SEGMENT_PROCESS_POOL is None:
-            import multiprocessing
-
-            pool = ProcessPoolExecutor(
-                max_workers=min(8, (os.cpu_count() or 2)),
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            try:
-                pool.submit(_probe_worker).result()
-            except (OSError, RuntimeError):
-                _PROCESS_POOL_UNAVAILABLE = True
-                pool.shutdown(wait=False, cancel_futures=True)
-                return None
-            _SEGMENT_PROCESS_POOL = pool
-        return _SEGMENT_PROCESS_POOL
-
-
-#: Worker-process cache of per-segment :class:`DeltaLog` objects.  A
-#: fresh object per append would re-scan the whole segment file for the
-#: seq floor (O(file) on the hot apply path); the cached object
-#: amortizes that to the worker's first touch of each segment.  Stale
-#: caches are safe: the parent pins every seq from its global
-#: allocation, and a cached floor can only be too *low*, which never
-#: rejects a valid append.
-_WORKER_SEGMENT_LOGS: dict[str, DeltaLog] = {}
-
-
-def _process_segment_append(
-    path: str, updates: tuple, seq: int, participants: int
-) -> None:
-    """Worker-process task: append one routed sub-entry to one segment
-    (the seq is pinned by the parent's global allocation)."""
-    log = _WORKER_SEGMENT_LOGS.get(path)
-    if log is None:
-        log = _WORKER_SEGMENT_LOGS.setdefault(path, DeltaLog(path))
-    log.append(Delta(list(updates)), seq=seq, participants=participants)
 
 
 def _stabilize_insert_labels(delta: Delta) -> Delta:
@@ -1126,10 +983,6 @@ class SegmentedDeltaLog:
       (:func:`_stabilize_insert_labels`) so the merged replay —
       sub-deltas concatenated in shard order per seq — is equivalent to
       the original batch under any segment interleaving.
-    * segments append/fsync **in parallel** under the ``threads`` or
-      ``processes`` executor (``executor=`` parameter, defaulting to the
-      ``REPRO_ENGINE_EXECUTOR`` environment variable) — the per-shard
-      parallelism the sharded store's disjoint ownership buys.
     * with a ``window_size`` (or under the ``workers`` executor, whose
       :class:`~repro.shardexec.pool.ShardWorkerPool` installs one),
       appends pipeline under **group-commit windows**: sub-entries are
@@ -1175,8 +1028,13 @@ class SegmentedDeltaLog:
         #: the read-only mode (segment files discovered from disk);
         #: :meth:`bind_map` attaches a map before the first append.
         self.shard_map = shard_map
-        #: Append/compaction dispatch strategy (``None`` → the
-        #: ``REPRO_ENGINE_EXECUTOR`` environment variable → serial).
+        #: Executor strategy (``None`` → the ``REPRO_ENGINE_EXECUTOR``
+        #: environment variable → serial; see
+        #: :func:`repro.engine.scheduler.resolve_executor`).  ``workers``
+        #: turns on windowed framing by default; an explicit name is
+        #: validated here, before anything touches the disk.
+        if executor is not None:
+            resolve_executor(executor)
         self.executor = executor
         #: Group-commit window size: ``None`` disables windows (every
         #: append fsyncs per batch, v1–v3 behavior); ``N >= 1`` tags
@@ -1330,9 +1188,9 @@ class SegmentedDeltaLog:
         """Durably append one batch across its owning segments; returns
         the batch's global sequence number.
 
-        Sub-entries are written in ascending shard order (serial) or in
-        parallel (``threads``/``processes``); the call returns only
-        after every touched segment flushed and fsynced its sub-entry.
+        Sub-entries are written in ascending shard order; the call
+        returns only after every touched segment flushed and fsynced
+        its sub-entry.
         A crash part-way leaves some segments with a sub-entry whose
         sibling segments have none — :meth:`entries` discards such a seq
         (its committed count falls short of its recorded participant
@@ -1350,6 +1208,7 @@ class SegmentedDeltaLog:
                 "this segmented log has no shard map bound; construct it "
                 "with shard_map=... or call bind_map() first"
             )
+        window_size = self._effective_window_size()
         self.root.mkdir(parents=True, exist_ok=True)
         seq = self._allocate_seq()
         stable = _stabilize_insert_labels(delta)
@@ -1358,47 +1217,15 @@ class SegmentedDeltaLog:
             routed = {0: []}
         participants = len(routed)
         tasks = sorted(routed.items())
-        strategy = _resolve_log_executor(self.executor)
-        window_size = self._effective_window_size(strategy)
         if window_size is not None:
             return self._append_windowed(
-                seq, stable, tasks, participants, window_size, strategy
+                seq, stable, tasks, participants, window_size
             )
-        pool = None
-        if strategy == "processes" and len(tasks) > 1:
-            pool = _segment_process_pool()  # None => degrade to threads
         try:
-            if pool is not None:
-                # picklable routed sub-deltas; cached worker-side logs
-                futures = [
-                    pool.submit(
-                        _process_segment_append,
-                        str(self._segments[index].path),
-                        tuple(updates),
-                        seq,
-                        participants,
-                    )
-                    for index, updates in tasks
-                ]
-                _drain_futures(futures)
-                for index, _ in tasks:  # parent-side seq caches went stale
-                    self._segments[index]._next_seq = None
-            elif strategy == "serial" or len(tasks) == 1:
-                for index, updates in tasks:
-                    self._segments[index].append(
-                        Delta(updates), seq=seq, participants=participants
-                    )
-            else:  # threads — also the degraded mode when no pool starts
-                futures = [
-                    _segment_thread_pool().submit(
-                        self._segments[index].append,
-                        Delta(updates),
-                        seq=seq,
-                        participants=participants,
-                    )
-                    for index, updates in tasks
-                ]
-                _drain_futures(futures)
+            for index, updates in tasks:
+                self._segments[index].append(
+                    Delta(updates), seq=seq, participants=participants
+                )
         finally:
             # burn the seq even on failure: a partial append may have
             # committed sub-entries under it in some segments
@@ -1409,11 +1236,13 @@ class SegmentedDeltaLog:
     # Group-commit windows (format v4)
     # ------------------------------------------------------------------
 
-    def _effective_window_size(self, strategy: str) -> Optional[int]:
+    def _effective_window_size(self) -> Optional[int]:
         """Windowed framing in effect?  An explicit :attr:`window_size`
         always wins; the ``workers`` strategy defaults to the
         ``REPRO_WINDOW_SIZE`` environment knob (1 when unset, keeping
-        per-batch durability cadence)."""
+        per-batch durability cadence).  The strategy is resolved — and
+        an unknown ``REPRO_ENGINE_EXECUTOR`` refused — either way."""
+        strategy = resolve_executor(self.executor)
         if self.window_size is not None:
             return self.window_size
         if strategy == "workers":
@@ -1444,7 +1273,6 @@ class SegmentedDeltaLog:
         tasks: list,
         participants: int,
         window_size: int,
-        strategy: str,
     ) -> int:
         """Append one batch under the open group-commit window.
 
@@ -1462,10 +1290,7 @@ class SegmentedDeltaLog:
                 self._worker_pool.append(
                     window, seq, participants, tasks, stable
                 )
-            elif strategy in ("serial", "processes") or len(tasks) == 1:
-                # processes would pay pickling per batch for writes that
-                # no longer fsync — the win windows buy is the seal, so
-                # in-process writes are the faster tier here
+            else:
                 for index, updates in tasks:
                     self._segments[index].append(
                         Delta(updates),
@@ -1473,18 +1298,6 @@ class SegmentedDeltaLog:
                         participants=participants,
                         window=window,
                     )
-            else:
-                futures = [
-                    _segment_thread_pool().submit(
-                        self._segments[index].append,
-                        Delta(updates),
-                        seq=seq,
-                        participants=participants,
-                        window=window,
-                    )
-                    for index, updates in tasks
-                ]
-                _drain_futures(futures)
         finally:
             self._next_seq = seq + 1
         self._window_touched.update(index for index, _ in tasks)
@@ -1499,10 +1312,10 @@ class SegmentedDeltaLog:
         (``None`` when no window is open — sealing is idempotent).
 
         Writes ``%seal <id> <participants>`` to every segment the
-        window touched and fsyncs there (in parallel off the ``serial``
-        tier); the window is durable only once **all** participant
-        seals landed, so a crash part-way discards it whole.  Seal
-        listeners (:meth:`add_seal_listener`) fire after durability.
+        window touched and fsyncs there; the window is durable only
+        once **all** participant seals landed, so a crash part-way
+        discards it whole.  Seal listeners (:meth:`add_seal_listener`)
+        fire after durability.
         """
         window = self._current_window
         if window is None:
@@ -1522,19 +1335,9 @@ class SegmentedDeltaLog:
                 self._worker_pool.seal(window, touched, seal_participants)
                 for index in touched:  # parent-side caches went stale
                     self._segments[index]._next_seq = None
-            elif len(touched) == 1 or _resolve_log_executor(self.executor) == "serial":
+            else:
                 for index in touched:
                     self._segments[index].seal_window(window, seal_participants)
-            else:
-                futures = [
-                    _segment_thread_pool().submit(
-                        self._segments[index].seal_window,
-                        window,
-                        seal_participants,
-                    )
-                    for index in touched
-                ]
-                _drain_futures(futures)
         except BaseException:
             # a half-sealed window is globally torn debris that may sit
             # above the vetted floor — force the next void sweep to

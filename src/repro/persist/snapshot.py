@@ -389,32 +389,27 @@ class SnapshotStore:
         sections only — see :meth:`save`) before control returns from
         ``engine.apply``.
 
-        Attaching also propagates the engine's executor strategy to a
-        segmented log that has not chosen one explicitly, so
-        ``Engine(executor="processes")`` reaches the per-segment append
-        path without separately exporting ``REPRO_ENGINE_EXECUTOR``.
-        Under the ``workers`` strategy it additionally wires a resident
-        :class:`~repro.shardexec.pool.ShardWorkerPool` into the log's
-        windowed append path (degrading silently to in-process windowed
-        appends where worker processes cannot start — same format-v4
-        framing, same durability rules).
+        Attaching is also where the executor strategy reaches the
+        journal: a segmented log that has not chosen one explicitly
+        adopts the engine's (already resolved by
+        :func:`repro.engine.scheduler.resolve_executor`), and under
+        ``workers`` a resident
+        :class:`~repro.shardexec.pool.ShardWorkerPool` is wired into the
+        log's windowed append path (degrading silently to in-process
+        windowed appends where worker processes cannot start — same
+        format-v4 framing, same durability rules).  Under ``serial``
+        nothing is installed and the log writes its segments itself.
         """
         self._check_segmented_layout(engine)
-        if (
-            isinstance(self.log, SegmentedDeltaLog)
-            and self.log.executor is None
-        ):
-            self.log.executor = engine.scheduler.executor
-        if (
-            isinstance(self.log, SegmentedDeltaLog)
-            and self.log.executor == "workers"
-            and self.log._worker_pool is None
-        ):
-            # Function-level import: shardexec sits above persist in the
-            # layer order (it journals through DeltaLog).
-            from repro.shardexec.pool import ShardWorkerPool
+        if isinstance(self.log, SegmentedDeltaLog):
+            if self.log.executor is None:
+                self.log.executor = engine.scheduler.executor
+            if self.log.executor == "workers" and self.log._worker_pool is None:
+                # Function-level import: shardexec sits above persist in
+                # the layer order (it journals through DeltaLog).
+                from repro.shardexec.pool import ShardWorkerPool
 
-            ShardWorkerPool.install(engine, self.log)
+                ShardWorkerPool.install(engine, self.log)
         engine.set_journal(self.log)
         if policy is not None:
 

@@ -21,9 +21,8 @@ one duplex pipe, and plugs itself into the log's windowed append path:
 The pool is an acceleration tier, not a correctness tier: if worker
 processes cannot start here (sandboxed interpreters, unpicklable
 ``__main__``) :meth:`install` degrades to in-process windowed appends —
-same format-v4 framing, same durability rules, no workers — mirroring
-how the ``processes`` strategy degrades to threads.  View absorbs stay
-on the coordinator (the engine's fan-out is unchanged); what workers
+same format-v4 framing, same durability rules, no workers.  View absorbs
+stay on the coordinator (the engine's fan-out is unchanged); what workers
 take off the critical path is journaling (the fsync-bearing hot path)
 and replica maintenance, which is where the apply throughput goes.
 
@@ -141,8 +140,8 @@ def _view_interests(engine) -> tuple[ViewInterest, ...]:
 #: same store re-binds the resident workers instead of re-spawning
 #: (spawn start-up is the expensive part the resident tier exists to
 #: amortize).  Guarded by :data:`_REGISTRY_LOCK`; a pool that cannot
-#: start marks the whole interpreter unavailable, mirroring
-#: ``_PROCESS_POOL_UNAVAILABLE`` in :mod:`repro.persist.deltalog`.
+#: start marks the whole interpreter unavailable, so later installs
+#: degrade at once instead of re-paying a failed spawn.
 _POOLS: dict[str, "ShardWorkerPool"] = {}
 _WORKERS_UNAVAILABLE = False
 _REGISTRY_LOCK = threading.RLock()
@@ -235,9 +234,10 @@ class ShardWorkerPool:
 
     def _start(self) -> bool:
         """Spawn one worker per shard and probe the pipes; ``False``
-        when this interpreter cannot host workers (the probe failures
-        that mean that are ``OSError``/``RuntimeError``, exactly the
-        degrade contract of the segment process pool)."""
+        when this interpreter cannot host workers (the failures that
+        mean that are ``OSError`` — spawn/pipe failures — and
+        ``RuntimeError`` — the spawn re-import guard; anything else
+        propagates)."""
         import multiprocessing
 
         context = multiprocessing.get_context("spawn")

@@ -6,7 +6,7 @@ bounded ``fixpoint`` — with none of :mod:`repro.rpq.incremental`'s
 bespoke marking machinery.  If the dataflow layer is correct, the two
 must agree **byte-identically** (canonical renderings of their answer
 sets compare equal as strings) after every batch of every seeded
-insert/delete stream, under all four fan-out executors, routed and
+insert/delete stream, under both executor strategies, routed and
 broadcast.
 
 Both views ride one :class:`~repro.engine.session.Engine`, so each
@@ -28,7 +28,7 @@ from repro.dataflow import DataflowView, row_order
 from repro.rpq import RPQIndex
 from repro.shardexec import shutdown_pools
 
-EXECUTORS = ("serial", "threads", "processes", "workers")
+EXECUTORS = ("serial", "workers")
 LABELS = ["a", "b", "c", "d"]
 STEPS = 8
 #: One query per seed, cycled — a concatenation, a starred alternation

@@ -5,10 +5,10 @@ vs. from-scratch recomputation), so a clean run is a real check, not just
 an import test.  Stdout is swallowed to keep test output readable.
 
 ``quickstart`` (which drives a sharded four-view engine in its finale)
-is additionally run under every dispatch strategy — ``serial``,
-``threads``, and ``processes`` — via the ``REPRO_ENGINE_EXECUTOR``
-environment variable, so the executor matrix is exercised even when the
-surrounding test session pins a single strategy.
+is additionally run under both executor strategies — ``serial`` and
+``workers`` — via the ``REPRO_ENGINE_EXECUTOR`` environment variable, so
+the executor matrix is exercised even when the surrounding test session
+pins a single strategy.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import pytest
 EXAMPLES = sorted(
     path for path in (Path(__file__).parent.parent / "examples").glob("*.py")
 )
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "workers")
 
 
 def run_example(script) -> str:

@@ -1,8 +1,8 @@
 """Fan-out scheduler tests: relevance-routing equivalence (routed fan-out
 must produce byte-identical canonical view snapshots to broadcast for all
 four index classes), skipped-view zero-cost accounting (including the
-lazily-registered regression), executor strategies (serial vs. threads),
-and routing statistics."""
+lazily-registered regression), executor-strategy selection, and routing
+statistics."""
 
 import pytest
 from hypothesis import given, settings
@@ -178,30 +178,28 @@ class TestExecutors:
         with pytest.raises(SchedulerError, match="unknown executor"):
             Engine(sample_graph(), executor="fibers")
 
+    @pytest.mark.parametrize("removed", ["threads", "processes"])
+    def test_removed_strategies_rejected(self, removed, monkeypatch):
+        """The two deleted strategies fail like any unknown name — by
+        argument and by environment — and the error names what is
+        accepted."""
+        accepted = r"\('serial', 'workers'\)"
+        with pytest.raises(SchedulerError, match=accepted):
+            Engine(sample_graph(), executor=removed)
+        monkeypatch.setenv(EXECUTOR_ENV, removed)
+        with pytest.raises(SchedulerError, match=accepted):
+            Engine(sample_graph())
+
     def test_env_var_selects_executor(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "threads")
-        assert Engine(sample_graph()).scheduler.executor == "threads"
+        monkeypatch.setenv(EXECUTOR_ENV, "workers")
+        assert Engine(sample_graph()).scheduler.executor == "workers"
         monkeypatch.setenv(EXECUTOR_ENV, "bogus")
         with pytest.raises(SchedulerError):
             Engine(sample_graph())
 
     def test_explicit_executor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "threads")
+        monkeypatch.setenv(EXECUTOR_ENV, "workers")
         assert Engine(sample_graph(), executor="serial").scheduler.executor == "serial"
-
-    def test_threads_executor_matches_serial(self):
-        serial = four_view_engine(sample_graph())
-        threaded = four_view_engine(sample_graph(), executor="threads")
-        for batch in (
-            Delta([delete(3, 1), insert(5, 4)]),
-            Delta([insert(3, 5), insert(6, 8, target_label="b")]),
-            Delta([delete(4, 5), delete(6, 7)]),
-        ):
-            serial_report = serial.apply(batch)
-            threaded_report = threaded.apply(batch)
-            for name in VIEW_NAMES:
-                assert serial_report.output(name) == threaded_report.output(name)
-        assert_same_snapshots(serial, threaded)
 
 
 class TestRelevanceObjects:

@@ -30,6 +30,7 @@ from repro import (
     delete,
     insert,
 )
+from repro.engine import EXECUTOR_ENV, SchedulerError
 from repro.graph.digraph import (
     DuplicateEdgeError,
     MissingEdgeError,
@@ -41,6 +42,7 @@ from repro.kws import KWSIndex, KWSQuery
 from repro.persist import DeltaLog, PersistFormatError, SnapshotPolicy
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
+from repro.shardexec import shutdown_pools
 
 KWS_QUERY = KWSQuery(("a", "b"), bound=2)
 RPQ_QUERY = "a . (b + c)* . c"
@@ -301,13 +303,11 @@ class TestShardedGraphStore:
 
 
 class TestEngineOverShardedStore:
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "processes", "workers"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "workers"])
     @pytest.mark.parametrize("seed", range(4))
     def test_four_view_equivalence(self, seed, executor):
         """Random batch streams: the sharded engine's views equal the
-        unsharded reference engine's, under every dispatch strategy."""
+        unsharded reference engine's, under both executor strategies."""
         rng = random.Random(0x7A8D + seed)
         labels = {n: rng.choice(LABELS) for n in range(8)}
         edges = []
@@ -493,9 +493,7 @@ class TestSegmentedDeltaLog:
         with pytest.raises(ValueError, match="regresses"):
             log.append(Delta([insert(3, 4)]), seq=1, participants=1)
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "processes", "workers"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "workers"])
     def test_append_parallelism_is_equivalent(self, tmp_path, executor):
         log = SegmentedDeltaLog(
             tmp_path / executor, ShardMap(4), executor=executor
@@ -512,6 +510,23 @@ class TestSegmentedDeltaLog:
         for entry, batch in zip(entries, batches):
             assert {u.edge for u in entry.delta} == {u.edge for u in batch}
         assert log.last_seq() == 3
+
+    def test_unknown_executor_rejected_before_touching_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: an unknown strategy used to construct fine and
+        fail at the first append — after ``root.mkdir`` — with a bare
+        ``ValueError``.  It is a :class:`SchedulerError` at construction
+        (argument) or first append (environment), and either way
+        nothing is created on disk."""
+        root = tmp_path / "segments"
+        with pytest.raises(SchedulerError, match="unknown executor"):
+            SegmentedDeltaLog(root, ShardMap(2), executor="fibers")
+        monkeypatch.setenv(EXECUTOR_ENV, "fibers")
+        log = SegmentedDeltaLog(root, ShardMap(2))
+        with pytest.raises(SchedulerError, match="unknown executor"):
+            log.append(Delta([insert(1, 2, "a", "b")]))
+        assert not root.exists()
 
     def test_compact_per_segment_and_floor(self, tmp_path):
         log = segmented(tmp_path)
@@ -707,16 +722,20 @@ class TestShardedSnapshots:
     def test_attach_propagates_engine_executor_to_segmented_log(self, tmp_path):
         shard_map = ShardMap(2)
         engine = four_view_engine(ShardedGraphStore(shard_map=shard_map))
-        engine.scheduler.executor = "threads"
+        engine.scheduler.executor = "workers"
         store = SnapshotStore(tmp_path / "store", shard_map=shard_map)
         assert store.log.executor is None
-        store.attach(engine)
-        assert store.log.executor == "threads"
+        try:
+            store.attach(engine)
+        finally:
+            shutdown_pools()  # attach under workers spawns a resident pool
+        assert store.log.executor == "workers"
         # an explicit choice on the log is never overridden
         other = SnapshotStore(tmp_path / "other", shard_map=shard_map)
         other.log.executor = "serial"
         other.attach(engine)
         assert other.log.executor == "serial"
+        assert other.log._worker_pool is None
 
     def test_torn_seq_is_not_resurrected_below_the_floor(self, tmp_path):
         """Regression: a torn cross-segment append is dropped while its

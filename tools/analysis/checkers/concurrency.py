@@ -1,14 +1,15 @@
 """Rule ``concurrency`` — process-wide mutable state must be guarded.
 
-Invariant protected: the engine's fan-out and the segmented log's
-parallel appends run user work on shared thread pools that are
-*lazily* created — module-level globals initialized on first dispatch.
-An unsynchronized check-then-create (``if _POOL is None: _POOL = …``)
-racing on first use can build two pools: one leaks its worker threads
-forever, and "shared" invariants documented on the global (every
-engine reuses one pool) silently stop holding.  The same shape applies
-to any flag or cache written through ``global`` from code reachable by
-threaded dispatch.
+Invariant protected: process-wide registries that are *lazily*
+populated — module-level globals written on first use, such as the
+shard-worker pool registry and its "workers cannot start here" latch
+in ``repro/shardexec/pool.py`` — are reachable from many threads at
+once (every serving session attaches through them).  An unsynchronized
+check-then-create (``if _POOL is None: _POOL = …``) racing on first
+use can build two pools: one leaks its workers forever, and "shared"
+invariants documented on the global (one pool per log root) silently
+stop holding.  The same shape applies to any flag or cache written
+through ``global`` from code reachable by more than one thread.
 
 The rule: inside any function, an assignment to a module-level name
 (one the module also assigns at top level, reached via a ``global``

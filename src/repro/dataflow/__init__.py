@@ -1,10 +1,11 @@
 """Composable incremental dataflow (ROADMAP item 3).
 
 :mod:`repro.dataflow.runtime` is the variables → incrementals →
-observers engine (:class:`Var`, combinators, :func:`stabilize` with
-topological dirty re-evaluation and cutoff); :mod:`repro.dataflow.view`
-wraps any program as an engine-registrable
-:class:`~repro.engine.view.IncrementalView`;
+observers engine (:class:`Var`, :class:`BackedVar` — an input that is a
+view of a live store — combinators, :func:`stabilize` with topological
+dirty re-evaluation and cutoff); :mod:`repro.dataflow.view` wraps any
+program, over inputs that are views of the engine's graph, as an
+engine-registrable :class:`~repro.engine.view.IncrementalView`;
 :mod:`repro.dataflow.library` ships the built-in standing queries
 (``rpq``, ``edge-label-count``, ``two-hop``, ``triangle-count``).
 
@@ -13,6 +14,7 @@ contract, and the define-your-own-view walkthrough.
 """
 
 from repro.dataflow.runtime import (
+    BackedVar,
     Dataflow,
     DataflowError,
     FixpointDivergenceError,
@@ -32,6 +34,7 @@ from repro.dataflow.view import (
 from repro.dataflow import library  # noqa: F401  (registers built-ins)
 
 __all__ = [
+    "BackedVar",
     "Dataflow",
     "DataflowDelta",
     "DataflowError",

@@ -18,7 +18,10 @@ serialize losslessly).  Change propagates as *deltas* — multisets with
 signed counts — pushed from a parent to each child's pending buffer
 when the parent's value changes.  Every combinator consumes its pending
 deltas incrementally; only its first evaluation reads full parent
-values.
+values.  A :class:`BackedVar` is an input whose relation already lives
+in a store the caller owns (the graph): its ``value`` is a read-only
+view of that store, it holds no rows, and ``update`` only *announces*
+the rows the store has already gained or lost.
 
 Combinators
 -----------
@@ -62,6 +65,7 @@ from typing import Any, Callable, Iterator, Optional
 from repro.core.cost import CostMeter, NULL_METER
 
 __all__ = [
+    "BackedVar",
     "Dataflow",
     "DataflowError",
     "FixpointDivergenceError",
@@ -166,13 +170,14 @@ class Node:
         if parent.is_relation:
             bucket = self._pending.get(parent.id)
             if bucket is None:
-                bucket = self._pending[parent.id] = {}
-            for row, change in delta.items():
-                net = bucket.get(row, 0) + change
-                if net:
-                    bucket[row] = net
-                else:
-                    bucket.pop(row, None)
+                self._pending[parent.id] = dict(delta)  # no zero changes
+            else:
+                for row, change in delta.items():
+                    net = bucket.get(row, 0) + change
+                    if net:
+                        bucket[row] = net
+                    else:
+                        bucket.pop(row, None)
         self._dirty = True
         self.flow._mark(self)
 
@@ -213,6 +218,10 @@ class Node:
     def _state_rows(self) -> int:
         """Rows held outside ``value`` (indexes, groups, arrangements)."""
         return 0
+
+    def _held_rows(self) -> int:
+        """Rows this node itself stores: its value plus its state."""
+        return (len(self.value) if self.is_relation else 1) + self._state_rows()
 
     def rows(self) -> Iterator[Row]:
         """The relation's distinct rows (positive count)."""
@@ -287,6 +296,54 @@ class Var(Node):
             return self._merge(delta)
         staged, self._staged = self._staged, {}
         return self._merge(staged)
+
+
+class BackedVar(Var):
+    """An input relation that lives in a store the caller owns.
+
+    ``value`` is ``relation``, a read-only mapping over the live store:
+    a *set* (every present row has count 1) offering ``len``,
+    iteration, ``in``, ``get``, ``items`` and ``values``, plus
+    ``adjacency(key_columns, value_column)`` — the store's own ``key →
+    values`` index of that shape as a no-copy ``key -> collection``
+    callable, or ``None`` when it keeps none (what lets ``multijoin``
+    probe the store instead of arranging a copy).  The node holds no
+    rows.  :meth:`update` announces rows the store has *already* gained
+    (``+1``) or lost (``-1``); stabilize checks every announced row
+    against the store and pushes the batch to the children.
+    """
+
+    def __init__(self, flow: "Dataflow", relation, name: str = "") -> None:
+        super().__init__(flow, name=name)
+        self.value = relation
+
+    def replace(self, rows: Multiset) -> None:
+        """Not supported: change the store, then announce with
+        :meth:`update`."""
+        raise DataflowError(
+            f"{self.name} is a view of a live store; mutate the store and "
+            "announce the change with update()"
+        )
+
+    def _recompute(self):
+        staged, self._staged = self._staged, {}
+        relation = self.value
+        for row, change in staged.items():
+            if change not in (1, -1) or (row in relation) != (change > 0):
+                raise DataflowError(
+                    f"{self.name}: announced {change:+} of row {row!r}, "
+                    f"which the store {'holds' if row in relation else 'lacks'}"
+                )
+        # metered like a plain Var's row writes, as store reads: one per
+        # announced row, and the whole relation once, for the children's
+        # first evaluations
+        self.flow.meter.traverse_edge(
+            len(staged) if self.initialized else len(relation)
+        )
+        return staged or None
+
+    def _held_rows(self) -> int:
+        return 0
 
 
 class _MapNode(Node):
@@ -386,8 +443,8 @@ class _JoinNode(Node):
     def _recompute(self):
         left, right = self.parents
         if not self.initialized:
-            left_delta = dict(left.value)
-            right_delta = dict(right.value)
+            left_delta = left.value
+            right_delta = right.value
         elif left is right:
             left_delta = self._take_pending(left)
             right_delta = left_delta
@@ -416,6 +473,142 @@ def _columns(positions: tuple) -> Callable:
     return itemgetter(*positions)
 
 
+class _Arrangement:
+    """One index of a multijoin over a relation's ``key columns → value
+    column`` projection; ``index`` nets folded rows as ``key → {value:
+    count}``, zero counts and empty keys dropped."""
+
+    __slots__ = ("key_of", "value_column", "index")
+
+    def __init__(self, key_columns: tuple, value_column: int) -> None:
+        self.key_of = _columns(key_columns)
+        self.value_column = value_column
+        self.index: dict = {}
+
+    def fold(self, row: Row, change: int) -> None:
+        key = self.key_of(row)
+        bucket = self.index.get(key)
+        if bucket is None:
+            bucket = self.index[key] = {}
+        value = row[self.value_column]
+        count = bucket.get(value, 0) + change
+        if count:
+            bucket[value] = count
+        else:
+            del bucket[value]
+            if not bucket:
+                del self.index[key]
+
+    def held(self) -> int:
+        return _held(self.index)
+
+
+class _OwnedArrangement(_Arrangement):
+    """An index the node keeps itself: ``index`` is the arrangement."""
+
+    __slots__ = ("get",)
+
+    def __init__(self, key_columns: tuple, value_column: int) -> None:
+        super().__init__(key_columns, value_column)
+        self.get = self.index.get
+
+    def load(self, rows) -> None:
+        """First evaluation: index the whole relation."""
+        for row, count in rows.items():
+            self.fold(row, count)
+
+    def stage(self, delta: Multiset) -> None:
+        """Nothing to do: the index moves only when a row is folded."""
+
+
+class _OverlayBucket:
+    """One store bucket as of *before* the rows still to fold: values
+    the store gained since are hidden, values it lost are restored —
+    ``len``, iteration, ``in`` and ``&`` are exact and copy nothing.
+    ``owed`` is what folding has yet to add: ``-1`` for a value the
+    store already shows, ``+1`` for one it already dropped."""
+
+    __slots__ = ("_live", "_owed")
+
+    def __init__(self, live, owed: dict) -> None:
+        self._live = live
+        self._owed = owed
+
+    def __len__(self) -> int:
+        return len(self._live) + sum(self._owed.values())
+
+    def __iter__(self) -> Iterator:
+        owed = self._owed
+        for value in self._live:
+            if value not in owed:
+                yield value
+        for value, change in owed.items():
+            if change > 0:
+                yield value
+
+    def __contains__(self, value) -> bool:
+        change = self._owed.get(value)
+        return value in self._live if change is None else change > 0
+
+    def __and__(self, other) -> set:
+        small, large = (self, other) if len(self) <= len(other) else (other, self)
+        return {value for value in small if value in large}
+
+    __rand__ = __and__
+
+
+class _StoreArrangement(_Arrangement):
+    """An index the store of a :class:`BackedVar` already keeps: buckets
+    are the store's own live value sets (each value counts 1), fetched
+    through ``neighbors``.
+
+    The store is *ahead* of the delta query — it holds the whole batch
+    before the node sees its first row — so ``index`` is not the
+    arrangement but what folding still owes it: staging a delta enters
+    its rows negated, folding a row cancels its entry, and every bucket
+    read is corrected by the entries left.  O(|Δ|) during one
+    evaluation, empty between evaluations.
+
+    The last bucket is remembered while an evaluation keeps asking for
+    the same key (the plans of one row do, and the scanned rows of one
+    source), never across evaluations: within one the store stands still
+    and folding only shrinks, in place, the dict an overlaid bucket
+    reads through.
+    """
+
+    __slots__ = ("neighbors", "_last_key", "_last")
+
+    def __init__(self, key_columns: tuple, value_column: int, neighbors) -> None:
+        super().__init__(key_columns, value_column)
+        self.neighbors = neighbors
+        self._last_key: Any = _UNSET
+        self._last: Any = None
+
+    def get(self, key):
+        if key == self._last_key:
+            return self._last
+        bucket = self.neighbors(key)
+        if self.index:
+            owed = self.index.get(key)
+            if owed:
+                bucket = _OverlayBucket(bucket, owed)
+        self._last_key, self._last = key, bucket
+        return bucket
+
+    def load(self, rows) -> None:
+        """Nothing to do: the store is the finished index."""
+
+    def stage(self, delta: Multiset) -> None:
+        """The store already holds ``delta``: owe its rows until each is
+        folded."""
+        for row, change in delta.items():
+            self.fold(row, -change)
+
+    def clear(self) -> None:
+        self.index.clear()
+        self._last_key = _UNSET
+
+
 class _MultiJoinNode(Node):
     """Natural join of ≥ 2 atoms, evaluated as a *delta query*.
 
@@ -430,11 +623,16 @@ class _MultiJoinNode(Node):
     exactly ``Δ(A₁ ⋈ … ⋈ Aₙ)``.  The unbound variables are extended one
     at a time, generic-join style: enumerate the smallest candidate
     bucket among the atoms constraining the variable, verify the others.
+    The first evaluation is not a delta: it scans the rows of the
+    smallest atom against the finished arrangements of the others.
 
     The only state is ``_arrangements``: per ``(relation, key columns,
-    value column)`` a ``key → {value: count}`` map shared by every atom
-    and plan that probes that shape — linear in the inputs, never in an
-    intermediate result.
+    value column)`` one ``key → bucket`` index shared by every atom and
+    plan that probes that shape, a bucket being a ``{value: count}`` dict
+    or a collection of values counting 1 each.  The node keeps the index
+    itself (:class:`_OwnedArrangement`, linear in the input, never in an
+    intermediate result) unless the relation is a :class:`BackedVar`
+    whose store already has it (:class:`_StoreArrangement`, no rows).
     """
 
     def __init__(self, flow, atoms, out, name=""):
@@ -459,7 +657,7 @@ class _MultiJoinNode(Node):
         ]
         self._width = len(slots)
         self._project = tuple(slots[variable] for variable in out)
-        #: (relation id, key columns, value column) -> key -> {value: count}
+        #: (relation id, key columns, value column) -> arrangement
         self._arrangements: dict = {}
         #: per parent: the positions it occupies, then one delta-query
         #: plan per non-empty set of them
@@ -475,24 +673,53 @@ class _MultiJoinNode(Node):
             ]
             for parent, positions in occupied.items()
         }
-        #: per parent: (key-of-row, value column, arrangement) to maintain
+        #: per atom position: its single-seed plan (the first evaluation)
+        self._scans = {
+            position: self._plans[parent.id][index]
+            for parent, positions in occupied.items()
+            for index, position in enumerate(positions)
+        }
+        #: per parent: the arrangements its rows are folded into
         self._maintained = {
             parent.id: [
-                (_columns(key_columns), value_column, arrangement)
-                for (rel_id, key_columns, value_column), arrangement
-                in self._arrangements.items()
+                arrangement
+                for (rel_id, _, _), arrangement in self._arrangements.items()
                 if rel_id == parent.id
             ]
             for parent in parents
         }
+        self._overlays = [
+            arrangement
+            for arrangement in self._arrangements.values()
+            if isinstance(arrangement, _StoreArrangement)
+        ]
+        self._traverse = flow.meter.traverse_edge  # a flow keeps its meter
         super().__init__(flow, parents, name=name)
+
+    def _arrange(self, relation, key_columns: tuple, value_column: int):
+        """The arrangement of ``relation`` of that shape, made on first
+        request: the store's own index when a backed relation has one."""
+        shape = (relation.id, key_columns, value_column)
+        arrangement = self._arrangements.get(shape)
+        if arrangement is None:
+            neighbors = (
+                relation.value.adjacency(key_columns, value_column)
+                if isinstance(relation, BackedVar)
+                else None
+            )
+            arrangement = self._arrangements[shape] = (
+                _OwnedArrangement(key_columns, value_column)
+                if neighbors is None
+                else _StoreArrangement(key_columns, value_column, neighbors)
+            )
+        return arrangement
 
     def _compile(self, seeds: tuple) -> tuple:
         """Plan for one set of seed positions: ``(binds, equalities,
         power, steps)`` — slot ← row column, row-column pairs that must
         agree for the row to fill every seed, the seed count (the
         exponent of the row's change), and one step per variable left to
-        probe, each ``(slot, known, [(arrangement, key-of-slots)],
+        probe, each ``(slot, known, [(bucket-of-key, key-of-slots)],
         finals)`` (a *final* probe fully binds its atom and therefore
         contributes the atom's count)."""
         bound: dict = {}
@@ -521,12 +748,13 @@ class _MultiJoinNode(Node):
             first = min(sum(slot in bound for slot in slots), len(slots) - 1)
             for index in range(first, len(slots)):
                 key_columns = tuple(sorted(columns[:index]))
-                arrangement = self._arrangements.setdefault(
-                    (relation.id, key_columns, columns[index]), {}
-                )
+                arrangement = self._arrange(relation, key_columns, columns[index])
                 probes.setdefault(slots[columns[index]], []).append(
                     (
-                        (arrangement, _columns(tuple(slots[c] for c in key_columns))),
+                        (
+                            arrangement.get,
+                            _columns(tuple(slots[c] for c in key_columns)),
+                        ),
                         index == len(slots) - 1,
                     )
                 )
@@ -544,18 +772,37 @@ class _MultiJoinNode(Node):
             return
         slot, known, probes, finals = steps[depth]
         buckets = []
-        for arrangement, key_of in probes:
-            bucket = arrangement.get(key_of(slots))
-            if not bucket:
+        smallest, fewest = None, 0
+        for bucket_of, key_of in probes:
+            bucket = bucket_of(key_of(slots))
+            size = 0 if bucket is None else len(bucket)
+            if not size:
                 return
+            if smallest is None or size < fewest:
+                smallest, fewest = bucket, size
             buckets.append(bucket)
-        candidates = (slots[slot],) if known else min(buckets, key=len)
-        self.flow.meter.traverse_edge(len(candidates))
-        checks = list(zip(buckets, finals))
+        if known:
+            smallest, fewest = None, 1
+            candidates = frozenset((slots[slot],))
+        elif isinstance(smallest, dict):
+            candidates = smallest.keys()
+        else:
+            candidates = smallest
+        self._traverse(fewest)
+        # A dict bucket states each value's count (read where the count
+        # multiplies in, or to test a value it did not propose); a
+        # store's bucket counts every value once, so intersecting is all.
+        counted = []
+        for bucket, final in zip(buckets, finals):
+            if isinstance(bucket, dict):
+                if final or bucket is not smallest:
+                    counted.append((bucket.get, final))
+            elif bucket is not smallest:
+                candidates = candidates & bucket
         for value in candidates:
             product = weight
-            for bucket, final in checks:
-                count = bucket.get(value)
+            for count_of, final in counted:
+                count = count_of(value)
                 if not count:
                     break
                 if final:
@@ -564,39 +811,61 @@ class _MultiJoinNode(Node):
                 slots[slot] = value
                 self._extend(steps, depth + 1, slots, product, out)
 
+    def _drive(self, plans, rows, maintained, out) -> None:
+        """Take ``rows`` one at a time: run every plan the row fills
+        every seed of (bind its columns, extend over the other atoms),
+        then fold the row into ``maintained``."""
+        slots = [None] * self._width
+        for row, change in rows.items():
+            for binds, equalities, power, steps in plans:
+                for left, right in equalities:
+                    if row[left] != row[right]:
+                        break
+                else:
+                    for slot, column in binds:
+                        slots[slot] = row[column]
+                    self._extend(steps, 0, slots, change**power, out)
+            for arrangement in maintained:
+                arrangement.fold(row, change)
+
     def _recompute(self):
         out: Multiset = {}
-        slots = [None] * self._width
-        for parent in self.parents:
-            delta = parent.value if not self.initialized else self._take_pending(parent)
-            plans = self._plans[parent.id]
-            maintained = self._maintained[parent.id]
-            for row, change in delta.items():
-                for binds, equalities, power, steps in plans:
-                    for left, right in equalities:
-                        if row[left] != row[right]:
-                            break
-                    else:
-                        for slot, column in binds:
-                            slots[slot] = row[column]
-                        self._extend(steps, 0, slots, change**power, out)
-                for key_of, value_column, arrangement in maintained:
-                    key = key_of(row)
-                    bucket = arrangement.get(key)
-                    if bucket is None:
-                        bucket = arrangement[key] = {}
-                    value = row[value_column]
-                    count = bucket.get(value, 0) + change
-                    if count:
-                        bucket[value] = count
-                    else:
-                        del bucket[value]
-                        if not bucket:
-                            del arrangement[key]
+        try:
+            if self.initialized:
+                deltas = [
+                    (parent, self._take_pending(parent)) for parent in self.parents
+                ]
+                for parent, delta in deltas:
+                    for arrangement in self._maintained[parent.id]:
+                        arrangement.stage(delta)
+                for parent, delta in deltas:
+                    self._drive(
+                        self._plans[parent.id],
+                        delta,
+                        self._maintained[parent.id],
+                        out,
+                    )
+            else:
+                for parent in self.parents:
+                    for arrangement in self._maintained[parent.id]:
+                        arrangement.load(parent.value)
+                position = min(
+                    range(len(self._atoms)),
+                    key=lambda p: len(self._atoms[p][0].value),
+                )
+                scanned = self._atoms[position][0].value
+                self._drive([self._scans[position]], scanned, (), out)
+        finally:
+            # nothing read from the store outlives the evaluation (the
+            # overlays are already empty unless a row raised)
+            for arrangement in self._overlays:
+                arrangement.clear()
         return self._merge(out)
 
     def _state_rows(self) -> int:
-        return sum(_held(index) for index in self._arrangements.values())
+        return sum(
+            arrangement.held() for arrangement in self._arrangements.values()
+        )
 
 
 class _ReduceNode(Node):
@@ -875,6 +1144,11 @@ class Dataflow:
         """A new input relation."""
         return Var(self, name=name)
 
+    def backed_var(self, relation, name: str = "") -> BackedVar:
+        """A new input relation that is a read-only view of a live
+        store; see :class:`BackedVar` for what ``relation`` offers."""
+        return BackedVar(self, relation, name=name)
+
     def map(self, node: Node, fn, name: str = "") -> Node:
         """Per-row projection: ``fn(row) -> row`` (or None to drop)."""
         self._require_relation(node, "map")
@@ -1007,9 +1281,11 @@ class Dataflow:
     def describe(self) -> list[dict]:
         """The graph as data, one record per node in creation order:
         ``name``, ``kind`` (the combinator), ``height``, ``eval_count``,
-        ``value_rows`` (distinct rows in ``value``; 1 for a scalar) and
+        ``value_rows`` (distinct rows in ``value``; 1 for a scalar),
         ``state_rows`` (rows held beside it: join indexes, reduce
-        groups, multijoin arrangements)."""
+        groups, the multijoin arrangements the node keeps itself) and
+        ``held_rows`` (rows the node stores: the two summed — or 0 for
+        a :class:`BackedVar`, whose value is its store's)."""
         return [
             {
                 "name": node.name,
@@ -1018,6 +1294,7 @@ class Dataflow:
                 "eval_count": node.eval_count,
                 "value_rows": len(node.value) if node.is_relation else 1,
                 "state_rows": node._state_rows(),
+                "held_rows": node._held_rows(),
             }
             for node in self.nodes
         ]

@@ -1,8 +1,9 @@
 """:class:`DataflowView` — any dataflow program as an engine view.
 
 A *program* is a named builder that wires a :class:`~repro.dataflow.
-runtime.Dataflow` graph over two input relations mirroring the shared
-:class:`~repro.graph.digraph.DiGraph`:
+runtime.Dataflow` graph over two input relations that are read-only
+views of the shared :class:`~repro.graph.digraph.DiGraph` (or
+:class:`~repro.graph.sharding.ShardedGraphStore`) — they hold no rows:
 
 * ``inputs.nodes`` — rows ``(node, label)``;
 * ``inputs.edges`` — rows ``(source, target, source_label,
@@ -35,8 +36,10 @@ Registering a program makes it loadable by name from snapshots::
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import repeat
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta
@@ -77,6 +80,91 @@ class GraphInputs:
 
     nodes: Var
     edges: Var
+
+
+class _GraphRelation(Mapping):
+    """A relation read off the live graph: a set (each present row
+    counts 1) that stores nothing — what a
+    :class:`~repro.dataflow.runtime.BackedVar` takes as its value."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: DiGraph) -> None:
+        self._graph = graph
+
+    def __getitem__(self, row) -> int:
+        if row in self:
+            return 1
+        raise KeyError(row)
+
+    def get(self, row, default=None):
+        return 1 if row in self else default
+
+    def items(self) -> Iterator[tuple]:  # type: ignore[override]
+        return zip(self, repeat(1))
+
+    def values(self) -> Iterator[int]:  # type: ignore[override]
+        return repeat(1, len(self))
+
+    def adjacency(self, key_columns: tuple, value_column: int):
+        """The graph's own index of that shape, or ``None``."""
+        return None
+
+
+class _NodeRelation(_GraphRelation):
+    """``(node, label)`` rows."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._graph.num_nodes
+
+    def __iter__(self) -> Iterator[tuple]:
+        label = self._graph.label
+        return ((node, label(node)) for node in self._graph.nodes())
+
+    def __contains__(self, row) -> bool:
+        graph = self._graph
+        return len(row) == 2 and row[0] in graph and graph.label(row[0]) == row[1]
+
+
+class _EdgeRelation(_GraphRelation):
+    """``(source, target, source_label, target_label)`` rows; keyed on
+    either endpoint it is the graph's adjacency."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._graph.num_edges
+
+    def __iter__(self) -> Iterator[tuple]:
+        # the order of graph.edges(), one source-label lookup per source
+        graph = self._graph
+        label = graph.label
+        for source in graph.nodes():
+            targets = graph.out_neighbors(source)
+            if targets:
+                source_label = label(source)
+                for target in targets:
+                    yield (source, target, source_label, label(target))
+
+    def __contains__(self, row) -> bool:
+        graph = self._graph
+        return (
+            len(row) == 4
+            and row[1] in graph.out_neighbors(row[0])
+            and graph.label(row[0]) == row[2]
+            and graph.label(row[1]) == row[3]
+        )
+
+    def adjacency(self, key_columns: tuple, value_column: int):
+        # bound methods of the store, not of a shard: every probe goes
+        # through the current shard layout
+        if (key_columns, value_column) == ((0,), 1):
+            return self._graph.out_neighbors
+        if (key_columns, value_column) == ((1,), 0):
+            return self._graph.in_neighbors
+        return None
 
 
 @dataclass(frozen=True)
@@ -145,24 +233,15 @@ class DataflowView:
         self.args = tuple(args)
         self.flow = Dataflow(meter=meter)
         self.inputs = GraphInputs(
-            self.flow.var(name="graph.nodes"), self.flow.var(name="graph.edges")
+            self.flow.backed_var(_NodeRelation(graph), name="graph.nodes"),
+            self.flow.backed_var(_EdgeRelation(graph), name="graph.edges"),
         )
         output = spec.builder(self.flow, self.inputs, *args)
         self.observer: Observer = self.flow.observe(output)
         self._relevance: DeltaFilter = (
             spec.relevance(*args) if spec.relevance else SubscribeAll()
         )
-        label = graph.label
-        self.inputs.nodes.update(
-            {(node, label(node)): 1 for node in graph.nodes()}
-        )
-        self.inputs.edges.update(
-            {
-                (source, target, label(source), label(target)): 1
-                for source, target in graph.edges()
-            }
-        )
-        self.flow.stabilize()
+        self.flow.stabilize()  # first evaluations read the graph itself
         self.observer.take_delta()  # construction is not a ΔO
 
     # ------------------------------------------------------------------
@@ -212,9 +291,12 @@ class DataflowView:
 
     def absorb(self, delta: Delta, new_nodes) -> DataflowDelta:
         """Engine fan-out path: the shared graph already holds
-        ``G ⊕ ΔG``; translate the batch into input-relation deltas and
-        stabilize.  Work (and meter movement) is proportional to the
-        change the batch induces, not to the graph."""
+        ``G ⊕ ΔG``; announce the batch to the input relations as row
+        deltas and stabilize.  Work (and meter movement) is proportional
+        to the change the batch induces, not to the graph.  An edge
+        update the graph does not hold raises
+        :class:`~repro.dataflow.runtime.DataflowError` before any
+        derived node hears of the batch's edges; the view stays usable."""
         label = self.graph.label
         edge_rows: dict = {}
         for update in delta.deletions:
@@ -327,12 +409,17 @@ class DataflowView:
             ...             edges=[(1, 2), (2, 3), (3, 1)])
             >>> for node in DataflowView(g, "triangle-count").describe():
             ...     print(node["name"], node["kind"], node["height"],
-            ...           node["value_rows"], node["state_rows"])
-            graph.nodes var 0 3 0
-            graph.edges var 0 3 0
-            tri.walks multijoin 1 3 6
-            tri.cycles map 2 1 0
-            tri.distinct distinct 3 1 0
-            tri.count count 4 1 0
+            ...           node["value_rows"], node["state_rows"],
+            ...           node["held_rows"])
+            graph.nodes backedvar 0 3 0 0
+            graph.edges backedvar 0 3 0 0
+            tri.walks multijoin 1 3 0 3
+            tri.cycles map 2 1 0 1
+            tri.distinct distinct 3 1 0 1
+            tri.count count 4 1 0 1
+
+        The inputs are views of the graph (``held_rows`` 0 whatever its
+        size) and ``tri.walks`` probes the graph's own adjacency
+        (``state_rows`` 0): what the program holds is its output.
         """
         return self.flow.describe()

@@ -12,7 +12,7 @@ hashable value; the paper draws them from a finite alphabet of strings.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Collection, Hashable, Iterable, Iterator
 from typing import Optional
 
 Node = Hashable
@@ -20,6 +20,9 @@ Label = Hashable
 Edge = tuple[Node, Node]
 
 DEFAULT_LABEL: Label = ""
+
+#: What the no-copy neighbor accessors answer for a node not in the graph.
+NO_NEIGHBORS: frozenset = frozenset()
 
 
 class GraphError(Exception):
@@ -255,6 +258,18 @@ class DiGraph:
             return frozenset(self._pred[node])
         except KeyError:
             raise MissingNodeError(node) from None
+
+    def out_neighbors(self, node: Node) -> Collection[Node]:
+        """The live successor set of ``node``, uncopied — sized, iterable
+        and ``in``-testable; do not mutate it or hold it across an
+        update.  Empty for a node not in the graph: this is the probe of
+        an adjacency index, where an absent key is an empty bucket."""
+        return self._succ.get(node, NO_NEIGHBORS)
+
+    def in_neighbors(self, node: Node) -> Collection[Node]:
+        """The live predecessor set of ``node``; the contract of
+        :meth:`out_neighbors`."""
+        return self._pred.get(node, NO_NEIGHBORS)
 
     def out_degree(self, node: Node) -> int:
         """Number of out-edges of ``node``."""

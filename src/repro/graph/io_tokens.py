@@ -21,6 +21,7 @@ would otherwise reload as ``1``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 __all__ = ["SerializationError", "format_token", "parse_bare_token", "tokenize"]
 
@@ -36,6 +37,11 @@ class SerializationError(ValueError):
 
 def format_token(value) -> str:
     """Render one node id or label as a text token."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _format_str(value)
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SerializationError(
             f"cannot serialize {value!r} of type {type(value).__name__}; "
@@ -43,6 +49,14 @@ def format_token(value) -> str:
         )
     if isinstance(value, int):
         return str(value)
+    return _format_str.__wrapped__(value)  # a str subclass: never cached
+
+
+@lru_cache(maxsize=4096)
+def _format_str(value: str) -> str:
+    """Bare or quoted — remembered, because a graph writes the same few
+    labels on every line and the decision costs a regex search plus an
+    ``int()`` that raises."""
     if (
         value
         and not value.startswith("%")

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
+from itertools import chain
 from typing import Optional
 
 from repro.graph.digraph import (
@@ -50,6 +51,7 @@ from repro.graph.digraph import (
     Label,
     MissingEdgeError,
     MissingNodeError,
+    NO_NEIGHBORS,
     Node,
 )
 
@@ -282,6 +284,36 @@ def route_updates(delta, shard_map: ShardMap) -> dict[int, list]:
     for update in delta:
         routed.setdefault(shard_map.shard_of(update.source), []).append(update)
     return routed
+
+
+class _DisjointUnion:
+    """Several pairwise-disjoint live sets read as one, uncopied:
+    sized, iterable, ``in``-testable and ``&``-able like each of them."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: list) -> None:
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def __iter__(self) -> Iterator[Node]:
+        return chain.from_iterable(self._parts)
+
+    def __contains__(self, node: object) -> bool:
+        for part in self._parts:
+            if node in part:
+                return True
+        return False
+
+    def __and__(self, other: Collection) -> set:
+        common: set = set()
+        for part in self._parts:
+            common |= part & other
+        return common
+
+    __rand__ = __and__
 
 
 class ShardedGraphStore:
@@ -683,6 +715,24 @@ class ShardedGraphStore:
     def predecessor_set(self, node: Node) -> frozenset[Node]:
         """Frozen predecessor set of ``node`` (union across shards)."""
         return frozenset(self.predecessors(node))
+
+    def out_neighbors(self, node: Node) -> Collection[Node]:
+        """The live successor set of ``node``, uncopied, from its owner
+        shard — :meth:`DiGraph.out_neighbors`' contract.  Resolved
+        through the shard map on every call, so a caller that asks again
+        after :meth:`repartition` reads the node's new home."""
+        # a node the graph lacks is on no shard, its would-be owner included
+        return self._shards[self.shard_map.shard_of(node)].out_neighbors(node)
+
+    def in_neighbors(self, node: Node) -> Collection[Node]:
+        """The live predecessors of ``node``, uncopied: the hosting
+        shards' predecessor sets, read as one disjoint union."""
+        hosts = self._hosts.get(node, ())
+        shards = self._shards
+        if len(hosts) == 1:
+            (index,) = hosts
+            return shards[index].in_neighbors(node)
+        return _DisjointUnion([shards[index].in_neighbors(node) for index in hosts])
 
     def out_degree(self, node: Node) -> int:
         """Number of out-edges of ``node``."""

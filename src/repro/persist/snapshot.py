@@ -314,17 +314,19 @@ class SnapshotStore:
         self.graphdiff_limit = graphdiff_limit
         # Which engine capture this store's on-disk snapshot holds:
         # (weakref to the engine, its snapshot_epoch at write time, its
-        # journal_epoch at write time).  Incremental saves may only
-        # carry sections forward when the previous file *is* the
-        # engine's most recent full capture — an engine saved elsewhere
+        # journal_epoch at write time, its graph's oob_version at write
+        # time).  Incremental saves may only carry sections forward when
+        # the previous file *is* the engine's most recent full capture —
+        # an engine saved elsewhere
         # in between cleans its dirty set against that other store, and
         # carrying from ours would resurrect stale state.  The journal
         # epoch additionally gates graph diffs: the diff is derived from
         # this store's log tail, which only covers the window if the
-        # engine journaled here, uninterrupted, since the capture.
+        # engine journaled here, uninterrupted, since the capture, and
+        # the graph's oob_version shows no relabel or node removal since.
         # Unknown provenance (fresh store, different engine) falls back
         # to a full write, which is always sound.
-        self._captured: Optional[tuple[weakref.ref, int, int]] = None
+        self._captured: Optional[tuple[weakref.ref, int, int, int]] = None
         #: Per-view replay cursors as recorded in the snapshot on disk
         #: (mirrors the file; drives relevance-aware log compaction).
         self._cursors: dict[str, int] = {}

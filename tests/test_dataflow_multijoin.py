@@ -14,18 +14,39 @@
   rotation classes of closed 3-walks, self-loops and reciprocal edges
   included.
 * **State bound.**  On a hub graph (k edges in, k out: k² wedges) the
-  program holds O(|E|) rows, and one hub-edge update meters no more
-  work than the reference chain.
+  program holds its output and nothing else, whatever |E|, and one
+  hub-edge update meters no more work than the reference chain.
+* **Graph-backed inputs (Hypothesis).**  ``DataflowView`` reads its two
+  input relations, and ``multijoin`` its adjacency arrangements, off the
+  live graph.  The construction it replaced — plain ``Var``s holding a
+  copy of the graph — is kept here as the oracle: all four built-in
+  programs agree with it, values and per-batch ΔO, through engine
+  streams with self-loops, reciprocal edges, hub endpoints, new nodes,
+  delete-then-reinsert batches, rollbacks and a bulk load into empty
+  views, over a ``DiGraph`` and over a ``ShardedGraphStore`` that is
+  repartitioned and split mid-stream.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Delta, DiGraph, delete, insert
+from repro import Delta, DiGraph, Engine, SnapshotStore, delete, insert
 from repro.core.cost import CostMeter
 from repro.dataflow import Dataflow, DataflowError, DataflowView, GraphInputs
-from repro.dataflow.library import _canonical_cycle, build_triangle_count
+from repro.dataflow.library import (
+    _canonical_cycle,
+    build_edge_label_count,
+    build_rpq,
+    build_triangle_count,
+    build_two_hop,
+)
+from repro.dataflow.view import DataflowDelta
+from repro.graph.sharding import ShardedGraphStore, ShardMap
+from repro.kws.kdist import node_order
 
 # ----------------------------------------------------------------------
 # references: chained binary joins
@@ -241,13 +262,21 @@ def hub_graph(k: int) -> DiGraph:
 
 @pytest.mark.parametrize("k", [50, 100, 200])
 def test_hub_state_is_linear_in_edges(k):
+    """Not even linear: the inputs and the adjacency arrangements are
+    the graph, so the rows held are the output's, whatever k."""
     graph = hub_graph(k)
     view = DataflowView(graph, "triangle-count")
     view.apply(Delta([insert(k + 1, 1)]))  # close one triangle through the hub
     assert view.value() == 1
-    held = sum(node["value_rows"] + node["state_rows"] for node in view.describe())
-    # inputs (|V| + |E| rows) + two adjacency arrangements (2|E|) + output
-    assert held <= 5 * graph.num_edges
+    held = {node["name"]: node["held_rows"] for node in view.describe()}
+    assert held == {
+        "graph.nodes": 0,
+        "graph.edges": 0,
+        "tri.walks": 3,  # the triangle's three rotations, no arrangement
+        "tri.cycles": 1,
+        "tri.distinct": 1,
+        "tri.count": 1,
+    }
 
 
 def test_hub_update_meters_no_more_than_the_reference_chain():
@@ -280,3 +309,211 @@ def test_hub_update_meters_no_more_than_the_reference_chain():
         assert ours <= theirs
     # the hub edge itself: one probe per plan, not one per wedge
     assert work["multijoin"][0][0] * 10 < work["reference"][0][0]
+
+
+# ----------------------------------------------------------------------
+# graph-backed inputs against the materialised construction
+# ----------------------------------------------------------------------
+
+RPQ_QUERY = "a . b* . a"
+
+BUILDERS = {
+    "tri": ("triangle-count", build_triangle_count, ()),
+    "hop": ("two-hop", build_two_hop, ()),
+    "labels": ("edge-label-count", build_edge_label_count, ()),
+    "rpq": ("rpq", build_rpq, (RPQ_QUERY,)),
+}
+
+
+class MaterialisedTwin:
+    """A program over plain ``Var``s that hold a copy of the graph's
+    rows — how ``DataflowView`` built its inputs before they became
+    views of the graph."""
+
+    def __init__(self, graph, builder, args):
+        self.flow = Dataflow()
+        self.inputs = GraphInputs(self.flow.var(), self.flow.var())
+        self.observer = self.flow.observe(builder(self.flow, self.inputs, *args))
+        label = graph.label
+        self.inputs.nodes.update({(node, label(node)): 1 for node in graph.nodes()})
+        self.inputs.edges.update(
+            {(s, t, label(s), label(t)): 1 for s, t in graph.edges()}
+        )
+        self.flow.stabilize()
+        self.observer.take_delta()
+
+    def absorb(self, graph, delta, new_nodes) -> DataflowDelta:
+        label = graph.label
+        rows: dict = {}
+        for update in delta:
+            row = (update.source, update.target, label(update.source), label(update.target))
+            rows[row] = rows.get(row, 0) + (1 if update.is_insert else -1)
+        self.inputs.nodes.update(
+            {(node, label(node)): 1 for node in sorted(new_nodes, key=node_order)}
+        )
+        self.inputs.edges.update(rows)
+        self.flow.stabilize()
+        return DataflowDelta(*self.observer.take_delta())
+
+    def value(self):
+        output = self.observer.node
+        return frozenset(output.value) if output.is_relation else output.value
+
+
+#: node 0 is drawn three times as often: a hub
+ENDPOINTS = st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5])
+PAIRS = st.tuples(ENDPOINTS, ENDPOINTS)  # self-loops, reciprocal edges
+OPS = st.one_of(
+    st.tuples(
+        st.just("batch"),
+        st.lists(PAIRS, min_size=1, max_size=5, unique=True),
+        st.booleans(),  # also delete and re-insert a present edge
+        st.one_of(st.none(), st.sampled_from("ab")),  # an edge to a new node
+    ),
+    st.tuples(st.just("rollback"), st.integers(1, 3)),
+)
+
+
+def run_differential(graph, initial, bulk, ops, after_op=lambda index, engine: None):
+    if not bulk:
+        for edge in initial:
+            graph.add_edge(*edge)
+    engine = Engine(graph)
+    for name, (program, _, args) in BUILDERS.items():
+        engine.register(
+            name, lambda g, m, p=program, a=args: DataflowView(g, p, *a, meter=m)
+        )
+    twins = {
+        name: MaterialisedTwin(graph, builder, args)
+        for name, (_, builder, args) in BUILDERS.items()
+    }
+
+    def check(report, outputs=True):
+        for name, twin in twins.items():
+            expected = twin.absorb(graph, report.delta, report.new_nodes)
+            if outputs:
+                assert report.output(name) == expected, name
+            assert engine[name].value() == twin.value(), name
+
+    if bulk:
+        # empty views, brought current by one rebuild each: no ΔO to compare
+        check(engine.bulk_load(initial), outputs=False)
+    fresh = 6
+    for index, op in enumerate(ops):
+        if op[0] == "rollback":
+            mark = max(0, engine.applied_count - op[1])
+            if mark < engine.applied_count:
+                check(engine.rollback(mark))
+        else:
+            _, pairs, reinsert, new_label = op
+            updates = [
+                delete(*pair) if graph.has_edge(*pair) else insert(*pair)
+                for pair in pairs
+            ]
+            untouched = sorted(set(graph.edges()) - set(pairs))
+            if reinsert and untouched:
+                updates += [delete(*untouched[0]), insert(*untouched[0])]
+            if new_label is not None:
+                updates.append(insert(pairs[0][0], fresh, target_label=new_label))
+                fresh += 1
+            check(engine.apply(Delta(updates)))
+        after_op(index, engine)
+    return engine
+
+
+def labelled_nodes(graph_class, **kwargs):
+    return graph_class(labels={node: "ab"[node % 2] for node in range(6)}, **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initial=st.lists(PAIRS, max_size=10, unique=True),
+    bulk=st.booleans(),
+    ops=st.lists(OPS, min_size=1, max_size=6),
+)
+def test_graph_backed_programs_equal_the_materialised_ones(initial, bulk, ops):
+    run_differential(labelled_nodes(DiGraph), initial, bulk, ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    initial=st.lists(PAIRS, max_size=10, unique=True),
+    bulk=st.booleans(),
+    ops=st.lists(OPS, min_size=4, max_size=7),
+)
+def test_graph_backed_programs_survive_repartition_and_split(
+    tmp_path_factory, initial, bulk, ops
+):
+    """Two hash shards, re-placed under a range layout after the first
+    operation and split (through the snapshot store, journaling from
+    then on) after the third: the arrangements ask the store on every
+    probe, so they can hold no reference the move would strand."""
+    graph = labelled_nodes(ShardedGraphStore, shards=2)
+
+    def move(index, engine):
+        if index == 0:
+            graph.repartition(ShardMap(kind="range", boundaries=[2]))
+        elif index == 2:
+            store = SnapshotStore(
+                tmp_path_factory.mktemp("split"), shard_map=graph.shard_map
+            )
+            store.attach(engine)
+            store.save(engine)
+            store.split_shard(engine, 1, boundary=4)
+            assert graph.num_shards == 3
+
+    engine = run_differential(graph, initial, bulk, ops, after_op=move)
+    assert engine.graph.num_shards == 3
+
+
+def test_a_batch_the_graph_does_not_hold_is_refused_and_the_view_lives_on():
+    graph = DiGraph(labels={1: "a", 2: "a", 3: "a"}, edges=[(1, 2), (2, 3)])
+    view = DataflowView(graph, "triangle-count")
+    with pytest.raises(DataflowError, match="lacks"):
+        view.absorb(Delta([insert(3, 1)]), [])  # never applied to the graph
+    with pytest.raises(DataflowError, match="holds"):
+        view.absorb(Delta([delete(1, 2)]), [])  # still in the graph
+    with pytest.raises(DataflowError, match="lacks"):
+        view.inputs.nodes.update({(9, "a"): 1})
+        view.flow.stabilize()
+    with pytest.raises(DataflowError, match="live store"):
+        view.inputs.edges.replace({})
+    assert view.value() == 0
+    # a delete and a re-insert of one edge in one batch announce nothing
+    assert view.absorb(Delta([delete(1, 2), insert(1, 2)]), []).is_empty
+    assert view.apply(Delta([insert(3, 1)])) == DataflowDelta(
+        added=(((1,), 1),), removed=(((0,), 1),)
+    )
+    assert view.value() == 1
+
+
+def test_triangle_count_allocates_nothing_per_edge():
+    """20 000 edges in three layers (two-paths, no closed walk): the
+    view used to hold ≈ 230 bytes per edge — both inputs and two
+    arrangements; it now holds its scalar."""
+    width, edges = 1000, 20_000
+    graph = DiGraph(labels={node: "a" for node in range(3 * width)})
+    step = 0
+    while graph.num_edges < edges:
+        layer, offset = step % 2, step // 2
+        source = layer * width + offset % width
+        target = (layer + 1) * width + (offset * 7 + offset // width) % width
+        if not graph.has_edge(source, target):
+            graph.add_edge(source, target)
+        step += 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        view = DataflowView(graph, "triangle-count")
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.value() == 0
+    assert (after - before) / edges < 25
+    described = {node["name"]: node for node in view.describe()}
+    assert described["graph.nodes"]["held_rows"] == 0
+    assert described["graph.edges"]["held_rows"] == 0
+    assert described["graph.edges"]["value_rows"] == edges  # still readable
+    assert described["tri.walks"]["state_rows"] == 0

@@ -4,11 +4,14 @@ load-equivalent to a full save), incremental → load round-trips, the
 auto-:class:`~repro.persist.SnapshotPolicy`, and the save→load→replay
 property over incremental saves."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Delta, DiGraph, Engine, SnapshotPolicy, SnapshotStore, delete, insert
+from repro.dataflow import DataflowView
 from repro.engine import AutosnapshotError, EngineError
 from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
@@ -391,3 +394,54 @@ def test_incremental_save_load_replay_property(tmp_path_factory, case):
     assert revived["rpq"].matches == engine["rpq"].matches
     assert revived["scc"].components() == engine["scc"].components()
     assert revived["iso"].matches == engine["iso"].matches
+
+
+#: sha256 prefixes of the ten files below as the token writer produced
+#: them before it grew a fast path: the files must stay byte-identical.
+TEN_SAVE_DIGESTS = [
+    "21d6e2c11ea74b04",
+    "3fccaf8b8fc7dffb",
+    "56afcfb2e61c7805",
+    "afe78df627ac83e0",
+    "dd17f4b9ac05b3bc",
+    "e4e2f67860b8c1df",
+    "136b9b8a743062d3",
+    "6f576bbfa9524b40",
+    "a4a2cf46325d5426",
+    "70dffb11ca08f727",
+]
+
+
+def test_ten_incremental_saves_are_byte_identical_to_the_recorded_files(tmp_path):
+    """Labels that are bare, quoted, int-lookalike, ``%``-leading, escaped
+    and empty, written over and over through carried sections, graph
+    diffs and a consolidation (integer node ids: their adjacency sets
+    iterate the same in every process)."""
+    awkward = ["a", "b c", "5", "%d", 'q"\\', "", "a", "b c", "a", "1_0"]
+    labels = dict(enumerate(awkward, start=1))
+    graph = DiGraph(
+        labels=labels,
+        edges=[(1, 2), (2, 3), (3, 1), (4, 5), (6, 7), (8, 9), (9, 10)],
+    )
+    engine = Engine(graph)
+    query = KWSQuery(("a", "b c"), bound=2)
+    engine.register("kws", lambda g, m: KWSIndex(g, query, meter=m))
+    engine.register("rpq", lambda g, m: RPQIndex(g, "a . a*", meter=m))
+    engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
+    engine.register("tri", lambda g, m: DataflowView(g, "triangle-count", meter=m))
+    store = SnapshotStore(tmp_path)
+    store.attach(engine)
+    store.save(engine)
+    digests = []
+    for step in range(10):
+        fresh = 100 + step
+        second = (
+            delete(*[(1, 2), (2, 3)][step]) if step < 2 else insert(fresh, 1)
+        )
+        target_label = ["a", "b c", "5", "%d"][step % 4]
+        engine.apply(
+            Delta([insert(1 + step % 7, fresh, target_label=target_label), second])
+        )
+        path = store.save(engine, incremental=True)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest()[:16])
+    assert digests == TEN_SAVE_DIGESTS

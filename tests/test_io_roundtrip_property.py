@@ -173,3 +173,60 @@ class TestNormalizedNeverDuplicates:
     def test_net_one_with_history_still_collapses(self):
         cleaned = Delta([delete(1, 2), insert(1, 2), delete(1, 2)]).normalized()
         assert len(cleaned) == 1 and cleaned[0].is_delete
+
+
+# ----------------------------------------------------------------------
+# format_token's fast path against the ladder it short-cuts
+# ----------------------------------------------------------------------
+
+
+def reference_format_token(value) -> str:
+    """``format_token`` as it was before the exact-type dispatch and the
+    remembered quoting decision."""
+    from repro.graph import io_tokens
+
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SerializationError(f"cannot serialize {value!r}")
+    if isinstance(value, int):
+        return str(value)
+    if (
+        value
+        and not value.startswith("%")
+        and not io_tokens._NEEDS_QUOTING.search(value)
+        and not io_tokens._reads_back_as_int(value)
+    ):
+        return value
+    escaped = "".join(io_tokens._ESCAPES.get(char, char) for char in value)
+    return f'"{escaped}"'
+
+
+class Shouted(str):
+    """A ``str`` subclass: must never share the remembered decisions."""
+
+    def startswith(self, prefix, *rest):
+        return True  # so every Shouted token is quoted
+
+
+@given(st.one_of(labels, st.sampled_from(["%meta", "1_000", "+7", "v", "x" * 40])))
+def test_format_token_equals_the_reference_ladder(value):
+    from repro.graph.io_tokens import format_token
+
+    assert format_token(value) == reference_format_token(value)
+    assert format_token(value) == reference_format_token(value)  # remembered
+
+
+def test_format_token_subclasses_and_refusals_are_unchanged():
+    import enum
+
+    from repro.graph.io_tokens import format_token
+
+    class Color(enum.IntEnum):
+        RED = 3
+
+    assert format_token(Color.RED) == reference_format_token(Color.RED)
+    assert format_token("plain") == "plain"
+    assert format_token(Shouted("plain")) == '"plain"'  # not the cached bare form
+    assert format_token("plain") == "plain"
+    for refused in (True, False, 1.5, None, (1,)):
+        with pytest.raises(SerializationError):
+            format_token(refused)

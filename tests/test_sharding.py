@@ -78,6 +78,19 @@ def assert_same_graph(sharded: ShardedGraphStore, plain: DiGraph) -> None:
         assert set(sharded.predecessors(node)) == set(plain.predecessors(node))
         assert sharded.out_degree(node) == plain.out_degree(node)
         assert sharded.in_degree(node) == plain.in_degree(node)
+        # the no-copy accessors: sized, iterable, in-testable, &-able
+        for ours, theirs in (
+            (sharded.out_neighbors(node), plain.out_neighbors(node)),
+            (sharded.in_neighbors(node), plain.in_neighbors(node)),
+        ):
+            assert len(ours) == len(theirs) and set(ours) == theirs
+            assert all(member in ours for member in theirs)
+            assert node in ours or node not in theirs
+            probe = frozenset(list(theirs)[::2]) | {object()}
+            assert ours & probe == theirs & probe == probe & ours
+    absent = object()
+    assert not sharded.out_neighbors(absent) and not sharded.in_neighbors(absent)
+    assert not plain.out_neighbors(absent) and not plain.in_neighbors(absent)
     for label in LABELS:
         assert set(sharded.nodes_with_label(label)) == set(
             plain.nodes_with_label(label)

@@ -28,7 +28,6 @@ from repro.persist.format import (
     PersistFormatError,
     available_codecs,
     split_snapshot_sections,
-    split_view_sections,
 )
 from repro.persist.snapshot import (
     LoadReport,
@@ -55,5 +54,4 @@ __all__ = [
     "register_view_kind",
     "save_session",
     "split_snapshot_sections",
-    "split_view_sections",
 ]

@@ -51,6 +51,14 @@ cross-segment atomicity rule generalized from one batch to a window
 window per segment instead of one per batch — is what the resident
 shard workers of :mod:`repro.shardexec` buy their throughput with.
 
+**One pass reads a file.**  The framing rules are stated once, in
+:meth:`DeltaLog._scan`: a single pass records the truncation floor, the
+highest seq and window id mentioned, every commit, seal and torn entry,
+and the update bodies above a caller's ``after``.  ``entries``,
+``last_seq``, seq allocation and compaction all read that record;
+:meth:`SegmentedDeltaLog._merge` aggregates the per-segment records
+under the one cross-segment admission rule.
+
 Example::
 
     >>> import tempfile, pathlib
@@ -69,6 +77,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,18 +103,6 @@ __all__ = [
     "SegmentedDeltaLog",
     "fsync_directory",
 ]
-
-
-def _directive_seq(line: str) -> int | None:
-    """The integer seq operand of a stripped directive line, or ``None``
-    when the line is torn/malformed — the one parsing rule every log
-    scan (:meth:`DeltaLog._scan_max_seq`, :meth:`DeltaLog.last_seq`,
-    :meth:`DeltaLog._scan_floor`) shares."""
-    try:
-        _, operands = parse_directive(line)
-        return int(operands[0])
-    except (ValueError, IndexError, TypeError):
-        return None
 
 
 def fsync_directory(directory: Path) -> None:
@@ -143,6 +140,53 @@ class LogEntry:
     delta: Delta
     participants: int = 1
     window: Optional[int] = None
+
+
+#: ``(participants, window, has_updates)`` of one committed entry.
+_Commit = tuple[int, Optional[int], bool]
+
+
+@dataclass
+class _FileScan:
+    """What one pass over a log file learns (:meth:`DeltaLog._scan`)."""
+
+    #: Highest ``%truncated`` watermark (0 when absent).
+    floor: int = 0
+    #: Highest seq (``%batch``/``%truncated``) and window id
+    #: (``%window``/``%seal``) *mentioned* — committed, torn or a floor.
+    max_seq: int = 0
+    max_window: int = 0
+    #: Every durable committed entry: per batch, or sealed in its window.
+    commits: dict[int, _Commit] = field(default_factory=dict)
+    #: Committed entries of windows left unsealed or aborted here.
+    torn: dict[int, _Commit] = field(default_factory=dict)
+    #: ``{window: participants}`` of every ``%seal``.
+    seals: dict[int, int] = field(default_factory=dict)
+    #: Update batches of the committed entries with ``seq > after``.
+    bodies: dict[int, Delta] = field(default_factory=dict)
+
+    def entries(self, after: float) -> list[LogEntry]:
+        """The durable entries with ``seq > after``, in seq order."""
+        return [
+            LogEntry(seq, self.bodies[seq], participants, window)
+            for seq, (participants, window, _) in sorted(self.commits.items())
+            if seq > after
+        ]
+
+
+@dataclass
+class _MergedScan:
+    """Every segment's scan under the cross-segment rules
+    (:meth:`SegmentedDeltaLog._merge`)."""
+
+    scans: list[_FileScan]
+    #: Highest truncation floor of any segment.
+    floor: int
+    #: ``{seq: (participants, holders)}``: the indexes of the segments
+    #: holding a durable, admitted sub-entry of the seq, ascending.
+    parts: dict[int, tuple[int, list[int]]]
+    #: Seqs with a sub-entry in a window that is not admitted.
+    torn_windowed: set[int]
 
 
 def _net_cancel_window(
@@ -206,7 +250,9 @@ def _net_cancel_window(
             if (entry_index, update_index) not in dropped
         ]
         # an emptied entry keeps its frame: the seq stays spoken for
-        result.append(LogEntry(entry.seq, Delta(survivors), entry.participants))
+        result.append(
+            LogEntry(entry.seq, Delta(survivors), entry.participants, entry.window)
+        )
     return result
 
 
@@ -327,11 +373,11 @@ class DeltaLog:
 
         Two crash shapes need healing: a torn final line without a
         newline (prefix a ``"\\n"`` so the fragment cannot glue onto our
-        frame), and a file ending in a complete-but-dangling ``%window
-        <id>`` tag whose batch never followed (prefix ``%abort <id>`` so
-        the orphaned tag cannot adopt *our* per-batch-durable entry into
-        its torn window — the reader would then discard an acknowledged
-        append).
+        frame), and a file ending in a dangling ``%window <id>`` tag
+        whose batch never followed — complete, or torn before its
+        newline (prefix ``%abort <id>`` so the orphaned tag cannot adopt
+        *our* per-batch-durable entry into its torn window — the reader
+        would then discard an acknowledged append).
         """
         if self._tail_known_clean:
             return ""
@@ -346,55 +392,24 @@ class DeltaLog:
                 tail = stream.read()
         except FileNotFoundError:
             return ""
-        if not tail.endswith(b"\n"):
-            return "\n"
-        last_line = tail[:-1].rsplit(b"\n", 1)[-1]
+        newline = "" if tail.endswith(b"\n") else "\n"
+        last_line = tail.removesuffix(b"\n").rsplit(b"\n", 1)[-1]
         if last_line.startswith(b"%window"):
             try:
                 _, operands = parse_directive(last_line.decode("utf-8").strip())
             except (ValueError, UnicodeDecodeError):
-                return ""  # malformed tag never arms the reader
+                return newline  # malformed tag never arms the reader
             if len(operands) == 1 and isinstance(operands[0], int):
-                return render_directive("abort", operands[0])
-        return ""
+                return newline + render_directive("abort", operands[0])
+        return newline
 
     def _allocate_seq(self) -> int:
-        if self._next_seq is None:
-            self._next_seq = self._scan_max_seq() + 1
-        return self._next_seq
-
-    def _scan_max_seq(self) -> int:
-        """Highest seq *mentioned* in the file — committed, torn, or
-        recorded by a ``%truncated`` compaction floor — so a reused log
+        """The next seq: above every seq the file mentions — committed,
+        torn, or recorded by a ``%truncated`` floor — so a reused log
         never hands out a seq twice."""
-        highest = 0
-        if not self.path.exists():
-            return highest
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line.startswith(("%batch", "%truncated")):
-                    seq = _directive_seq(line)
-                    if seq is not None:  # torn mid-line; entries() reports it
-                        highest = max(highest, seq)
-        return highest
-
-    def _scan_max_window(self) -> int:
-        """Highest group-commit window id *mentioned* in the file —
-        sealed or torn — so a restarted coordinator never reuses a
-        window id (a reused id could glue torn debris onto a later
-        sealed window)."""
-        highest = 0
-        if not self.path.exists():
-            return highest
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line.startswith(("%window", "%seal")):
-                    window = _directive_seq(line)
-                    if window is not None:
-                        highest = max(highest, window)
-        return highest
+        if self._next_seq is None:
+            self._next_seq = self._scan().max_seq + 1
+        return self._next_seq
 
     # ------------------------------------------------------------------
     # Reading
@@ -425,35 +440,51 @@ class DeltaLog:
         acknowledged as durable — and are silently dropped, exactly
         like a torn per-batch tail.
         """
-        result, _, _ = self._entries_scan(after)
-        return result
+        return self._scan(after).entries(after)
 
-    def _entries_scan(
-        self, after: int = 0
-    ) -> tuple[list[LogEntry], dict[int, int], list[LogEntry]]:
-        """Full framing scan behind :meth:`entries`.
+    def last_seq(self) -> int:
+        """Seq of the newest *durable* committed entry, or the
+        truncation floor when that is higher (0 for an empty/new log).
+        Entries inside an unsealed group-commit window do not count:
+        their batches were never acknowledged as durable, and recovery
+        will discard them whole.
 
-        Returns ``(committed, sealed, unsealed)``: the committed durable
-        entries in ascending seq order (windowed ones tagged with their
-        window id), the ``{window_id: seal_participants}`` map of every
-        ``%seal`` in the file, and the entries of *unsealed* windows —
-        batch-committed but never made durable.  The last list is what
-        :meth:`compact` turns into empty frames so torn-window seqs stay
-        spoken for across a rewrite; :class:`SegmentedDeltaLog` uses the
-        seal map to enforce the cross-segment window-atomicity rule.
+        Reads the same framing pass as :meth:`entries` without
+        materializing any :class:`Delta`, so periodic
+        :meth:`~repro.persist.snapshot.SnapshotStore.save` calls stay
+        cheap on long uncompacted logs.
         """
-        result: list[LogEntry] = []
-        sealed: dict[int, int] = {}
-        buffers: dict[int, list[LogEntry]] = {}
-        aborted: list[LogEntry] = []
+        scan = self._scan()
+        return max([scan.floor, *scan.commits])
+
+    def _scan(self, after: float = math.inf) -> _FileScan:
+        """The one pass over this file behind every reader.
+
+        Applies the framing rules of ``docs/FORMATS.md`` §6 line by
+        line and returns a :class:`_FileScan`: the truncation floor,
+        the highest seq and window id mentioned, every durable commit,
+        the entries of windows left unsealed or aborted (``torn``), the
+        seals, and the update bodies of committed entries with ``seq >
+        after`` — records at or below ``after`` are framed, never
+        tokenized.  The default reads framing only.
+
+        A ``%window <id>`` tag binds to the ``%batch`` line right after
+        it; any other line in between (a torn directive, an ``%abort``)
+        cancels it, so a crash between tag and batch can never adopt a
+        later entry into the torn window.  A windowed entry stays torn
+        until a ``%seal`` of its window follows it.
+        """
+        scan = _FileScan()
         if not self.path.exists():
-            return result, sealed, []
+            return scan
         source = str(self.path)
+        awaiting_seal: dict[int, list[int]] = {}  # window -> committed seqs
         open_seq: int | None = None
         open_participants = 1
         open_window: int | None = None
-        pending_window: int | None = None
-        open_updates: list = []
+        open_updates: list | None = None  # None: at or below ``after``
+        has_updates = False
+        tag: int | None = None  # %window id awaiting its %batch line
         poisoned = False  # inside a torn fragment, awaiting the next %batch
         previous_seq = 0
         with open(self.path, "r", encoding="utf-8") as stream:
@@ -461,271 +492,115 @@ class DeltaLog:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if is_directive(line):
-                    try:
-                        keyword, operands = parse_directive(line)
-                    except ValueError:
-                        open_seq = None  # torn mid-directive
-                        pending_window = None
-                        poisoned = True
-                        continue
-                    if keyword == "batch":
-                        if (
-                            len(operands) not in (1, 2)
-                            or not all(isinstance(op, int) for op in operands)
-                            or (len(operands) == 2 and operands[1] < 1)
-                        ):
-                            open_seq = None  # "%batch" torn before its seq
-                            pending_window = None
-                            poisoned = True
-                            continue
-                        # an open entry at this point was never committed
-                        open_seq = operands[0]
-                        open_participants = (
-                            operands[1] if len(operands) == 2 else 1
+                window, tag = tag, None
+                if not is_directive(line):
+                    if poisoned:
+                        continue  # torn fragment's records
+                    if open_seq is None:
+                        raise PersistFormatError(
+                            source,
+                            line_number,
+                            "update record outside a %batch entry",
                         )
-                        open_window = pending_window
-                        pending_window = None
-                        open_updates = []
-                        poisoned = False
-                        if open_seq <= previous_seq:
-                            raise PersistFormatError(
-                                source,
-                                line_number,
-                                f"seq {open_seq} does not increase over {previous_seq}",
-                            )
-                    elif keyword == "commit":
-                        if poisoned or open_seq is None:
-                            raise PersistFormatError(
-                                source,
-                                line_number,
-                                "%commit closes an entry that did not parse — "
-                                "corrupt committed data",
-                            )
-                        previous_seq = open_seq
-                        if open_seq > after:
-                            entry = LogEntry(
-                                open_seq,
-                                Delta(open_updates),
-                                open_participants,
-                                open_window,
-                            )
-                            if open_window is None:
-                                result.append(entry)
-                            else:  # durable only through its window's seal
-                                buffers.setdefault(open_window, []).append(entry)
-                        open_seq = None
-                        open_updates = []
-                    elif keyword == "window":
-                        # tags the *next* %batch entry with a window id;
-                        # an open entry at this point was never committed
-                        open_seq = None
-                        if len(operands) != 1 or not isinstance(operands[0], int):
-                            pending_window = None  # torn "%window" prefix
-                            poisoned = True
-                            continue
-                        pending_window = operands[0]
-                        poisoned = False
-                    elif keyword == "seal":
-                        open_seq = None  # an open entry here is torn debris
-                        if (
-                            len(operands) != 2
-                            or not all(isinstance(op, int) for op in operands)
-                            or operands[1] < 1
-                        ):
-                            poisoned = True  # torn seal: window stays unsealed
-                            continue
-                        window_id, participants = operands
-                        if window_id in sealed:
-                            raise PersistFormatError(
-                                source,
-                                line_number,
-                                f"window {window_id} sealed twice",
-                            )
-                        sealed[window_id] = participants
-                        result.extend(buffers.pop(window_id, []))
-                        poisoned = False
-                    elif keyword == "abort":
-                        # heal marker: the preceding %window tag dangled
-                        # (crash between the tag and its batch) and must
-                        # not adopt the entries that follow
-                        open_seq = None
-                        if len(operands) != 1 or not isinstance(operands[0], int):
-                            poisoned = True
-                            continue
-                        if pending_window == operands[0]:
-                            pending_window = None
-                        aborted.extend(buffers.pop(operands[0], ()))  # torn whole
-                        poisoned = False
-                    elif keyword == "truncated":
-                        # compaction floor: entries <= this seq were
-                        # committed and then compacted away.
-                        if len(operands) != 1 or not isinstance(operands[0], int):
-                            raise PersistFormatError(
-                                source, line_number, "%truncated needs one integer seq"
-                            )
-                        previous_seq = max(previous_seq, operands[0])
-                    else:
-                        open_seq = None  # torn directive prefix, e.g. "%bat"
+                    has_updates = True
+                    if open_updates is None:
+                        continue  # at or below ``after``: framing only
+                    try:
+                        fields = list(parse_record(line))
+                        open_updates.append(update_from_fields(fields))
+                    except ValueError:
+                        open_seq = None  # torn mid-record
                         poisoned = True
                     continue
-                # record line
-                if poisoned:
-                    continue  # torn fragment's records
-                if open_seq is None:
-                    raise PersistFormatError(
-                        source, line_number, "update record outside a %batch entry"
-                    )
-                if open_seq <= after:
-                    continue  # covered by the snapshot; framing only
                 try:
-                    open_updates.append(update_from_fields(list(parse_record(line))))
+                    keyword, operands = parse_directive(line)
                 except ValueError:
-                    open_seq = None  # torn mid-record
+                    open_seq = None  # torn mid-directive
                     poisoned = True
-        # buffered windowed entries can seal after later plain appends;
-        # surface the merged list in seq order regardless of file order
-        result.sort(key=lambda entry: entry.seq)
-        for entries in buffers.values():
-            aborted.extend(entries)
-        aborted.sort(key=lambda entry: entry.seq)
-        return result, sealed, aborted
-
-    def last_seq(self) -> int:
-        """Seq of the newest *durable* committed entry (0 for an
-        empty/new log).  Entries inside an unsealed group-commit window
-        do not count: their batches were never acknowledged as durable,
-        and recovery will discard them whole.
-
-        A light line scan — no :class:`Delta` materialization — so
-        periodic :meth:`~repro.persist.snapshot.SnapshotStore.save`
-        calls stay cheap on long uncompacted logs.
-        """
-        last = 0
-        pending: int | None = None
-        pending_window: int | None = None
-        entry_window: int | None = None
-        window_last: dict[int, int] = {}
-        sealed: set[int] = set()
-        if not self.path.exists():
-            return last
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line.startswith("%window"):
-                    pending_window = _directive_seq(line)
-                elif line.startswith("%batch"):
-                    # None on torn framing; entries() decides
-                    pending = _directive_seq(line)
-                    entry_window = pending_window
-                    pending_window = None
-                elif line.startswith("%truncated"):
-                    floor = _directive_seq(line)
-                    if floor is not None:
-                        last = max(last, floor)
-                elif line.startswith("%seal"):
-                    window = _directive_seq(line)
-                    if window is not None:
-                        sealed.add(window)
-                elif line.startswith("%abort"):
-                    window = _directive_seq(line)
-                    if window is not None:
-                        window_last.pop(window, None)  # torn whole
-                    pending_window = None
-                elif line.startswith("%commit") and pending is not None:
-                    if entry_window is None:
-                        last = max(last, pending)
-                    else:
-                        window_last[entry_window] = max(
-                            window_last.get(entry_window, 0), pending
+                    continue
+                integral = all(isinstance(op, int) for op in operands)
+                if operands and isinstance(operands[0], int):
+                    if keyword in ("batch", "truncated"):
+                        scan.max_seq = max(scan.max_seq, operands[0])
+                    elif keyword in ("window", "seal"):
+                        scan.max_window = max(scan.max_window, operands[0])
+                if keyword == "truncated":
+                    # compaction floor: entries <= this seq were
+                    # committed and then compacted away.
+                    if len(operands) != 1 or not integral:
+                        raise PersistFormatError(
+                            source, line_number, "%truncated needs one integer seq"
                         )
-                    pending = None
-                    entry_window = None
-        for window, seq in window_last.items():
-            if window in sealed:
-                last = max(last, seq)
-        return last
-
-    def commit_index(
-        self,
-    ) -> tuple[int, dict[int, tuple[int, bool, Optional[int]]], dict[int, int]]:
-        """Light scan: ``(truncation_floor, {seq: (participants,
-        has_updates, window)}, {window: seal_participants})`` for every
-        committed entry in this file.
-
-        No :class:`Delta` is materialized — this is how a
-        :class:`SegmentedDeltaLog` computes the globally committed
-        :meth:`last_seq` (a seq counts only when every participant
-        segment committed it and its window, if any, sealed everywhere)
-        and finds torn cross-segment debris to void, without reading
-        entry bodies.  ``has_updates`` is whether the entry carries any
-        record line (an emptied frame reads ``False``); ``window`` is
-        the entry's group-commit window id (``None`` for per-batch
-        entries) — **entries of unsealed windows are included**, tagged
-        with their window, so callers can tell torn windowed debris
-        apart by consulting the seal map.  An aborted window's entries
-        are dropped (torn whole, exactly as :meth:`entries` treats
-        them).
-        """
-        floor = 0
-        commits: dict[int, tuple[int, bool, Optional[int]]] = {}
-        seals: dict[int, int] = {}
-        pending: tuple[int, int] | None = None
-        pending_window: int | None = None
-        entry_window: int | None = None
-        has_updates = False
-        if not self.path.exists():
-            return floor, commits, seals
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line.startswith("%window"):
-                    pending_window = _directive_seq(line)
-                elif line.startswith("%batch"):
-                    pending = None
-                    entry_window = pending_window
-                    pending_window = None
+                    scan.floor = max(scan.floor, operands[0])
+                    previous_seq = max(previous_seq, operands[0])
+                    continue
+                if keyword == "commit":
+                    if poisoned or open_seq is None:
+                        raise PersistFormatError(
+                            source,
+                            line_number,
+                            "%commit closes an entry that did not parse — "
+                            "corrupt committed data",
+                        )
+                    if open_seq <= previous_seq:
+                        raise PersistFormatError(
+                            source,
+                            line_number,
+                            f"seq {open_seq} does not increase over {previous_seq}",
+                        )
+                    previous_seq = open_seq
+                    commit = (open_participants, open_window, has_updates)
+                    if open_updates is not None:
+                        scan.bodies[open_seq] = Delta(open_updates)
+                    if open_window is None:
+                        scan.commits[open_seq] = commit
+                    else:  # durable only through its window's seal
+                        scan.torn[open_seq] = commit
+                        awaiting_seal.setdefault(open_window, []).append(open_seq)
+                    open_seq = None
+                    continue
+                # an entry still open at any other directive was never
+                # committed; a malformed directive is a torn prefix
+                open_seq = None
+                poisoned = True
+                if keyword == "batch":
+                    if (
+                        len(operands) not in (1, 2)
+                        or not integral
+                        or (len(operands) == 2 and operands[1] < 1)
+                    ):
+                        continue  # "%batch" torn before its seq
+                    open_seq = operands[0]
+                    open_participants = operands[1] if len(operands) == 2 else 1
+                    open_window = window
+                    open_updates = [] if open_seq > after else None
                     has_updates = False
-                    try:
-                        _, operands = parse_directive(line)
-                        if len(operands) in (1, 2) and all(
-                            isinstance(op, int) for op in operands
-                        ):
-                            pending = (
-                                operands[0],
-                                operands[1] if len(operands) == 2 else 1,
-                            )
-                    except ValueError:
-                        pending = None  # torn framing; entries() decides
-                elif line.startswith("%truncated"):
-                    watermark = _directive_seq(line)
-                    if watermark is not None:
-                        floor = max(floor, watermark)
-                elif line.startswith("%seal"):
-                    try:
-                        _, operands = parse_directive(line)
-                        if len(operands) == 2 and all(
-                            isinstance(op, int) for op in operands
-                        ):
-                            seals[operands[0]] = operands[1]
-                    except ValueError:
-                        pass  # torn seal: the window stays unsealed
-                elif line.startswith("%abort"):
-                    window = _directive_seq(line)
-                    if window is not None:
-                        commits = {
-                            seq: value
-                            for seq, value in commits.items()
-                            if value[2] != window
-                        }
-                    pending_window = None
-                elif line.startswith("%commit") and pending is not None:
-                    commits[pending[0]] = (pending[1], has_updates, entry_window)
-                    pending = None
-                    entry_window = None
-                elif line and not line.startswith(("%", "#")):
-                    has_updates = True
-        return floor, commits, seals
+                elif keyword == "window":
+                    if len(operands) != 1 or not integral:
+                        continue  # torn "%window" prefix
+                    tag = operands[0]
+                elif keyword == "seal":
+                    if len(operands) != 2 or not integral or operands[1] < 1:
+                        continue  # torn seal: the window stays unsealed
+                    sealed, participants = operands
+                    if sealed in scan.seals:
+                        raise PersistFormatError(
+                            source, line_number, f"window {sealed} sealed twice"
+                        )
+                    scan.seals[sealed] = participants
+                    for seq in awaiting_seal.pop(sealed, ()):
+                        scan.commits[seq] = scan.torn.pop(seq)
+                elif keyword == "abort":
+                    # heal marker: the preceding %window tag dangled
+                    # (crash between the tag and its batch); entries
+                    # already committed under the window are torn whole
+                    if len(operands) != 1 or not integral:
+                        continue
+                    awaiting_seal.pop(operands[0], None)
+                else:
+                    continue  # torn directive prefix, e.g. "%bat"
+                poisoned = False
+        return scan
 
     # ------------------------------------------------------------------
     # Compaction
@@ -806,7 +681,8 @@ class DeltaLog:
                 + [cursor for cursor, _ in lagging]
                 + [seq - 1 for seq in void_seqs]
             )
-        committed, _, unsealed = self._entries_scan(read_from)
+        scan = self._scan(read_from)
+        committed = scan.entries(read_from)
         if lagging or void_seqs:
             for entry in committed:
                 if entry.seq in void_seqs:
@@ -823,8 +699,9 @@ class DeltaLog:
         # content must not survive the rewrite (recovery discards a torn
         # window whole), but their seqs must stay spoken for — keep the
         # frame, drop the updates.
-        for entry in unsealed:
-            retained.append(LogEntry(entry.seq, Delta([]), entry.participants))
+        for seq, (participants, _, _) in scan.torn.items():
+            if seq > read_from:
+                retained.append(LogEntry(seq, Delta([]), participants))
         retained.sort(key=lambda entry: entry.seq)
         if graph_nodes is not None:
             retained = _net_cancel_window(retained, after, graph_nodes)
@@ -834,11 +711,21 @@ class DeltaLog:
         # lower watermark would let a fresh process re-allocate a covered
         # seq, whose batch the next recovery would then never apply to
         # the graph (it reads as snapshot-covered) — silent data loss.
-        watermark = max(after, self._scan_floor())
+        watermark = max(after, scan.floor)
         low = [entry for entry in retained if entry.seq <= watermark]
         high = [entry for entry in retained if entry.seq > watermark]
+        # Entries above the watermark keep their group-commit framing and
+        # their window's seal: sibling segments count this segment's seal
+        # when they admit the window, so dropping it would discard the
+        # window everywhere else.  Below the watermark a partial merge is
+        # legitimate, and those entries are written plain.
+        last_in_window = {
+            entry.window: entry.seq for entry in high if entry.window is not None
+        }
 
-        def write_entry(stream, entry: LogEntry) -> None:
+        def write_entry(stream, entry: LogEntry, window=None) -> None:
+            if window is not None:
+                stream.write(render_directive("window", window))
             if entry.participants == 1:
                 stream.write(render_directive("batch", entry.seq))
             else:  # segmented sub-entry: the participant count must survive
@@ -848,6 +735,8 @@ class DeltaLog:
             for update in entry.delta:
                 stream.write(update_to_line(update))
             stream.write(render_directive("commit"))
+            if window is not None and last_in_window[window] == entry.seq:
+                stream.write(render_directive("seal", window, scan.seals[window]))
 
         temp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(temp, "w", encoding="utf-8") as stream:
@@ -858,28 +747,12 @@ class DeltaLog:
                 write_entry(stream, entry)
             stream.write(render_directive("truncated", watermark))
             for entry in high:
-                write_entry(stream, entry)
+                write_entry(stream, entry, entry.window)
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(temp, self.path)
         fsync_directory(self.path.parent)
         return len(retained)
-
-    def _scan_floor(self) -> int:
-        """Highest ``%truncated`` watermark already recorded in the file
-        (0 when absent) — committed-and-dropped seqs must stay spoken
-        for across repeated compactions."""
-        floor = 0
-        if not self.path.exists():
-            return floor
-        with open(self.path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line.startswith("%truncated"):
-                    watermark = _directive_seq(line)
-                    if watermark is not None:
-                        floor = max(floor, watermark)
-        return floor
 
     @staticmethod
     def _wanted_by_lagging(entry: LogEntry, lagging, label_of) -> bool:
@@ -1057,6 +930,9 @@ class SegmentedDeltaLog:
             for index in range(count)
         ]
         self._next_seq: Optional[int] = None
+        #: Whether this object made (or found) :attr:`root` and fsynced
+        #: its parent — done once, on the first append.
+        self._root_created = False
         #: Highest floor :meth:`_void_torn` already vetted (per log
         #: object).  Torn debris at or below a vetted floor is already
         #: voided, and new torn seqs are always allocated *above* the
@@ -1066,8 +942,8 @@ class SegmentedDeltaLog:
         # -- group-commit window state (format v4) ---------------------
         #: Id of the currently open window (None between windows).
         self._current_window: Optional[int] = None
-        #: Highest window id mentioned anywhere (lazy scan on first
-        #: windowed append, so ids never collide across processes).
+        #: Highest window id mentioned anywhere (read with the seqs on
+        #: the first append, so ids never collide across processes).
         self._max_window: Optional[int] = None
         #: Segment indexes the open window has touched so far — the
         #: seal's participant count and fan-out target.
@@ -1178,11 +1054,24 @@ class SegmentedDeltaLog:
 
     def _allocate_seq(self) -> int:
         if self._next_seq is None:
-            highest = 0
-            for segment in self._segments:
-                highest = max(highest, segment._scan_max_seq())
-            self._next_seq = highest + 1
+            highest_seq, highest_window = self._read_mentions()
+            self._next_seq = highest_seq + 1
+            if self._max_window is None:
+                self._max_window = highest_window
         return self._next_seq
+
+    def _read_mentions(self) -> tuple[int, int]:
+        """The highest seq and window id any segment mentions, from one
+        framing pass per segment — which also seeds each segment's own
+        pinned-seq guard, so the first append reads every file once."""
+        highest_seq = highest_window = 0
+        for segment in self._segments:
+            scan = segment._scan()
+            if segment._next_seq is None:
+                segment._next_seq = scan.max_seq + 1
+            highest_seq = max(highest_seq, scan.max_seq)
+            highest_window = max(highest_window, scan.max_window)
+        return highest_seq, highest_window
 
     def append(self, delta: Delta) -> int:
         """Durably append one batch across its owning segments; returns
@@ -1209,7 +1098,10 @@ class SegmentedDeltaLog:
                 "with shard_map=... or call bind_map() first"
             )
         window_size = self._effective_window_size()
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not self._root_created:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fsync_directory(self.root.parent)  # the directory's own name
+            self._root_created = True
         seq = self._allocate_seq()
         stable = _stabilize_insert_labels(delta)
         routed = route_updates(stable, self.shard_map)
@@ -1256,10 +1148,7 @@ class SegmentedDeltaLog:
         never collide with a live window."""
         if self._current_window is None:
             if self._max_window is None:
-                highest = 0
-                for segment in self._segments:
-                    highest = max(highest, segment._scan_max_window())
-                self._max_window = highest
+                self._max_window = self._read_mentions()[1]
             self._max_window += 1
             self._current_window = self._max_window
             self._window_touched = set()
@@ -1385,35 +1274,77 @@ class SegmentedDeltaLog:
         Within one seq the sub-deltas are concatenated in shard order —
         sound because updates on one edge always share a segment (the
         source owns the edge) and insert labels were stabilized at
-        append time.  A seq above every truncation floor whose committed
-        sub-entries fall short of its participant count is torn debris
-        from an unacknowledged append and is skipped; *below* a floor a
-        partial merge is legitimate (compaction dropped the segments'
-        parts that every lagging view provably no longer wants).  A seq
-        with *more* sub-entries than participants, or with disagreeing
-        participant counts, is structural corruption and raises
-        :class:`PersistFormatError`.
+        append time.  The cross-segment rules are :meth:`_merge`'s: a
+        seq above every truncation floor whose committed sub-entries
+        fall short of its participant count is torn debris from an
+        unacknowledged append and is skipped; *below* a floor a partial
+        merge is legitimate (compaction dropped the segments' parts
+        that every lagging view provably no longer wants).
 
         Group-commit windows (format v4, invariant 11): a windowed
         sub-entry counts only when its window is **globally admitted**
-        — sealed by every one of the segments the window declared as
-        participants, with no segment holding unsealed entries of it.
-        Sub-entries of torn windows are discarded whole, even where a
-        single segment managed to seal before the crash; a fresh
-        writer's later windows (always under fresh, higher ids) seal
-        and admit independently of any torn debris below them.
+        (:meth:`_admit_windows`).  Sub-entries of torn windows are
+        discarded whole, even where a single segment managed to seal
+        before the crash; a fresh writer's later windows (always under
+        fresh, higher ids) seal and admit independently of any torn
+        debris below them.
         """
-        floor = 0
-        for segment in self._segments:
-            floor = max(floor, segment._scan_floor())
+        merged = self._merge(after)
+        result: list[LogEntry] = []
+        for seq in sorted(merged.parts):
+            participants, holders = merged.parts[seq]
+            if seq <= after or (len(holders) < participants and seq > merged.floor):
+                continue  # covered, or a torn cross-segment append
+            updates = [
+                update
+                for index in holders  # ascending: segments scan in order
+                for update in merged.scans[index].bodies[seq]
+            ]
+            result.append(LogEntry(seq, Delta(updates), participants))
+        return result
+
+    def last_seq(self) -> int:
+        """Seq of the newest *globally durable* committed entry, or the
+        highest truncation floor when that is higher (0 when empty).
+
+        A seq counts only when every declared participant segment
+        committed its sub-entry **and** its group-commit window, if
+        any, is globally admitted — the same :meth:`_merge` that
+        :meth:`entries` reads, without materializing any :class:`Delta`.
+        """
+        merged = self._merge()
+        return max(
+            [merged.floor]
+            + [
+                seq
+                for seq, (participants, holders) in merged.parts.items()
+                if len(holders) == participants
+            ]
+        )
+
+    def _merge(self, after: float = math.inf) -> _MergedScan:
+        """Aggregate one :meth:`DeltaLog._scan` per segment under the
+        cross-segment rules — the one pass behind :meth:`entries`,
+        :meth:`last_seq` and :meth:`_void_torn`.
+
+        * All of a window's seals must declare the same participant
+          count, and windows are admitted by :meth:`_admit_windows`
+          (a window with entries left unsealed or aborted anywhere is
+          torn).
+        * Every sub-entry of a seq must declare the same participant
+          count, and a seq may not hold more sub-entries than that.
+        * Sub-entries of unadmitted windows do not count toward their
+          seq; the seq is recorded in ``torn_windowed`` instead.
+
+        Violations are structural corruption of committed data and
+        raise :class:`PersistFormatError`.  Bodies are materialized for
+        ``seq > after`` only.
+        """
+        scans = [segment._scan(after) for segment in self._segments]
         seal_decl: dict[int, int] = {}
         seal_count: dict[int, int] = {}
-        torn_windows: set[int] = set()
-        scans: list[list[LogEntry]] = []
-        for segment in self._segments:
-            committed, sealed, unsealed = segment._entries_scan(after)
-            scans.append(committed)
-            for window, participants in sealed.items():
+        for segment, scan in zip(self._segments, scans):
+            for window, participants in scan.seals.items():
                 known = seal_decl.setdefault(window, participants)
                 if known != participants:
                     raise PersistFormatError(
@@ -1423,46 +1354,38 @@ class SegmentedDeltaLog:
                         f"participants here but {known} elsewhere",
                     )
                 seal_count[window] = seal_count.get(window, 0) + 1
-            for entry in unsealed:  # locally unsealed => globally torn
-                if entry.window is not None:
-                    torn_windows.add(entry.window)
-        admitted = self._admit_windows(seal_decl, seal_count, torn_windows)
-        merged: dict[int, tuple[int, list[tuple[int, Delta]]]] = {}
-        for index, committed in enumerate(scans):
-            segment = self._segments[index]
-            for entry in committed:
-                if entry.window is not None and entry.window not in admitted:
-                    continue  # torn window: never acknowledged durable
-                participants, parts = merged.setdefault(
-                    entry.seq, (entry.participants, [])
-                )
-                if participants != entry.participants:
+        admitted = self._admit_windows(
+            seal_decl,
+            seal_count,
+            {window for scan in scans for _, window, _ in scan.torn.values()},
+        )
+        parts: dict[int, tuple[int, list[int]]] = {}
+        torn_windowed = {seq for scan in scans for seq in scan.torn}
+        for index, (segment, scan) in enumerate(zip(self._segments, scans)):
+            for seq, (participants, window, _) in scan.commits.items():
+                if window is not None and window not in admitted:
+                    torn_windowed.add(seq)  # never acknowledged durable
+                    continue
+                known, holders = parts.setdefault(seq, (participants, []))
+                if known != participants:
                     raise PersistFormatError(
                         str(segment.path),
                         0,
-                        f"seq {entry.seq} declares {entry.participants} "
-                        f"participants here but {participants} elsewhere",
+                        f"seq {seq} declares {participants} "
+                        f"participants here but {known} elsewhere",
                     )
-                parts.append((index, entry.delta))
-        result: list[LogEntry] = []
-        for seq in sorted(merged):
-            participants, parts = merged[seq]
-            if len(parts) > participants:
+                holders.append(index)
+        for seq, (participants, holders) in parts.items():
+            if len(holders) > participants:
                 raise PersistFormatError(
                     str(self.root),
                     0,
-                    f"seq {seq} committed in {len(parts)} segments but "
+                    f"seq {seq} committed in {len(holders)} segments but "
                     f"declares only {participants} participants",
                 )
-            if len(parts) < participants and seq > floor:
-                continue  # torn cross-segment append: never acknowledged
-            updates = [
-                update
-                for _, part in sorted(parts, key=lambda item: item[0])
-                for update in part
-            ]
-            result.append(LogEntry(seq, Delta(updates), participants))
-        return result
+        return _MergedScan(
+            scans, max([0] + [scan.floor for scan in scans]), parts, torn_windowed
+        )
 
     @staticmethod
     def _admit_windows(
@@ -1493,73 +1416,6 @@ class SegmentedDeltaLog:
             if count == participants and window not in torn_windows:
                 complete.add(window)
         return frozenset(complete)
-
-    def last_seq(self) -> int:
-        """Seq of the newest *globally durable* committed entry (0 when
-        empty).
-
-        A seq counts only when every declared participant segment
-        committed its sub-entry **and** its group-commit window, if
-        any, is globally admitted — a light
-        :meth:`DeltaLog.commit_index` scan per segment, no
-        :class:`Delta` materialization.
-        """
-        floor, declared, counts, _, _, seq_windows, admitted = (
-            self._global_commit_index()
-        )
-        last = floor
-        for seq, participants in declared.items():
-            if counts[seq] < participants:
-                continue
-            if not seq_windows.get(seq, frozenset()) <= admitted:
-                continue  # torn window: never acknowledged durable
-            last = max(last, seq)
-        return last
-
-    def _global_commit_index(self):
-        """Aggregate every segment's :meth:`DeltaLog.commit_index` into
-        ``(floor, declared, counts, holders, nonempty, seq_windows,
-        admitted)``: the max truncation floor, each seq's declared
-        participant count, how many segments committed it, which
-        segment indexes hold it, whether each ``(segment, seq)``
-        sub-entry carries updates, the set of window ids each seq is
-        tagged with, and the globally admitted windows
-        (:meth:`_admit_windows`).  One light line scan per segment —
-        the shared substrate of :meth:`last_seq` and :meth:`_void_torn`
-        (``entries()`` needs full bodies and parses separately)."""
-        floor = 0
-        declared: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        holders: dict[int, list[int]] = {}
-        nonempty: dict[tuple[int, int], bool] = {}
-        seq_windows: dict[int, set[int]] = {}
-        seal_decl: dict[int, int] = {}
-        seal_count: dict[int, int] = {}
-        torn_windows: set[int] = set()
-        for index, segment in enumerate(self._segments):
-            segment_floor, commits, seals = segment.commit_index()
-            floor = max(floor, segment_floor)
-            for window, participants in seals.items():
-                known = seal_decl.setdefault(window, participants)
-                if known != participants:
-                    raise PersistFormatError(
-                        str(segment.path),
-                        0,
-                        f"window {window} declares {participants} "
-                        f"participants here but {known} elsewhere",
-                    )
-                seal_count[window] = seal_count.get(window, 0) + 1
-            for seq, (participants, has_updates, window) in commits.items():
-                counts[seq] = counts.get(seq, 0) + 1
-                declared[seq] = participants
-                holders.setdefault(seq, []).append(index)
-                nonempty[(index, seq)] = has_updates
-                if window is not None:
-                    seq_windows.setdefault(seq, set()).add(window)
-                    if window not in seals:  # locally unsealed
-                        torn_windows.add(window)
-        admitted = self._admit_windows(seal_decl, seal_count, torn_windows)
-        return floor, declared, counts, holders, nonempty, seq_windows, admitted
 
     # ------------------------------------------------------------------
     # Compaction
@@ -1634,20 +1490,20 @@ class SegmentedDeltaLog:
         partial would instead read as legitimate lagging-retention
         residue and resurrect *half a batch* — so before any floor
         advance, the surviving sub-entries are rewritten as empty
-        frames (seq stays spoken for, content gone).  Detection is a
-        light :meth:`DeltaLog.commit_index` scan per segment; rewrites
-        happen only for segments actually holding non-empty torn
-        sub-entries, i.e. only after a crash.
+        frames (seq stays spoken for, content gone).  Detection reads
+        :meth:`_merge` (one framing pass per segment); rewrites happen
+        only for segments actually holding non-empty torn sub-entries,
+        i.e. only after a crash.
 
         Globally-torn **group-commit windows** are voided here too, and
         *without* the ``<= after`` bound: segment-level compaction
-        dissolves window tags into plain frames, so a locally-sealed
-        sub-entry of a globally torn window left in place would, after
-        its segment's next rotation, read back as legitimate committed
-        content and resurrect part of a discarded window (invariant
-        11).  Safe to sweep above ``after`` because compaction sealed
-        the open window first — no in-flight windowed append can be
-        mistaken for torn.
+        writes entries below its watermark as plain frames, so a
+        locally-sealed sub-entry of a globally torn window left in
+        place would, after its segment's next rotation, read back as
+        legitimate committed content and resurrect part of a discarded
+        window (invariant 11).  Safe to sweep above ``after`` because
+        compaction sealed the open window first — no in-flight windowed
+        append can be mistaken for torn.
 
         Memoized per floor: a fresh log object vets its floor once,
         and again only when a later snapshot advances it (new torn
@@ -1657,24 +1513,16 @@ class SegmentedDeltaLog:
         """
         if after <= self._torn_checked_floor:
             return
-        floor, declared, counts, holders, nonempty, seq_windows, admitted = (
-            self._global_commit_index()
-        )
-        torn = {
+        merged = self._merge()
+        torn = merged.torn_windowed | {
             seq
-            for seq, participants in declared.items()
-            if counts[seq] < participants and floor < seq <= after
+            for seq, (participants, holders) in merged.parts.items()
+            if len(holders) < participants and merged.floor < seq <= after
         }
-        torn |= {
-            seq
-            for seq, windows in seq_windows.items()
-            if not windows <= admitted
-        }
-        for index, segment in enumerate(self._segments):
+        for segment, scan in zip(self._segments, merged.scans):
+            held = {**scan.torn, **scan.commits}
             to_void = frozenset(
-                seq
-                for seq in torn
-                if index in holders.get(seq, ()) and nonempty[(index, seq)]
+                seq for seq in torn if seq in held and held[seq][2]
             )
             if to_void:
                 segment.compact(0, void_seqs=to_void)

@@ -53,7 +53,6 @@ __all__ = [
     "render_shard_split_meta",
     "render_sharding_meta",
     "split_snapshot_sections",
-    "split_view_sections",
 ]
 
 #: Directive keyword opening every snapshot file (``%repro-snapshot <v>``).
@@ -650,24 +649,3 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
         raise PersistFormatError(source, 0, f"missing %{SNAPSHOT_MAGIC} header")
     return result
 
-
-def split_view_sections(
-    lines, source: str = "<snapshot>"
-) -> dict[str, tuple[str, list[str]]]:
-    """Compatibility wrapper over :func:`split_snapshot_sections`.
-
-    Returns ``{view_name: (kind, body_lines)}`` — the pre-cursor shape,
-    still used by callers that only care about view bodies.
-
-    >>> text = (
-    ...     "%repro-snapshot 1\\n%meta last-seq 3\\n%section graph\\n"
-    ...     "n 1 a\\n%section view watch kws\\n%config 2 a\\na 1 0\\n%end\\n"
-    ... )
-    >>> split_view_sections(text.splitlines(keepends=True))
-    {'watch': ('kws', ['%config 2 a\\n', 'a 1 0\\n'])}
-    """
-    sections = split_snapshot_sections(lines, source=source)
-    return {
-        name: (section.kind, section.body)
-        for name, section in sections.views.items()
-    }

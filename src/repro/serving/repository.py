@@ -421,7 +421,7 @@ class Repository:
         # generation is *visible* immediately but *durable* only once
         # its window seals.  The journal must already be attached
         # (SnapshotStore.attach) when the repository is built.
-        journal = getattr(engine, "journal", None)
+        journal = engine.journal
         self._window_log = (
             journal if hasattr(journal, "add_seal_listener") else None
         )
@@ -1103,9 +1103,7 @@ class Repository:
         underlying engine is untouched and may keep being used
         directly."""
         self.engine.remove_apply_listener(self._on_engine_publication)
-        if self._window_log is not None and hasattr(
-            self._window_log, "remove_seal_listener"
-        ):
+        if self._window_log is not None:
             self._window_log.remove_seal_listener(self._on_window_seal)
         with self._meta_lock:
             if self._closed:

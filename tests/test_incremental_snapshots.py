@@ -16,7 +16,7 @@ from repro.engine import AutosnapshotError, EngineError
 from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
 from repro.kws.snapshot import extend_bound
-from repro.persist.format import PersistFormatError, split_view_sections
+from repro.persist.format import PersistFormatError, split_snapshot_sections
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
 
@@ -217,24 +217,24 @@ class TestIncrementalSave:
 class TestSplitViewSections:
     def test_rejects_unversioned_text(self):
         with pytest.raises(PersistFormatError, match="missing"):
-            split_view_sections(["%section view x kws\n", "%end\n"])
+            split_snapshot_sections(["%section view x kws\n", "%end\n"])
 
     def test_rejects_future_versions(self):
         with pytest.raises(PersistFormatError, match="unsupported"):
-            split_view_sections(["%repro-snapshot 99\n", "%end\n"])
+            split_snapshot_sections(["%repro-snapshot 99\n", "%end\n"])
 
     def test_bodies_are_verbatim_lines(self, tmp_path):
         engine = four_view_engine(sample_graph())
         store = SnapshotStore(tmp_path)
         store.save(engine)
         with open(store.snapshot_path, encoding="utf-8") as stream:
-            sections = split_view_sections(stream)
+            sections = split_snapshot_sections(stream).views
         assert set(sections) == set(engine.names())
-        kind, body = sections["kws"]
-        assert kind == "kws"
-        assert body[0].startswith("%config")
+        section = sections["kws"]
+        assert section.kind == "kws"
+        assert section.body[0].startswith("%config")
         text = store.snapshot_path.read_text(encoding="utf-8")
-        for line in body:
+        for line in section.body:
             assert line in text
 
 

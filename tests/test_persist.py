@@ -224,6 +224,59 @@ class TestDeltaLog:
         assert [entry.seq for entry in tail] == [3]
         assert len(calls) == 1  # only the tail entry's single record
 
+    @pytest.mark.parametrize(
+        "torn",
+        ["%window 7", "%window 7\n%bat", "%window 7\n%"],
+        ids=["tag-without-newline", "tag-then-torn-batch", "tag-then-bare-percent"],
+    )
+    def test_torn_window_tag_cannot_adopt_a_per_batch_append(self, tmp_path, torn):
+        """Regression: a crash inside a windowed append can leave its
+        ``%window`` tag followed by a torn line.  The next per-batch
+        append was adopted into that never-sealed window — an
+        acknowledged batch discarded by ``entries()`` (or counted by it
+        but not by ``last_seq()``)."""
+        path = tmp_path / "deltas.log"
+        DeltaLog(path).append(Delta([insert(1, 2)]))
+        with open(path, "a", encoding="utf-8") as stream:
+            stream.write(torn)
+        assert DeltaLog(path).append(Delta([insert(2, 3)])) == 2
+        reopened = DeltaLog(path)
+        assert [entry.seq for entry in reopened.entries()] == [1, 2]
+        assert reopened.last_seq() == 2
+
+    def test_torn_batch_line_reading_a_lower_seq_is_debris(self, tmp_path):
+        """Regression: ``%batch 13`` cut after its first digit reads
+        ``%batch 1``; the non-increasing seq of that uncommitted fragment
+        used to raise instead of being skipped as torn debris."""
+        path = tmp_path / "deltas.log"
+        log = DeltaLog(path)
+        for k in range(12):
+            log.append(Delta([insert(k, k + 1)]))
+        with open(path, "a", encoding="utf-8") as stream:
+            stream.write("%batch 1")
+        assert DeltaLog(path).append(Delta([insert(20, 21)])) == 13
+        assert [entry.seq for entry in DeltaLog(path).entries()] == list(
+            range(1, 14)
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["%batch 2\n%commit\n%batch 1\n%commit\n", "%truncated x\n"],
+        ids=["non-increasing-commit", "malformed-floor"],
+    )
+    def test_every_reader_rejects_corrupt_committed_content(self, tmp_path, text):
+        """``last_seq()`` and seq allocation read the same pass as
+        ``entries()``, so they refuse what it refuses."""
+        path = tmp_path / "deltas.log"
+        path.write_text(text, encoding="utf-8")
+        for read in (
+            DeltaLog(path).entries,
+            DeltaLog(path).last_seq,
+            lambda: DeltaLog(path).append(Delta([insert(1, 2)])),
+        ):
+            with pytest.raises(PersistFormatError):
+                read()
+
 
 # ----------------------------------------------------------------------
 # Per-view snapshot/restore

@@ -541,6 +541,67 @@ class TestSegmentedDeltaLog:
             log.append(Delta([insert(1, 2, "a", "b")]))
         assert not root.exists()
 
+    def test_segments_directory_is_made_durable_once(self, tmp_path, monkeypatch):
+        """Regression: the segments directory was re-``mkdir``ed on every
+        append and its own entry never fsynced.  It is created on the
+        first append, its parent fsynced, and never probed again."""
+        import pathlib
+
+        import repro.persist.deltalog as deltalog_module
+
+        synced = []
+        real_fsync = deltalog_module.fsync_directory
+        monkeypatch.setattr(
+            deltalog_module,
+            "fsync_directory",
+            lambda directory: (synced.append(directory), real_fsync(directory)),
+        )
+        log = segmented(tmp_path, shards=2)
+        log.append(Delta([insert(1, 2, "a", "b")]))
+        assert log.root.is_dir()
+        assert tmp_path in synced
+        made = []
+        monkeypatch.setattr(
+            pathlib.Path, "mkdir", lambda self, *a, **k: made.append(self)
+        )
+        log.append(Delta([insert(2, 3, "b", "c")]))
+        assert made == []
+        assert [entry.seq for entry in log.entries()] == [1, 2]
+
+    def test_compacting_one_segment_keeps_its_windows_above_the_floor(
+        self, tmp_path
+    ):
+        """Regression: compacting one segment rewrote its sealed windowed
+        entries above the floor as plain frames and dropped their seal,
+        so the sibling segments' seal count fell short and the next read
+        discarded acknowledged batches.  The rewrite keeps the framing."""
+        log = SegmentedDeltaLog(
+            tmp_path / "segments", ShardMap(2), executor="serial", window_size=1
+        )
+        a, b = 0, next(
+            n for n in range(1, 50)
+            if log.shard_map.shard_of(n) != log.shard_map.shard_of(0)
+        )
+        log.append(Delta([insert(a, b, "x", "y"), insert(b, a, "y", "x")]))
+        log.append(Delta([insert(a, 7, "x", "z")]))
+        log.compact_segment(log.shard_map.shard_of(a), 0)
+        fresh = SegmentedDeltaLog(tmp_path / "segments", ShardMap(2))
+        assert [entry.seq for entry in fresh.entries()] == [1, 2]
+        assert len(fresh.entries()[0].delta) == 2
+        assert fresh.last_seq() == 2
+
+    def test_every_reader_rejects_disagreeing_participant_counts(self, tmp_path):
+        """The cross-segment rules are checked once, for every seq, so
+        ``last_seq()`` and ``entries(after=...)`` past the corrupt seq
+        refuse it as ``entries()`` does."""
+        log = segmented(tmp_path, shards=2)
+        log.root.mkdir()
+        log.segment(0).append(Delta([insert(0, 1)]), seq=1, participants=2)
+        log.segment(1).append(Delta([insert(1, 0)]), seq=1, participants=3)
+        for read in (log.entries, lambda: log.entries(after=1), log.last_seq):
+            with pytest.raises(PersistFormatError, match="participants"):
+                read()
+
     def test_compact_per_segment_and_floor(self, tmp_path):
         log = segmented(tmp_path)
         for k in range(5):

@@ -9,9 +9,11 @@ lines (plus ``#`` comments and blank lines, which readers skip):
 * **directives** — lines starting with ``%``: a directive keyword
   followed by token operands, e.g. ``%section view kws "my view"``.
 
-The full on-disk format is specified in ``docs/PERSISTENCE.md``; this
-module only owns the mechanics: rendering/parsing directive and record
-lines, and the versioned snapshot header.
+The full on-disk format is specified in ``docs/FORMATS.md``; this
+module owns the mechanics: rendering/parsing directive and record
+lines, the versioned snapshot header, and
+:func:`split_snapshot_sections`, the one reader of a snapshot file's
+structure.
 
 >>> render_directive("section", "view", "kws", "my view")
 '%section view kws "my view"\\n'
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from repro.graph.io_tokens import format_token, tokenize
+from repro.graph.sharding import SHARD_KINDS, ShardMap
 
 __all__ = [
     "FORMAT_VERSION",
@@ -138,7 +141,7 @@ def parse_directive(line: str) -> tuple[str, list]:
 
 def check_snapshot_version(operands, source: str, line_number: int) -> int:
     """Validate a ``%repro-snapshot`` directive's operands; returns the
-    accepted version.  One rule, shared by every snapshot parser."""
+    accepted version."""
     if len(operands) != 1 or operands[0] not in SUPPORTED_VERSIONS:
         raise PersistFormatError(
             source,
@@ -147,6 +150,20 @@ def check_snapshot_version(operands, source: str, line_number: int) -> int:
             f"understands versions {SUPPORTED_VERSIONS}",
         )
     return operands[0]
+
+
+def _require_version(
+    since: int, version: int, construct: str, source: str, line_number: int
+) -> None:
+    """The version gate: ``construct`` first appeared in format version
+    ``since``, so a file stamped older must not contain it."""
+    if version < since:
+        raise PersistFormatError(
+            source,
+            line_number,
+            f"{construct} is a version-{since} construct in a "
+            f"version-{version} file",
+        )
 
 
 def parse_view_section_operands(
@@ -175,12 +192,7 @@ def check_graphdiff_context(
         raise PersistFormatError(
             source, line_number, "%graphdiff outside the graph section"
         )
-    if version < 2:
-        raise PersistFormatError(
-            source,
-            line_number,
-            "%graphdiff is a version-2 construct in a version-1 file",
-        )
+    _require_version(2, version, "%graphdiff", source, line_number)
 
 
 def _codec_functions(
@@ -273,12 +285,7 @@ def parse_packed_operands(
     """Validate ``%packed`` operands; returns ``(codec, payload_count)``
     and enforces the version gate (packed bodies are a version-5
     construct, so pre-v5 readers reject rather than mis-parse them)."""
-    if version < 5:
-        raise PersistFormatError(
-            source,
-            line_number,
-            f"%packed is a version-5 construct in a version-{version} file",
-        )
+    _require_version(5, version, "%packed", source, line_number)
     if (
         len(operands) != 2
         or operands[0] not in SNAPSHOT_CODECS
@@ -294,59 +301,36 @@ def parse_packed_operands(
     return operands[0], operands[1]
 
 
-def expand_packed_lines(lines, source: str = "<snapshot>") -> list[tuple[int, str]]:
-    """Expand every ``%packed`` block in a snapshot's raw lines.
+def expand_packed_lines(
+    body, source: str = "<snapshot>", line_number: int = 0
+) -> list[str]:
+    """Expand every ``%packed`` block in one section body.
 
-    Returns ``(line_number, line)`` pairs: plaintext lines keep their
-    file line number, decoded body lines inherit the number of their
-    ``%packed`` directive (error context points at the block).  This is
-    the single decompression point — both the snapshot reader and the
-    carry-forward record scan run over expanded lines, so everything
-    downstream stays codec-oblivious.
+    ``body`` is a body as :func:`split_snapshot_sections` returns it, so
+    each block is already validated (known codec, complete payload).
+    Returns the body with every block replaced by its decoded lines;
+    other lines pass through untouched.  Decoding errors are anchored
+    at ``line_number``, the section's line.
+
+    >>> body = ["%config 1\\n"] + encode_packed_block(["r 2\\n"], "zlib")
+    >>> expand_packed_lines(body)
+    ['%config 1\\n', 'r 2\\n']
     """
-    expanded: list[tuple[int, str]] = []
-    version = FORMAT_VERSION
-    pending = 0
-    payload: list[str] = []
-    codec = ""
-    packed_at = 0
-    for line_number, raw in enumerate(lines, start=1):
-        if pending:
-            # Payload lines are consumed verbatim by count — never
-            # skipped as blanks/comments, never parsed as directives.
-            payload.append(raw)
-            pending -= 1
-            if not pending:
-                for line in decode_packed_payload(
-                    codec, payload, source, packed_at
-                ):
-                    expanded.append((packed_at, line))
-                payload = []
+    expanded: list[str] = []
+    index = 0
+    while index < len(body):
+        raw = body[index]
+        index += 1
+        if not raw.lstrip().startswith("%packed "):
+            expanded.append(raw)
             continue
-        stripped = raw.strip()
-        if stripped and is_directive(stripped):
-            try:
-                keyword, operands = parse_directive(stripped)
-            except ValueError as exc:
-                raise PersistFormatError(source, line_number, str(exc)) from None
-            if keyword == SNAPSHOT_MAGIC:
-                version = check_snapshot_version(operands, source, line_number)
-            elif keyword == "packed":
-                codec, pending = parse_packed_operands(
-                    operands, version, source, line_number
-                )
-                packed_at = line_number
-                if not pending:
-                    for line in decode_packed_payload(
-                        codec, [], source, packed_at
-                    ):
-                        expanded.append((packed_at, line))
-                continue
-        expanded.append((line_number, raw))
-    if pending:
-        raise PersistFormatError(
-            source, packed_at, "truncated %packed block (payload cut short)"
+        codec, count = parse_directive(raw.strip())[1]
+        expanded.extend(
+            decode_packed_payload(
+                codec, body[index : index + count], source, line_number
+            )
         )
+        index += count
     return expanded
 
 
@@ -354,12 +338,7 @@ def parse_codec_meta(operands, version: int, source: str, line_number: int) -> s
     """Parse ``%meta codec`` operands back into the codec name;
     validates the version gate (a codec stamp is a version-5
     construct)."""
-    if version < 5:
-        raise PersistFormatError(
-            source,
-            line_number,
-            f"%meta codec is a version-5 construct in a version-{version} file",
-        )
+    _require_version(5, version, "%meta codec", source, line_number)
     if len(operands) != 2 or operands[1] not in SNAPSHOT_CODECS:
         raise PersistFormatError(
             source,
@@ -422,13 +401,7 @@ def parse_shard_split_meta(
     far; returns the grown map.  Validates the version gate (splits are
     a version-5 construct) and that the stamped child index matches the
     deterministic split order."""
-    if version < 5:
-        raise PersistFormatError(
-            source,
-            line_number,
-            f"%meta shard-split is a version-5 construct in a "
-            f"version-{version} file",
-        )
+    _require_version(5, version, "%meta shard-split", source, line_number)
     if shard_map is None:
         raise PersistFormatError(
             source, line_number, "%meta shard-split before %meta sharding"
@@ -465,15 +438,7 @@ def parse_sharding_meta(operands, version: int, source: str, line_number: int):
     """Parse ``%meta sharding`` operands back into a
     :class:`~repro.graph.sharding.ShardMap`; validates the version gate
     (a sharding stamp is a version-3 construct)."""
-    from repro.graph.sharding import SHARD_KINDS, ShardMap
-
-    if version < 3:
-        raise PersistFormatError(
-            source,
-            line_number,
-            "%meta sharding is a version-3 construct in a "
-            f"version-{version} file",
-        )
+    _require_version(3, version, "%meta sharding", source, line_number)
     if (
         len(operands) < 3
         or operands[1] not in SHARD_KINDS
@@ -515,25 +480,37 @@ class ViewSection(NamedTuple):
     cursor: Optional[int]
     #: Raw body lines (the ``%config`` directive and every record row).
     body: list[str]
+    #: Line of the ``%section`` directive: the error anchor for body
+    #: records, which are parsed after the split.
+    line_number: int
+    #: Does the body hold a ``%packed`` block?
+    packed: bool
 
 
 @dataclass
 class SnapshotSections:
-    """A snapshot file split into carry-forwardable raw sections.
+    """A snapshot file split into sections, its structure validated.
 
-    This is the substrate of incremental saves: both clean view bodies
-    and the whole graph portion (base records plus any accumulated
-    ``%graphdiff`` chunks) are carried into the next snapshot by literal
-    line copy, with no deserialization.
+    Incremental saves carry clean view bodies and the whole graph
+    portion (base records plus any accumulated ``%graphdiff`` chunks)
+    into the next snapshot by literal line copy; ``load()`` parses the
+    same bodies into the graph and each view's state.
     """
 
     #: Format version of the source file.
     version: int = FORMAT_VERSION
     #: The file's ``%meta last-seq`` stamp (0 when absent).
     last_seq: int = 0
+    #: The ``%meta sharding`` layout with every ``%meta shard-split``
+    #: applied, or ``None`` for an unsharded file.
+    shard_map: Optional[ShardMap] = None
     #: Graph-section lines verbatim — base ``n``/``e`` records and every
     #: ``%graphdiff`` directive + diff record, in file order.
     graph_lines: list[str] = field(default_factory=list)
+    #: Line of the ``%section graph`` directive (0 when there is none).
+    graph_line_number: int = 0
+    #: Does the graph section hold a ``%packed`` block?
+    graph_packed: bool = False
     #: Number of ``%graphdiff`` chunks already accumulated in the file.
     graphdiff_chunks: int = 0
     #: ``{view_name: ViewSection}`` in file order.
@@ -541,12 +518,14 @@ class SnapshotSections:
 
 
 def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSections:
-    """Split a snapshot file's raw lines into carry-forwardable sections.
+    """Split a snapshot file's raw lines into sections — the one reader
+    of the snapshot grammar, serving both incremental saves and load.
 
     Returns a :class:`SnapshotSections` whose bodies are the raw lines
     **verbatim** (newline-terminated), ready to be copied into a new
-    snapshot file.  ``%meta`` header lines are folded into
-    :attr:`SnapshotSections.last_seq`; everything else between a
+    snapshot file.  ``%meta`` lines are folded into
+    :attr:`SnapshotSections.last_seq` and
+    :attr:`SnapshotSections.shard_map`; everything else between a
     ``%section`` line and the next ``%section``/``%end`` lands in the
     matching body.
 
@@ -554,11 +533,15 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
     canonical (see :mod:`repro.engine.view`): an unchanged view would
     re-render byte-identical lines.  The graph portion is carried as an
     opaque replay script — base records plus ordered ``%graphdiff``
-    chunks — which the v2 reader applies in file order.
+    chunks — which the reader applies in file order.
 
-    The versioned header is still enforced — carrying sections forward
-    from a format this reader does not understand would silently launder
-    them into a new file.
+    Every structural rule of ``docs/FORMATS.md`` §4 is enforced here,
+    with file and line, so save and load accept exactly the same files:
+    the header and each construct's version gate, ``%meta`` domains,
+    the sharding stamps before any section, section operands and unique
+    names, ``%config`` first in a view body, no record outside a
+    section, nothing after ``%end`` and ``%end`` itself.  Record rows
+    and ``%packed`` payloads are left to the caller that parses them.
 
     >>> text = (
     ...     "%repro-snapshot 2\\n%meta last-seq 3\\n%section graph\\n"
@@ -567,14 +550,15 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
     >>> sections = split_snapshot_sections(text.splitlines(keepends=True))
     >>> sections.last_seq, sections.graph_lines
     (3, ['n 1 a\\n'])
-    >>> sections.views
-    {'watch': ViewSection(kind='kws', cursor=3, body=['%config 2 a\\n', 'a 1 0\\n'])}
+    >>> watch = sections.views["watch"]
+    >>> watch.kind, watch.cursor, watch.body, watch.line_number
+    ('kws', 3, ['%config 2 a\\n', 'a 1 0\\n'], 5)
     """
     result = SnapshotSections()
-    body: list[str] | None = None
-    in_graph = False
-    versioned = False
-    packed_remaining = 0
+    body: Optional[list[str]] = None  # the open section's body
+    view: Optional[tuple] = None  # (name, kind, cursor, line) while open
+    packed = versioned = sectioned = ended = False
+    packed_remaining = line_number = 0
     for line_number, raw in enumerate(lines, start=1):
         if packed_remaining:
             # Base64 payload of a %packed block: counted lines carried
@@ -584,68 +568,137 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
             body.append(raw if raw.endswith("\n") else raw + "\n")
             continue
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue  # reader-skipped lines are not part of any body
         if not raw.endswith("\n"):
             raw = raw + "\n"
-        if is_directive(stripped):
-            try:
-                keyword, operands = parse_directive(stripped)
-            except ValueError as exc:
-                raise PersistFormatError(source, line_number, str(exc)) from None
-            if keyword == SNAPSHOT_MAGIC:
+        try:
+            if ended:
+                raise ValueError("content after %end")
+            if not is_directive(stripped):
+                if body is None:
+                    raise ValueError("record outside any section")
+                if not body and view is not None:
+                    raise ValueError("a view body must open with %config")
+                body.append(raw)
+                continue
+            keyword, operands = parse_directive(stripped)
+            if not versioned:
+                if keyword != SNAPSHOT_MAGIC:
+                    raise ValueError(f"missing %{SNAPSHOT_MAGIC} header")
                 result.version = check_snapshot_version(
                     operands, source, line_number
                 )
                 versioned = True
-                continue
-            if keyword == "meta":
-                if len(operands) == 2 and operands[0] == "last-seq":
-                    result.last_seq = int(operands[1])
-                continue
-            if keyword == "graphdiff":
-                check_graphdiff_context(
-                    result.version, in_graph, source, line_number
-                )
-                result.graphdiff_chunks += 1
-                body.append(raw)  # carried as part of the graph replay script
-                continue
-            if keyword == "packed":
-                _, packed_remaining = parse_packed_operands(
-                    operands, result.version, source, line_number
-                )
-                if body is None:
-                    raise PersistFormatError(
-                        source, line_number, "%packed outside any section"
+            elif keyword == "meta":
+                key = operands[0] if operands else None
+                if key == "last-seq":
+                    if (
+                        len(operands) != 2
+                        or not isinstance(operands[1], int)
+                        or operands[1] < 0
+                    ):
+                        raise ValueError(
+                            "%meta last-seq must be one non-negative "
+                            f"integer, got {operands[1:]!r}"
+                        )
+                    result.last_seq = operands[1]
+                elif key in ("sharding", "shard-split"):
+                    if sectioned:  # the graph is built into the layout
+                        raise ValueError(f"%meta {key} must precede every section")
+                    if key == "shard-split":
+                        result.shard_map = parse_shard_split_meta(
+                            operands, result.shard_map, result.version,
+                            source, line_number,
+                        )
+                    elif result.shard_map is not None:
+                        raise ValueError("duplicate %meta sharding")
+                    else:
+                        result.shard_map = parse_sharding_meta(
+                            operands, result.version, source, line_number
+                        )
+                elif key == "codec":
+                    parse_codec_meta(
+                        operands, result.version, source, line_number
                     )
-                # Carried verbatim — compressed bytes are compared and
-                # copied, never re-encoded, on incremental saves.
-                body.append(raw)
-                continue
-            if keyword == "section":
-                body = None
-                in_graph = False
-                if operands and operands[0] == "graph":
-                    in_graph = True
+                # unknown %meta keys are ignored (forward compatibility)
+            elif keyword == "section":
+                _close_view(result, view, body, packed, source)
+                view, packed, sectioned = None, False, True
+                if operands == ["graph"]:
+                    if result.graph_line_number:
+                        raise ValueError("duplicate graph section")
+                    result.graph_line_number = line_number
                     body = result.graph_lines
                 elif len(operands) in (3, 4) and operands[0] == "view":
                     name, kind, cursor = parse_view_section_operands(
                         operands, source, line_number
                     )
+                    if name in result.views:
+                        raise ValueError(f"duplicate view section {name!r}")
+                    view = (name, kind, cursor, line_number)
                     body = []
-                    result.views[name] = ViewSection(kind, cursor, body)
-                continue
-            if keyword == "end":
-                body = None
-                in_graph = False
-                continue
-        if body is not None:
-            body.append(raw)
+                else:
+                    raise ValueError(f"bad section {operands!r}")
+            elif keyword == "graphdiff":
+                check_graphdiff_context(
+                    result.version, body is result.graph_lines, source,
+                    line_number,
+                )
+                result.graphdiff_chunks += 1
+                body.append(raw)  # carried as part of the graph replay script
+            elif keyword == "packed":
+                _, packed_remaining = parse_packed_operands(
+                    operands, result.version, source, line_number
+                )
+                if body is None:
+                    raise ValueError("%packed outside any section")
+                if body is result.graph_lines:
+                    result.graph_packed = True
+                else:
+                    packed = True
+                # Carried verbatim — compressed bytes are compared and
+                # copied, never re-encoded, on incremental saves.
+                body.append(raw)
+            elif keyword == "config":
+                if view is None:
+                    raise ValueError("%config outside a view section")
+                if body:
+                    raise ValueError("%config after the first body line")
+                body.append(raw)
+            elif keyword == "end":
+                _close_view(result, view, body, packed, source)
+                body, view, ended = None, None, True
+            else:
+                raise ValueError(f"unexpected directive %{keyword}")
+        except PersistFormatError:
+            raise
+        except ValueError as exc:  # structural rules and directive quoting
+            raise PersistFormatError(source, line_number, str(exc)) from None
     if packed_remaining:
         raise PersistFormatError(
             source, line_number, "truncated %packed block (payload cut short)"
         )
     if not versioned:
         raise PersistFormatError(source, 0, f"missing %{SNAPSHOT_MAGIC} header")
+    if not ended:
+        raise PersistFormatError(
+            source,
+            line_number,
+            "truncated snapshot (no %end); the file was not written by an "
+            "atomic save",
+        )
     return result
+
+
+def _close_view(result, view, body, packed, source) -> None:
+    """File the open view section, if any, under its name."""
+    if view is None:
+        return
+    name, kind, cursor, line_number = view
+    if not body:
+        raise PersistFormatError(
+            source, line_number, "view section is missing %config"
+        )
+    result.views[name] = ViewSection(kind, cursor, body, line_number, packed)
 

@@ -47,7 +47,7 @@ from repro.core.cost import CostMeter
 from repro.core.delta import InvalidDeltaError, concat
 from repro.dataflow import DataflowView
 from repro.engine.session import Engine, EngineError
-from repro.engine.view import IncrementalView, ViewSnapshot
+from repro.engine.view import ViewSnapshot
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     apply_graph_record,
@@ -55,7 +55,6 @@ from repro.graph.io import (
     update_from_fields,
     update_to_line,
 )
-from repro.graph.io_tokens import format_token
 from repro.graph.sharding import ShardedGraphStore, ShardMap
 from repro.iso.incremental import ISOIndex
 from repro.kws.incremental import KWSIndex
@@ -65,18 +64,12 @@ from repro.persist.format import (
     SNAPSHOT_MAGIC,
     PersistFormatError,
     SnapshotSections,
+    ViewSection,
     available_codecs,
-    check_graphdiff_context,
-    check_snapshot_version,
     encode_packed_block,
     expand_packed_lines,
-    is_directive,
-    parse_codec_meta,
     parse_directive,
     parse_record,
-    parse_shard_split_meta,
-    parse_sharding_meta,
-    parse_view_section_operands,
     render_codec_meta,
     render_directive,
     render_record,
@@ -336,8 +329,8 @@ class SnapshotStore:
         #: Phase breakdown of the most recent :meth:`load` (None before).
         self.last_load_report: Optional[LoadReport] = None
         #: Node set of the on-disk snapshot's graph (the compaction-floor
-        #: state), cached by save()/load() so compact_log() does not have
-        #: to re-parse the file; None falls back to a file scan.
+        #: state), set by save()/load() wherever they set
+        #: ``_last_saved_seq``, so compact_log() never re-parses the file.
         self._floor_nodes: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
@@ -482,19 +475,22 @@ class SnapshotStore:
         last_seq = self.log.last_seq()
         previous: Optional[SnapshotSections] = None
         carried_names: frozenset[str] = frozenset()
+        graph_plan = None
         if (
             incremental
             and self._holds_current_capture(engine)
             and self.snapshot_path.exists()
         ):
-            with open(self.snapshot_path, "r", encoding="utf-8") as stream:
-                previous = split_snapshot_sections(
-                    stream, source=str(self.snapshot_path)
-                )
-            carried_names = frozenset(previous.views) - engine.dirty_views()
-        graph_plan = None
-        if previous is not None:
-            graph_plan = self._plan_graph_carry(engine, previous, last_seq)
+            try:
+                with open(self.snapshot_path, "r", encoding="utf-8") as stream:
+                    previous = split_snapshot_sections(
+                        stream, source=str(self.snapshot_path)
+                    )
+            except PersistFormatError:
+                pass  # carry nothing: every section written fresh heals it
+            else:
+                carried_names = frozenset(previous.views) - engine.dirty_views()
+                graph_plan = self._plan_graph_carry(engine, previous, last_seq)
         cursors: dict[str, int] = {}
         temp = self.snapshot_path.with_suffix(".tmp")
         with open(temp, "w", encoding="utf-8") as stream:
@@ -672,10 +668,9 @@ class SnapshotStore:
         Wired into the batch stream via
         ``SnapshotPolicy(compact_every_batches=N)``; a free no-op
         (returning 0) until this store has saved or loaded a snapshot.
-        Cost is O(|log|): the
-        floor-state node set that makes net-cancellation node-safe is
-        cached by save()/load() (a file scan is the fallback for a store
-        object that somehow lost the cache).
+        Cost is O(|log|): the floor-state node set that makes
+        net-cancellation node-safe is recorded by save()/load() together
+        with the floor itself.
 
         With ``rotate=True`` over a segmented log, only **one** segment
         is rewritten per call, in round-robin shard order — the
@@ -696,9 +691,6 @@ class SnapshotStore:
             # returns None for unregistered-but-snapshotted names — the
             # conservative "retain everything it might still replay".
             lagging.append((cursor, engine.relevance_filter(name)))
-        floor_nodes = self._floor_nodes
-        if floor_nodes is None:
-            floor_nodes = self._snapshot_graph_nodes()
         if (
             rotate
             and isinstance(self.log, SegmentedDeltaLog)
@@ -711,55 +703,14 @@ class SnapshotStore:
                 floor,
                 lagging=lagging,
                 label_of=engine.graph.label,
-                graph_nodes=floor_nodes,
+                graph_nodes=self._floor_nodes,
             )
         return self.log.compact(
             after=floor,
             lagging=lagging,
             label_of=engine.graph.label,
-            graph_nodes=floor_nodes,
+            graph_nodes=self._floor_nodes,
         )
-
-    def _snapshot_graph_nodes(self) -> set:
-        """Node set of the on-disk snapshot's graph section — the graph
-        as of the compaction floor.  Every node a graph-section record
-        mentions exists at the floor (nodes are never removed), and
-        every floor node has an ``n`` record (in the base or, for
-        window-introduced nodes, in a ``%graphdiff`` chunk), so the
-        union over record operands is exact.  One streaming pass over
-        :func:`~repro.persist.format.split_snapshot_sections` (the same
-        parser the incremental writer uses); no :class:`DiGraph` is
-        materialized.
-        """
-        nodes: set = set()
-        if not self.snapshot_path.exists():
-            return nodes
-        with open(self.snapshot_path, "r", encoding="utf-8") as stream:
-            # Expand %packed blocks first — the record scan below must
-            # see graph records, not base64 payload lines.
-            expanded = [
-                line
-                for _, line in expand_packed_lines(
-                    stream, source=str(self.snapshot_path)
-                )
-            ]
-        sections = split_snapshot_sections(
-            expanded, source=str(self.snapshot_path)
-        )
-        for raw in sections.graph_lines:
-            line = raw.strip()
-            if is_directive(line):
-                continue  # the %graphdiff chunk markers
-            try:
-                row = parse_record(line)
-            except ValueError:
-                continue  # load() is the authority on malformed files
-            if len(row) >= 2 and row[0] == "n":
-                nodes.add(row[1])
-            elif len(row) >= 3 and row[0] in ("e", "+", "-"):
-                nodes.add(row[1])
-                nodes.add(row[2])
-        return nodes
 
     # ------------------------------------------------------------------
     # Online shard split
@@ -869,6 +820,13 @@ class SnapshotStore:
         segmented log opened without a map is bound to it before the
         recovered engine resumes journaling.
 
+        The file is read by
+        :func:`~repro.persist.format.split_snapshot_sections`, the same
+        reader incremental saves use, so save and load accept exactly
+        the same files; a malformed one raises
+        :class:`~repro.persist.format.PersistFormatError` naming file
+        and line.
+
         :attr:`last_load_report` is reset at entry; a load that raises
         records a :class:`LoadReport` with ``completed=False`` (elapsed
         time under ``restore_seconds``), never the previous successful
@@ -893,28 +851,46 @@ class SnapshotStore:
 
     def _load(self, attach_journal: bool, routed: bool) -> Engine:
         """The body of :meth:`load` (which owns the failure-report
-        bookkeeping around it)."""
+        bookkeeping around it).
+
+        One pass of :func:`split_snapshot_sections` validates the file
+        and splits it; the graph is then replayed from the graph lines
+        (switching to diff records at each ``%graphdiff``) and each view
+        restored from its body.  Only a body that holds a ``%packed``
+        block goes through :func:`expand_packed_lines`."""
         phase_started = time.perf_counter()
-        graph, view_states, last_seq, shard_map = self._read_snapshot()
+        source = str(self.snapshot_path)
+        if not self.snapshot_path.exists():
+            raise FileNotFoundError(
+                f"no snapshot at {source}; call SnapshotStore.save first"
+            )
+        with open(self.snapshot_path, "r", encoding="utf-8") as stream:
+            sections = split_snapshot_sections(stream, source=source)
+        shard_map = sections.shard_map
+        graph = DiGraph() if shard_map is None else ShardedGraphStore(shard_map)
+        _replay_graph_section(graph, sections, source)
         if shard_map is not None:
             self._adopt_shard_map(shard_map)
+        last_seq = sections.last_seq
         engine = Engine(graph)
         cursors: dict[str, int] = {}
-        for name, state, cursor in view_states:
-            view_class = VIEW_KINDS.get(state.kind)
+        for name, section in sections.views.items():
+            view_class = VIEW_KINDS.get(section.kind)
             if view_class is None:
                 raise PersistFormatError(
-                    str(self.snapshot_path),
-                    0,
-                    f"unknown view kind {state.kind!r}; register it via "
+                    source,
+                    section.line_number,
+                    f"unknown view kind {section.kind!r}; register it via "
                     "repro.persist.register_view_kind",
                 )
+            state = _view_snapshot(section, source)
             view = view_class.restore(graph, state, meter=CostMeter())
             engine.attach(name, view)
             # v1 sections predate cursors: they were serialized by the
             # save that stamped last-seq.  A cursor can never outrun the
             # graph stamp; clamp defensively against foreign files.
-            cursors[name] = last_seq if cursor is None else min(cursor, last_seq)
+            cursor = last_seq if section.cursor is None else section.cursor
+            cursors[name] = min(cursor, last_seq)
         # The restored views are exactly what the snapshot on disk holds,
         # so they start clean; replaying the tail re-dirties the views it
         # actually touches, keeping incremental saves minimal after load.
@@ -984,193 +960,64 @@ class SnapshotStore:
         else:
             self.shard_map = shard_map
 
-    def _read_snapshot(
-        self,
-    ) -> tuple[
-        DiGraph,
-        list[tuple[str, ViewSnapshot, Optional[int]]],
-        int,
-        Optional[ShardMap],
-    ]:
-        """Parse the snapshot file into ``(graph, view_states,
-        last_seq, shard_map)`` — ``shard_map`` is ``None`` for
-        unsharded (v1/v2, or v3 without a stamp) files."""
-        source = str(self.snapshot_path)
-        if not self.snapshot_path.exists():
-            raise FileNotFoundError(
-                f"no snapshot at {source}; call SnapshotStore.save first"
-            )
-        graph = DiGraph()
-        shard_map: Optional[ShardMap] = None
-        view_states: list[tuple[str, ViewSnapshot, Optional[int]]] = []
-        last_seq = 0
-        version = FORMAT_VERSION
-        section: Optional[str] = None  # None | "graph" | "view"
-        graph_mode = "base"  # "base" | "diff" (after a %graphdiff directive)
-        current_name: Optional[str] = None
-        current_kind: Optional[str] = None
-        current_cursor: Optional[int] = None
-        current_config: Optional[tuple] = None
-        current_records: list[tuple] = []
-        versioned = False
-        ended = False
-        append_record = current_records.append
 
-        def close_view_section() -> None:
-            nonlocal current_name, current_kind, current_cursor, current_config
-            if section == "view":
-                if current_config is None:
-                    raise PersistFormatError(
-                        source, line_number, "view section is missing %config"
-                    )
-                view_states.append(
-                    (
-                        current_name,
-                        ViewSnapshot(
-                            kind=current_kind,
-                            config=current_config,
-                            records=tuple(current_records),
-                        ),
-                        current_cursor,
-                    )
-                )
-            current_name = current_kind = current_cursor = current_config = None
-            current_records.clear()
-
-        with open(self.snapshot_path, "r", encoding="utf-8") as stream:
-            # One decompression pass up front: %packed blocks expand to
-            # their body lines (numbered at the directive), everything
-            # else keeps its file line number.  The state machine below
-            # is codec-oblivious.
-            line_number = 0
-            for line_number, raw in expand_packed_lines(stream, source=source):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if ended:
-                    raise PersistFormatError(
-                        source, line_number, "content after %end"
-                    )
-                if is_directive(line):
-                    try:
-                        keyword, operands = parse_directive(line)
-                    except ValueError as exc:
-                        raise PersistFormatError(source, line_number, str(exc)) from None
-                    if keyword == SNAPSHOT_MAGIC:
-                        version = check_snapshot_version(
-                            operands, source, line_number
-                        )
-                        versioned = True
-                        continue
-                    if not versioned:
-                        raise PersistFormatError(
-                            source,
-                            line_number,
-                            f"missing %{SNAPSHOT_MAGIC} header",
-                        )
-                    if keyword == "meta":
-                        if len(operands) == 2 and operands[0] == "last-seq":
-                            last_seq = int(operands[1])
-                        elif operands and operands[0] == "sharding":
-                            if section is not None or view_states:
-                                raise PersistFormatError(
-                                    source,
-                                    line_number,
-                                    "%meta sharding must precede every "
-                                    "section (the graph is built into the "
-                                    "declared layout from the first record)",
-                                )
-                            shard_map = parse_sharding_meta(
-                                operands, version, source, line_number
-                            )
-                            graph = ShardedGraphStore(shard_map=shard_map)
-                        elif operands and operands[0] == "shard-split":
-                            if section is not None or view_states:
-                                raise PersistFormatError(
-                                    source,
-                                    line_number,
-                                    "%meta shard-split must precede every "
-                                    "section, like %meta sharding",
-                                )
-                            shard_map = parse_shard_split_meta(
-                                operands, shard_map, version, source, line_number
-                            )
-                            graph = ShardedGraphStore(shard_map=shard_map)
-                        elif operands and operands[0] == "codec":
-                            # validate the stamp (and its version gate);
-                            # decoding already happened in the expansion
-                            # pass, block by block
-                            parse_codec_meta(
-                                operands, version, source, line_number
-                            )
-                        continue  # unknown meta keys are ignored, not fatal
-                    if keyword == "section":
-                        close_view_section()
-                        graph_mode = "base"
-                        if operands and operands[0] == "graph":
-                            section = "graph"
-                        elif len(operands) in (3, 4) and operands[0] == "view":
-                            section = "view"
-                            current_name, current_kind, current_cursor = (
-                                parse_view_section_operands(
-                                    operands, source, line_number
-                                )
-                            )
-                        else:
-                            raise PersistFormatError(
-                                source, line_number, f"bad section {operands!r}"
-                            )
-                        continue
-                    if keyword == "graphdiff":
-                        check_graphdiff_context(
-                            version, section == "graph", source, line_number
-                        )
-                        graph_mode = "diff"
-                        continue
-                    if keyword == "config":
-                        if section != "view":
-                            raise PersistFormatError(
-                                source, line_number, "%config outside a view section"
-                            )
-                        current_config = tuple(operands)
-                        continue
-                    if keyword == "end":
-                        close_view_section()
-                        section = None
-                        ended = True
-                        continue
-                    raise PersistFormatError(
-                        source, line_number, f"unknown directive %{keyword}"
-                    )
-                # record line
-                try:
-                    row = parse_record(line)
-                except ValueError as exc:
-                    raise PersistFormatError(source, line_number, str(exc)) from None
-                if section == "graph":
-                    try:
-                        if graph_mode == "base":
-                            apply_graph_record(graph, list(row))
-                        else:
-                            _apply_graphdiff_record(graph, list(row))
-                    except (ValueError, KeyError) as exc:
-                        raise PersistFormatError(source, line_number, str(exc)) from None
-                elif section == "view":
-                    append_record(row)
-                else:
-                    raise PersistFormatError(
-                        source, line_number, "record outside any section"
-                    )
-        if not versioned:
-            raise PersistFormatError(source, 0, f"missing %{SNAPSHOT_MAGIC} header")
-        if not ended:
+def _replay_graph_section(
+    graph: DiGraph, sections: SnapshotSections, source: str
+) -> None:
+    """Replay the graph section into ``graph``: base ``n``/``e``
+    records, then each ``%graphdiff`` chunk's records in file order."""
+    lines = sections.graph_lines
+    if sections.graph_packed:
+        lines = expand_packed_lines(lines, source, sections.graph_line_number)
+    apply_record = apply_graph_record
+    for raw in lines:
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue  # only a decoded %packed payload can still hold these
+        try:
+            if line[0] != "%":
+                apply_record(graph, parse_record(line))
+            elif parse_directive(line)[0] == "graphdiff":
+                apply_record = _apply_graphdiff_record
+            else:
+                raise ValueError(f"unexpected directive {line!r}")
+        except (ValueError, KeyError) as exc:
             raise PersistFormatError(
-                source,
-                line_number,
-                "truncated snapshot (no %end); the file was not written by an "
-                "atomic save",
-            )
-        return graph, view_states, last_seq, shard_map
+                source, sections.graph_line_number, f"graph section: {exc}"
+            ) from None
+
+
+def _view_snapshot(section: ViewSection, source: str) -> ViewSnapshot:
+    """Parse one view section's body — ``%config``, then record rows —
+    into the :class:`ViewSnapshot` its class restores from."""
+    lines = section.body
+    if section.packed:
+        lines = expand_packed_lines(lines, source, section.line_number)
+    config: Optional[tuple] = None
+    records: list[tuple] = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue  # only a decoded %packed payload can still hold these
+        try:
+            if line[0] == "%":
+                keyword, operands = parse_directive(line)
+                if keyword != "config" or config is not None:
+                    raise ValueError(f"unexpected directive {line!r}")
+                config = tuple(operands)
+            elif config is None:
+                raise ValueError("a view body must open with %config")
+            else:
+                records.append(parse_record(line))
+        except ValueError as exc:
+            raise PersistFormatError(
+                source, section.line_number, f"view section: {exc}"
+            ) from None
+    if config is None:
+        raise PersistFormatError(
+            source, section.line_number, "view section is missing %config"
+        )
+    return ViewSnapshot(kind=section.kind, config=config, records=tuple(records))
 
 
 def _apply_graphdiff_record(graph: DiGraph, fields: list) -> None:

@@ -80,11 +80,11 @@ def test_packed_block_round_trip(codec, body):
     block = encode_packed_block(list(body), codec)
     assert block[0].startswith(f"%packed {codec} ")
     assert decode_packed_payload(codec, block[1:], "<doc>", 1) == body
-    # the expander sees the same body, anchored at the directive's line
-    raw = ["%repro-snapshot 5\n"] + block
-    expanded = expand_packed_lines(raw, source="<doc>")
-    assert [line for _, line in expanded[1:]] == body
-    assert all(number == 2 for number, _ in expanded[1:])
+    # the body-level expander splices the same lines in place of the
+    # block and passes the plaintext lines around it through untouched
+    around = ["%config 1\n"], ["r 2\n"]
+    expanded = expand_packed_lines(around[0] + block + around[1], source="<doc>")
+    assert expanded == around[0] + body + around[1]
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=str)

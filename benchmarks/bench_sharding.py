@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sharded store + segmented log vs. one DiGraph + one monolithic log.
+"""Sharded store + one log segment per shard vs. one DiGraph + one segment.
 
 The scenario is a **sustained, shard-local, skewed update stream** — the
 regime partitioned graph systems (Layph-style) target: most churn
@@ -9,11 +9,11 @@ concentrates on a hot region (60% of batches hit shard 0's node range,
 write-ahead journal on every apply, periodic incremental snapshots, and
 **background log compaction every few batches**.
 
-That last item is where the monolithic layout loses: each compaction
+That last item is where the one-segment layout loses: each compaction
 firing rewrites the *whole* surviving log window, stalling the apply
-path for a pause proportional to the entire log.  The segmented layout
-(`SegmentedDeltaLog`, one append file per shard) compacts **one shard's
-segment per firing**, in rotation — the pause is bounded by a segment,
+path for a pause proportional to the entire log.  Over a sharded graph
+the log (`SegmentedDeltaLog`) keeps one append file per shard and
+compacts **one shard's segment per firing**, in rotation — the pause is bounded by a segment,
 and the hot shard's churn never forces a rewrite of the cold shards'
 entries.  Appends are a wash in this stream (a shard-local batch costs
 one fsync in both layouts), so the measured speedup is the compaction
@@ -119,6 +119,14 @@ def boundaries_for(count: int) -> list[int]:
     return [4000 * k // count for k in range(1, count)]
 
 
+def make_graph(shards: int) -> DiGraph | ShardedGraphStore:
+    """A plain DiGraph for one shard, else a range-sharded store."""
+    if shards == 1:
+        return DiGraph()
+    shard_map = ShardMap(kind="range", boundaries=boundaries_for(shards))
+    return ShardedGraphStore(shard_map=shard_map)
+
+
 def run_stream(
     shards: int, stream: list[Delta], root: Path
 ) -> tuple[float, SnapshotPolicy, SnapshotStore, Engine]:
@@ -126,14 +134,8 @@ def run_stream(
     background compaction, timed end to end over the stream."""
     if root.exists():
         shutil.rmtree(root)
-    if shards == 1:
-        graph: DiGraph | ShardedGraphStore = DiGraph()
-        store = SnapshotStore(root)
-    else:
-        shard_map = ShardMap(kind="range", boundaries=boundaries_for(shards))
-        graph = ShardedGraphStore(shard_map=shard_map)
-        store = SnapshotStore(root, shard_map=shard_map)
-    engine = Engine(graph, executor="serial")
+    store = SnapshotStore(root)  # the log follows the graph's layout
+    engine = Engine(make_graph(shards), executor="serial")
     policy = SnapshotPolicy(
         every_batches=SNAPSHOT_EVERY, compact_every_batches=COMPACT_EVERY
     )
@@ -150,18 +152,12 @@ def compaction_pause_profile(
     shards: int, stream: list[Delta], root: Path
 ) -> tuple[float, float, int]:
     """(max_pause_ms, mean_pause_ms, firings) of in-stream compaction:
-    monolithic logs rewrite the whole survivor window per firing,
-    segmented logs one rotating segment."""
+    a one-segment log rewrites the whole survivor window per firing, a
+    per-shard log one rotating segment."""
     if root.exists():
         shutil.rmtree(root)
-    if shards == 1:
-        graph: DiGraph | ShardedGraphStore = DiGraph()
-        store = SnapshotStore(root)
-    else:
-        shard_map = ShardMap(kind="range", boundaries=boundaries_for(shards))
-        graph = ShardedGraphStore(shard_map=shard_map)
-        store = SnapshotStore(root, shard_map=shard_map)
-    engine = Engine(graph, executor="serial")
+    store = SnapshotStore(root)  # the log follows the graph's layout
+    engine = Engine(make_graph(shards), executor="serial")
     store.attach(engine)
     store.save(engine)
     pauses = []
@@ -258,7 +254,7 @@ def main() -> None:
     emit()
     emit("applies/s   = end-to-end engine.apply throughput, journal fsyncs,")
     emit("              auto-snapshots and in-stream compactions included;")
-    emit("vs 1 shard  = monolithic DiGraph + deltas.log;")
+    emit("vs 1 shard  = DiGraph + one-segment log;")
     emit("pause       = wall time of one background-compaction firing —")
     emit("              whole-log rewrite (1 shard) vs one rotating segment.")
     shutil.rmtree(workspace, ignore_errors=True)

@@ -40,7 +40,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.sharding import ShardedGraphStore, ShardMap
 from repro.graph.updates import delta_fraction, random_delta
 from repro.persist import (
-    DeltaLog,
     SegmentedDeltaLog,
     SnapshotPolicy,
     SnapshotStore,
@@ -63,7 +62,6 @@ __all__ = [
     "Dataflow",
     "DataflowView",
     "Delta",
-    "DeltaLog",
     "DiGraph",
     "Engine",
     "EngineError",

@@ -26,7 +26,7 @@ maintain *many* query answers with bounded / localizable work.  The
   until the view is first needed — so a restored session can declare many
   standing queries and pay for each only when it is actually driven;
 * :meth:`Engine.set_journal` attaches a write-ahead log
-  (:class:`repro.persist.DeltaLog`); every applied batch — and every
+  (:class:`repro.persist.SegmentedDeltaLog`); every applied batch — and every
   rollback's undo batch — is appended after it succeeds, which is what
   makes snapshot-plus-replay recovery (:class:`repro.persist.
   SnapshotStore`) possible.
@@ -892,8 +892,8 @@ class Engine:
         """Attach a write-ahead log (or ``None`` to detach).
 
         ``journal`` is any object with an ``append(delta)`` method —
-        in practice a :class:`repro.persist.DeltaLog`.  Every batch
-        :meth:`apply` accepts, and every non-empty undo batch produced
+        in practice a :class:`repro.persist.SegmentedDeltaLog`.  Every
+        batch :meth:`apply` accepts, and every non-empty undo batch produced
         by :meth:`rollback`, is appended — *before* the mutation
         (write-ahead), immediately after validation, so the log never
         lags the session and an unjournalable batch fails cleanly with

@@ -5,9 +5,10 @@ sessions — recomputing every view from scratch on restart forfeits the
 bounded/localizable wins the engine earned.  This package provides the
 substrate:
 
-* :class:`DeltaLog` — an append-only, fsynced log of applied batches
-  (``%batch``/``%commit`` framing around the :mod:`repro.graph.io`
-  update records);
+* :class:`SegmentedDeltaLog` — the append-only, fsynced log of applied
+  batches: one segment file per graph shard (one for an unsharded
+  graph), each framed ``%batch``/``%commit`` around the
+  :mod:`repro.graph.io` update records by :class:`DeltaLog`;
 * :class:`SnapshotStore` — a directory pairing the log with versioned
   point-in-time snapshots of the graph and every registered view's
   :meth:`~repro.engine.view.IncrementalView.snapshot`; recovery restores

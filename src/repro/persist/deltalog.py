@@ -1,5 +1,5 @@
-"""Append-only write-ahead logs of applied batch updates — monolithic
-and segmented.
+"""The append-only write-ahead log of applied batch updates: one
+directory of per-shard segment files under one global seq space.
 
 Every batch an :class:`~repro.engine.session.Engine` successfully fans
 out is appended as one *log entry*::
@@ -11,31 +11,33 @@ out is appended as one *log entry*::
 
 ``seq`` is a strictly increasing integer; the update records are exactly
 the lines of :func:`repro.graph.io.write_delta`.  The ``%commit``
-trailer is the durability marker: :meth:`DeltaLog.append` flushes and
-fsyncs after writing it, and :meth:`DeltaLog.entries` treats any entry
-whose ``%commit`` never made it to disk (a torn tail from a crash
-mid-append) as not written — the batch it described was also never
-acknowledged, so dropping it is the correct recovery.
+trailer is the durability marker: an append flushes and fsyncs after
+writing it, and the readers treat any entry whose ``%commit`` never made
+it to disk (a torn tail from a crash mid-append) as not written — the
+batch it described was also never acknowledged, so dropping it is the
+correct recovery.
 
 Replaying the committed entries, in order, over the graph they started
 from reproduces the session state; :class:`repro.persist.SnapshotStore`
 pairs this log with periodic snapshots so only the tail after the last
-snapshot is ever replayed.  A compacted log carries a ``%truncated
+snapshot is ever replayed.  A compacted segment carries a ``%truncated
 <seq>`` watermark recording the seqs that were committed and then
 dropped (preceded by any snapshot-covered entries a lagging view's
 relevance filter still retains), so sequence allocation and recovery
 stay correct across processes.
 
-**Segmented layout** (:class:`SegmentedDeltaLog`): a directory of one
-append file per graph shard.  Each applied batch still gets one
-*global* seq, but its updates are routed to the segments owning their
-source nodes (:func:`repro.graph.sharding.route_updates`) and each
-touched segment records a *sub-entry* under that seq; the optional
-``<participants>`` operand of ``%batch`` counts the touched segments,
-and a seq is committed exactly when every participant's sub-entry is.
-Segments append and fsync independently and compact independently too
-(one rotating segment per background firing, run in the caller).  The
-full framing contract lives in ``docs/FORMATS.md``.
+**Segments** (:class:`SegmentedDeltaLog`): one append file per graph
+shard — a single ``segment-000.log`` for an unsharded graph.  Each
+applied batch gets one *global* seq, but its updates are routed to the
+segments owning their source nodes
+(:func:`repro.graph.sharding.route_updates`) and each touched segment
+records a *sub-entry* under that seq; the optional ``<participants>``
+operand of ``%batch`` counts the touched segments, and a seq is
+committed exactly when every participant's sub-entry is.  Segments
+append and fsync independently and compact independently too (one
+rotating segment per background firing, run in the caller).
+:class:`DeltaLog` is the per-file framing class behind each segment.
+The full framing contract lives in ``docs/FORMATS.md``.
 
 **Group-commit windows** (format v4): with a ``window_size`` set (or
 under the ``workers`` executor), consecutive batches pipeline under a
@@ -54,17 +56,18 @@ shard workers of :mod:`repro.shardexec` buy their throughput with.
 **One pass reads a file.**  The framing rules are stated once, in
 :meth:`DeltaLog._scan`: a single pass records the truncation floor, the
 highest seq and window id mentioned, every commit, seal and torn entry,
-and the update bodies above a caller's ``after``.  ``entries``,
-``last_seq``, seq allocation and compaction all read that record;
-:meth:`SegmentedDeltaLog._merge` aggregates the per-segment records
-under the one cross-segment admission rule.
+and the update bodies above a caller's ``after``.  Seq allocation and
+compaction read that record, and :meth:`SegmentedDeltaLog._merge`
+aggregates the per-segment records under the one cross-segment
+admission rule behind ``entries`` and ``last_seq``.
 
 Example::
 
     >>> import tempfile, pathlib
     >>> from repro.core.delta import Delta, insert
-    >>> root = pathlib.Path(tempfile.mkdtemp())
-    >>> log = DeltaLog(root / "deltas.log")
+    >>> from repro.graph.sharding import ShardMap
+    >>> root = pathlib.Path(tempfile.mkdtemp()) / "segments"
+    >>> log = SegmentedDeltaLog(root, ShardMap(1))
     >>> log.append(Delta([insert(1, 2, "a", "b")]))
     1
     >>> log.append(Delta([insert(2, 3)]))
@@ -73,6 +76,8 @@ Example::
     [(1, 1), (2, 1)]
     >>> [len(entry.delta) for entry in log.entries(after=1)]
     [1]
+    >>> [path.name for path in log.segment_paths()]
+    ['segment-000.log']
 """
 
 from __future__ import annotations
@@ -126,9 +131,9 @@ class LogEntry:
     """One committed batch: its sequence number and the batch itself.
 
     ``participants`` is the number of log segments the batch's updates
-    were routed to (always 1 in a monolithic :class:`DeltaLog`; a
-    :class:`SegmentedDeltaLog` merges per-segment sub-entries and a seq
-    only commits when all of its participants did).
+    were routed to (:class:`SegmentedDeltaLog` merges per-segment
+    sub-entries, and a seq only commits when all of its participants
+    did).
 
     ``window`` is the group-commit window id the entry was written
     under (``None`` for per-batch-durable v1–v3 entries).  A windowed
@@ -257,24 +262,28 @@ def _net_cancel_window(
 
 
 class DeltaLog:
-    """Append-only batch-update log at a fixed path.
+    """One log file's framing: append, seal, scan and compact.
+
+    This is the per-segment class behind :class:`SegmentedDeltaLog`
+    (and the resident shard workers of :mod:`repro.shardexec`, which
+    append to their own segment), not a log on its own: seqs are
+    allocated by the segmented log and always arrive pinned, and
+    reading is :meth:`_scan`, aggregated across segments by
+    :meth:`SegmentedDeltaLog._merge`.
 
     The file need not exist yet; the first :meth:`append` creates it.
     Instances hold no open file handle — every operation opens, works,
-    and closes, so a log object is cheap and safe to share between a
-    journaling engine and a :class:`~repro.persist.snapshot.
+    and closes, so a segment object is cheap and safe to share between
+    a journaling engine and a :class:`~repro.persist.snapshot.
     SnapshotStore` reading it back.
     """
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
-        self._next_seq: int | None = None  # lazily derived from the file
+        #: Lowest seq a pinned append may still use: one past the
+        #: highest seq the file mentions (lazily derived from the file).
+        self._next_seq: int | None = None
         self._tail_known_clean = False  # our own appends end in "\n"
-        #: Window id of this object's open (appended-to but not yet
-        #: sealed) group-commit window, if any.  Tracked so compaction
-        #: can refuse to rewrite away content the caller still intends
-        #: to seal.
-        self._open_window: int | None = None
 
     # ------------------------------------------------------------------
     # Writing
@@ -283,11 +292,12 @@ class DeltaLog:
     def append(
         self,
         delta: Delta,
-        seq: Optional[int] = None,
-        participants: Optional[int] = None,
+        seq: int,
+        participants: int = 1,
         window: Optional[int] = None,
     ) -> int:
-        """Durably append one batch; returns its sequence number.
+        """Durably append one sub-entry under the pinned ``seq``;
+        returns the seq.
 
         The whole entry is rendered in memory *before* the file is
         touched, so a batch that cannot be serialized (non-int/str
@@ -298,12 +308,11 @@ class DeltaLog:
         returning, so once the caller sees the seq, recovery will
         replay the batch.
 
-        ``seq``/``participants`` are the segmented-log hooks: a
-        :class:`SegmentedDeltaLog` allocates one global seq, then
-        appends each routed sub-delta through this method with the seq
-        pinned and the participant count recorded in the ``%batch``
-        frame.  A pinned seq must not regress below seqs this file
-        already mentions (that would violate commit monotonicity).
+        ``seq`` is the global seq :class:`SegmentedDeltaLog` allocated
+        and ``participants`` the number of segments the batch was
+        routed to, recorded in the ``%batch`` frame.  A seq must not
+        regress below seqs this file already mentions (that would
+        violate commit monotonicity).
 
         ``window`` (format v4) tags the entry with a group-commit
         window id: a ``%window <id>`` line precedes the ``%batch``
@@ -312,18 +321,16 @@ class DeltaLog:
         the entry is torn debris that recovery discards whole with the
         rest of its window.
         """
-        if seq is None:
-            seq = self._allocate_seq()
-        else:
-            floor = self._allocate_seq()
-            if seq < floor:
-                raise ValueError(
-                    f"pinned seq {seq} regresses below this segment's next "
-                    f"allocatable seq {floor}"
-                )
+        if self._next_seq is None:
+            self._next_seq = self._scan().max_seq + 1
+        if seq < self._next_seq:
+            raise ValueError(
+                f"pinned seq {seq} regresses below this segment's next "
+                f"allocatable seq {self._next_seq}"
+            )
         frame = (
             render_directive("batch", seq)
-            if participants is None or participants == 1
+            if participants == 1
             else render_directive("batch", seq, participants)
         )
         if window is not None:
@@ -342,8 +349,6 @@ class DeltaLog:
                 os.fsync(stream.fileno())
         if created:
             fsync_directory(self.path.parent)  # the file's name itself
-        if window is not None:
-            self._open_window = window
         self._next_seq = seq + 1
         return seq
 
@@ -353,8 +358,7 @@ class DeltaLog:
         the window durable at once.
 
         ``participants`` is the number of *segments* holding entries of
-        this window across the whole (possibly segmented) log — always
-        1 for a standalone monolithic log.  Recovery admits the window
+        this window across the whole log.  Recovery admits the window
         only when that many segment files carry a matching seal, so a
         crash between sibling seals still discards the window whole.
         """
@@ -363,8 +367,6 @@ class DeltaLog:
             stream.write(line)
             stream.flush()
             os.fsync(stream.fileno())
-        if self._open_window == window:
-            self._open_window = None
 
     def _heal_prefix(self) -> str:
         """Healing prefix for this object's first append — afterwards our
@@ -403,59 +405,9 @@ class DeltaLog:
                 return newline + render_directive("abort", operands[0])
         return newline
 
-    def _allocate_seq(self) -> int:
-        """The next seq: above every seq the file mentions — committed,
-        torn, or recorded by a ``%truncated`` floor — so a reused log
-        never hands out a seq twice."""
-        if self._next_seq is None:
-            self._next_seq = self._scan().max_seq + 1
-        return self._next_seq
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-
-    def entries(self, after: int = 0) -> list[LogEntry]:
-        """All committed entries with ``seq > after``, in log order.
-
-        The reading rule: **committed content must parse; everything
-        outside intact** ``%batch`` .. ``%commit`` **framing is torn
-        debris.**  A crash mid-append (whether at end-of-file or mid-file
-        before a healed-over later append) leaves an entry *prefix* —
-        ``%batch`` line possibly truncated, records possibly truncated,
-        ``%commit`` missing — and every such fragment is skipped: its
-        batch was never acknowledged as applied.  A ``%commit`` whose
-        entry failed to parse, by contrast, is structural corruption of
-        *acknowledged* data and raises :class:`PersistFormatError` —
-        errors must never pass silently.
-
-        Entries with ``seq <= after`` are skipped at the framing level —
-        their records are not tokenized or materialized — so recovery
-        read cost is sized by the tail, not the whole uncompacted log.
-
-        Group-commit windows (format v4): an entry tagged by a
-        ``%window <id>`` line is buffered and only surfaces once a
-        matching ``%seal`` line arrives; entries of a window that is
-        never sealed are torn debris — their batches were never
-        acknowledged as durable — and are silently dropped, exactly
-        like a torn per-batch tail.
-        """
-        return self._scan(after).entries(after)
-
-    def last_seq(self) -> int:
-        """Seq of the newest *durable* committed entry, or the
-        truncation floor when that is higher (0 for an empty/new log).
-        Entries inside an unsealed group-commit window do not count:
-        their batches were never acknowledged as durable, and recovery
-        will discard them whole.
-
-        Reads the same framing pass as :meth:`entries` without
-        materializing any :class:`Delta`, so periodic
-        :meth:`~repro.persist.snapshot.SnapshotStore.save` calls stay
-        cheap on long uncompacted logs.
-        """
-        scan = self._scan()
-        return max([scan.floor, *scan.commits])
 
     def _scan(self, after: float = math.inf) -> _FileScan:
         """The one pass over this file behind every reader.
@@ -666,12 +618,6 @@ class DeltaLog:
         allocation and cursors never regress.  Pass ``graph_nodes=None``
         (the default) to skip cancellation entirely.
         """
-        if self._open_window is not None:
-            raise ValueError(
-                f"group-commit window {self._open_window} is still open in "
-                "this log; seal it (seal_window / flush) before compacting "
-                "— a rewrite would silently drop its unsealed entries"
-            )
         lagging = list(lagging)
         retained: list[LogEntry] = []
         read_from = after
@@ -837,11 +783,12 @@ class SegmentedDeltaLog:
     """A write-ahead log segmented by graph shard: one append file per
     shard, one *global* seq space.
 
-    The public surface mirrors :class:`DeltaLog` (``append`` /
-    ``entries`` / ``last_seq`` / ``compact``), so an
-    :class:`~repro.engine.session.Engine` journals into it and a
+    The only log class: an :class:`~repro.engine.session.Engine`
+    journals into it (``append``) and a
     :class:`~repro.persist.snapshot.SnapshotStore` replays from it
-    unchanged.  Differences under the hood:
+    (``entries`` / ``last_seq``) and compacts it.  An unsharded graph
+    journals through a one-segment log (``ShardMap(1)``).  Under the
+    hood:
 
     * :meth:`append` allocates one global seq, routes the batch's
       updates to the segments owning their source nodes
@@ -852,10 +799,12 @@ class SegmentedDeltaLog:
       sub-entry count falls short of its participant count is discarded
       as torn (it was never acknowledged), which makes the cross-segment
       commit atomic without any coordinator record.
-    * insert labels are stabilized first
+    * over two or more segments, insert labels are stabilized first
       (:func:`_stabilize_insert_labels`) so the merged replay —
       sub-deltas concatenated in shard order per seq — is equivalent to
-      the original batch under any segment interleaving.
+      the original batch under any segment interleaving.  A one-segment
+      log replays each batch in its original order and writes it as
+      given.
     * with a ``window_size`` (or under the ``workers`` executor, whose
       :class:`~repro.shardexec.pool.ShardWorkerPool` installs one),
       appends pipeline under **group-commit windows**: sub-entries are
@@ -900,7 +849,7 @@ class SegmentedDeltaLog:
         #: Node → shard assignment used to route appends.  ``None`` is
         #: the read-only mode (segment files discovered from disk);
         #: :meth:`bind_map` attaches a map before the first append.
-        self.shard_map = shard_map
+        self.shard_map: Optional[ShardMap] = None
         #: Executor strategy (``None`` → the ``REPRO_ENGINE_EXECUTOR``
         #: environment variable → serial; see
         #: :func:`repro.engine.scheduler.resolve_executor`).  ``workers``
@@ -916,18 +865,9 @@ class SegmentedDeltaLog:
         if window_size is not None and window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
         self.window_size = window_size
-        discovered = self._discover()
-        count = shard_map.count if shard_map is not None else discovered
-        if shard_map is not None and discovered > shard_map.count:
-            raise ValueError(
-                f"segment directory {self.root} holds segment files up to "
-                f"index {discovered - 1} but the shard map has only "
-                f"{shard_map.count} shards — refusing to orphan existing "
-                "segments"
-            )
         self._segments = [
             DeltaLog(self.root / self.SEGMENT_FORMAT.format(index))
-            for index in range(count)
+            for index in range(self._discover())
         ]
         self._next_seq: Optional[int] = None
         #: Whether this object made (or found) :attr:`root` and fsynced
@@ -958,6 +898,8 @@ class SegmentedDeltaLog:
         #: present, windowed appends ship to worker processes instead
         #: of being written in-process.
         self._worker_pool = None
+        if shard_map is not None:
+            self.bind_map(shard_map)
 
     def _discover(self) -> int:
         """Segment count implied by the files on disk: one past the
@@ -976,10 +918,12 @@ class SegmentedDeltaLog:
         return highest
 
     def bind_map(self, shard_map: ShardMap) -> None:
-        """Attach (or validate) the shard map of a log that was opened
-        in read-only discovery mode — recovery reads the layout from the
-        snapshot's ``%meta sharding`` stamp and binds it here before the
-        recovered engine resumes journaling."""
+        """Attach (or validate) the shard map of a log opened in
+        read-only discovery mode.  A :class:`~repro.persist.snapshot.
+        SnapshotStore` binds its engine graph's layout here at attach or
+        save, and recovery the snapshot's ``%meta sharding`` stamp
+        (``ShardMap(1)`` without one).  A map with fewer shards than
+        existing segment files is refused: it would orphan them."""
         if self.shard_map is not None:
             if self.shard_map != shard_map:
                 raise ValueError(
@@ -989,8 +933,10 @@ class SegmentedDeltaLog:
             return
         if len(self._segments) > shard_map.count:
             raise ValueError(
-                f"cannot bind a {shard_map.count}-shard map over "
-                f"{len(self._segments)} existing segments"
+                f"segment directory {self.root} holds segment files up to "
+                f"index {len(self._segments) - 1} but the shard map has only "
+                f"{shard_map.count} shards — refusing to orphan existing "
+                "segments"
             )
         self.shard_map = shard_map
         for index in range(len(self._segments), shard_map.count):
@@ -1103,7 +1049,10 @@ class SegmentedDeltaLog:
             fsync_directory(self.root.parent)  # the directory's own name
             self._root_created = True
         seq = self._allocate_seq()
-        stable = _stabilize_insert_labels(delta)
+        # one segment replays a batch in its own order: nothing to stabilize
+        stable = (
+            delta if self.shard_map.count == 1 else _stabilize_insert_labels(delta)
+        )
         routed = route_updates(stable, self.shard_map)
         if not routed:  # an empty batch still burns its seq frame
             routed = {0: []}
@@ -1387,8 +1336,8 @@ class SegmentedDeltaLog:
             scans, max([0] + [scan.floor for scan in scans]), parts, torn_windowed
         )
 
-    @staticmethod
     def _admit_windows(
+        self,
         seal_decl: dict[int, int],
         seal_count: dict[int, int],
         torn_windows: set[int],
@@ -1408,7 +1357,7 @@ class SegmentedDeltaLog:
             count = seal_count.get(window, 0)
             if count > participants:
                 raise PersistFormatError(
-                    "<segmented log>",
+                    str(self.root),
                     0,
                     f"window {window} sealed in {count} segments but "
                     f"declares only {participants} participants",

@@ -3,7 +3,7 @@
 A :class:`SnapshotStore` owns one directory::
 
     <root>/snapshot.repro   # last saved snapshot (atomic rename on save)
-    <root>/deltas.log       # write-ahead DeltaLog of applied batches
+    <root>/segments/        # write-ahead log: segment-NNN.log per shard
 
 :meth:`SnapshotStore.save` serializes the authoritative graph (via the
 lossless :mod:`repro.graph.io` records) plus every registered view's
@@ -58,7 +58,7 @@ from repro.graph.io import (
 from repro.graph.sharding import ShardedGraphStore, ShardMap
 from repro.iso.incremental import ISOIndex
 from repro.kws.incremental import KWSIndex
-from repro.persist.deltalog import DeltaLog, SegmentedDeltaLog, fsync_directory
+from repro.persist.deltalog import SegmentedDeltaLog, fsync_directory
 from repro.persist.format import (
     FORMAT_VERSION,
     SNAPSHOT_MAGIC,
@@ -246,19 +246,27 @@ class SnapshotPolicy:
 class SnapshotStore:
     """Snapshot + delta-log persistence rooted at one directory.
 
-    The write-ahead log is **monolithic** (``deltas.log``) by default,
-    or **segmented** (one ``segments/segment-NNN.log`` per graph shard)
-    when the store is constructed with a
-    :class:`~repro.graph.sharding.ShardMap` — or when a ``segments``
-    directory already exists at the root, so re-opening a sharded
-    store's directory without repeating the map still reads (and, after
-    :meth:`load` reconstructs the layout from the snapshot's ``%meta
-    sharding`` stamp, writes) the segmented log.
+    The write-ahead log is a :class:`~repro.persist.deltalog.
+    SegmentedDeltaLog` under ``segments/``, and **it follows the
+    graph**: one ``segment-NNN.log`` per shard of a
+    :class:`~repro.graph.sharding.ShardedGraphStore`, one
+    ``segment-000.log`` for a plain :class:`DiGraph`.  Pass
+    ``shard_map`` to fix the layout up front; without it the log is
+    bound to the engine graph's layout at :meth:`attach`/:meth:`save`,
+    or to the snapshot's ``%meta sharding`` stamp (``ShardMap(1)``
+    when there is none) at :meth:`load` — so re-opening a store's
+    directory without repeating the map reads and resumes the same
+    segments.
+
+    A root holding a legacy monolithic ``deltas.log`` is refused,
+    untouched: its frames are the segment grammar, so the one-step
+    migration is to move it to ``segments/segment-000.log``.
     """
 
     SNAPSHOT_NAME = "snapshot.repro"
-    LOG_NAME = "deltas.log"
     SEGMENTS_NAME = "segments"
+    #: The pre-segmented log file a store refuses to open over.
+    LEGACY_LOG_NAME = "deltas.log"
 
     def __init__(
         self,
@@ -280,24 +288,20 @@ class SnapshotStore:
         #: is codec-oblivious either way; incremental saves copy carried
         #: sections byte-for-byte, whichever way they were written.
         self.codec = codec
-        #: The shard layout this store journals under (``None`` for a
-        #: monolithic log; adopted from the snapshot's ``%meta
-        #: sharding`` stamp by :meth:`load` when absent).
-        self.shard_map = shard_map
+        legacy = self.root / self.LEGACY_LOG_NAME
         segments_dir = self.root / self.SEGMENTS_NAME
-        if shard_map is not None or segments_dir.exists():
-            legacy = self.root / self.LOG_NAME
-            if legacy.exists():
-                raise ValueError(
-                    f"{self.root} already holds a monolithic {self.LOG_NAME}; "
-                    "opening it segmented would silently orphan that log's "
-                    "committed entries.  Recover with a plain "
-                    "SnapshotStore(root) first, then migrate into a fresh "
-                    "sharded store (see docs/OPERATIONS.md)"
-                )
-            self.log = SegmentedDeltaLog(segments_dir, shard_map)
-        else:
-            self.log = DeltaLog(self.root / self.LOG_NAME)
+        if legacy.exists():
+            raise ValueError(
+                f"{self.root} holds a legacy monolithic {self.LEGACY_LOG_NAME}; "
+                "opening the store would silently orphan that log's "
+                "committed entries.  Migrate it with one rename — the "
+                f"frames are the same grammar: move {legacy} to "
+                f"{segments_dir / SegmentedDeltaLog.SEGMENT_FORMAT.format(0)} "
+                "(see docs/OPERATIONS.md)"
+            )
+        #: The write-ahead log (map-less until the first attach, save or
+        #: load binds it, unless ``shard_map`` was given).
+        self.log: SegmentedDeltaLog = SegmentedDeltaLog(segments_dir, shard_map)
         #: Next segment index background compaction will rewrite (see
         #: :meth:`compact_log` with ``rotate=True``).
         self._compact_rotation = 0
@@ -337,42 +341,34 @@ class SnapshotStore:
     # Journaling
     # ------------------------------------------------------------------
 
-    def _check_segmented_layout(self, engine: Engine) -> None:
-        """A store journaling a segmented log only serves engines whose
-        graph is sharded with the **same** layout — the log routes
-        updates by the graph's ownership rule, and the snapshot's
-        ``%meta sharding`` stamp (derived from the graph) is what lets
-        recovery re-bind the segments.  A mismatch would journal fine
-        and then fail recovery, so it is refused up front."""
-        if not isinstance(self.log, SegmentedDeltaLog):
-            return
-        if self.log.shard_map is None:
-            return  # discovery mode; load() binds from the stamp
-        graph = engine.graph
-        if not isinstance(graph, ShardedGraphStore):
-            raise ValueError(
-                "this store journals a segmented (per-shard) log, but the "
-                "engine's graph is not a ShardedGraphStore — a snapshot of "
-                "it would carry no sharding stamp and recovery could never "
-                "re-bind the segments.  Use ShardedGraphStore with the "
-                "store's shard map, or a store without one"
-            )
-        if graph.shard_map != self.log.shard_map:
-            raise ValueError(
-                f"engine graph's shard map {graph.shard_map!r} differs "
-                f"from the store's segmented-log layout "
-                f"{self.log.shard_map!r}; recovery would refuse the "
-                "contradiction — refusing it now instead"
-            )
+    @property
+    def shard_map(self) -> Optional[ShardMap]:
+        """The shard layout this store journals under (``None`` until
+        the log is bound)."""
+        return self.log.shard_map
 
-    def _flush_log(self) -> None:
-        """Seal the log's open group-commit window, if any (format v4).
-        Saves and loads are durability points: they must observe — and
-        stamp — only content the log acknowledges as durable.  Logs
-        without windowed framing have no ``flush`` and need none."""
-        flush = getattr(self.log, "flush", None)
-        if flush is not None:
-            flush()
+    def _bind_layout(self, engine: Engine) -> None:
+        """The log follows the graph: bind a map-less log to the engine
+        graph's layout, or refuse a graph whose layout contradicts the
+        log's.  The log routes updates by the graph's ownership rule,
+        and the snapshot's ``%meta sharding`` stamp (derived from the
+        graph) is what lets recovery re-bind the segments, so a mismatch
+        would journal fine and then fail recovery.  Binding never
+        orphans existing segment files
+        (:meth:`~repro.persist.deltalog.SegmentedDeltaLog.bind_map`)."""
+        graph = engine.graph
+        layout = (
+            graph.shard_map if isinstance(graph, ShardedGraphStore) else ShardMap(1)
+        )
+        if self.log.shard_map is None:
+            self.log.bind_map(layout)
+        elif self.log.shard_map != layout:
+            raise ValueError(
+                f"engine graph's layout {layout!r} ({type(graph).__name__}) "
+                f"differs from the store's log layout {self.log.shard_map!r}; "
+                "recovery would refuse the contradiction — refusing it now "
+                "instead"
+            )
 
     def attach(self, engine: Engine, policy: Optional[SnapshotPolicy] = None) -> None:
         """Start journaling ``engine``'s applied batches into this
@@ -384,9 +380,9 @@ class SnapshotStore:
         sections only — see :meth:`save`) before control returns from
         ``engine.apply``.
 
-        Attaching is also where the executor strategy reaches the
-        journal: a segmented log that has not chosen one explicitly
-        adopts the engine's (already resolved by
+        Attaching binds a map-less log to the engine graph's layout and
+        is also where the executor strategy reaches the journal: a log
+        that has not chosen one explicitly adopts the engine's (already resolved by
         :func:`repro.engine.scheduler.resolve_executor`), and under
         ``workers`` a resident
         :class:`~repro.shardexec.pool.ShardWorkerPool` is wired into the
@@ -395,16 +391,15 @@ class SnapshotStore:
         format-v4 framing, same durability rules).  Under ``serial``
         nothing is installed and the log writes its segments itself.
         """
-        self._check_segmented_layout(engine)
-        if isinstance(self.log, SegmentedDeltaLog):
-            if self.log.executor is None:
-                self.log.executor = engine.scheduler.executor
-            if self.log.executor == "workers" and self.log._worker_pool is None:
-                # Function-level import: shardexec sits above persist in
-                # the layer order (it journals through DeltaLog).
-                from repro.shardexec.pool import ShardWorkerPool
+        self._bind_layout(engine)
+        if self.log.executor is None:
+            self.log.executor = engine.scheduler.executor
+        if self.log.executor == "workers" and self.log._worker_pool is None:
+            # Function-level import: shardexec sits above persist in the
+            # layer order (it journals through DeltaLog).
+            from repro.shardexec.pool import ShardWorkerPool
 
-                ShardWorkerPool.install(engine, self.log)
+            ShardWorkerPool.install(engine, self.log)
         engine.set_journal(self.log)
         if policy is not None:
 
@@ -464,14 +459,14 @@ class SnapshotStore:
         which is always sound.  Either way the save marks every view
         clean.
         """
-        self._check_segmented_layout(engine)
+        self._bind_layout(engine)
         # A save is a durability point: the open group-commit window, if
         # any, seals first — the stamped last-seq must cover every batch
         # whose effects the graph section contains, and unsealed entries
         # are invisible to last_seq() by design (a stamp excluding them
         # while the graph includes them would resurrect-or-lose them on
         # recovery).
-        self._flush_log()
+        self.log.flush()
         last_seq = self.log.last_seq()
         previous: Optional[SnapshotSections] = None
         carried_names: frozenset[str] = frozenset()
@@ -663,7 +658,8 @@ class SnapshotStore:
         that is none of them, but the filter check makes the drop
         *provable* rather than assumed.  The survivor window above the
         floor is net-cancelled (insert/delete runs on the same edge
-        collapse when node-safe; see :meth:`DeltaLog.compact`).
+        collapse when node-safe; see
+        :meth:`~repro.persist.deltalog.DeltaLog.compact`).
 
         Wired into the batch stream via
         ``SnapshotPolicy(compact_every_batches=N)``; a free no-op
@@ -672,13 +668,12 @@ class SnapshotStore:
         net-cancellation node-safe is recorded by save()/load() together
         with the floor itself.
 
-        With ``rotate=True`` over a segmented log, only **one** segment
-        is rewritten per call, in round-robin shard order — the
-        bounded-pause mode the auto-compaction policy uses so a firing
-        mid-stream stalls the apply path by at most one shard's file,
-        never a whole-log rewrite.  (Monolithic logs ignore ``rotate``;
-        an explicit :meth:`compact_log` call without it always compacts
-        everything.)
+        With ``rotate=True`` only **one** segment is rewritten per call,
+        in round-robin shard order — the bounded-pause mode the
+        auto-compaction policy uses so a firing mid-stream stalls the
+        apply path by at most one shard's file, never a whole-log
+        rewrite.  An explicit :meth:`compact_log` call without it
+        compacts every segment.
         """
         if self._last_saved_seq is None:
             return 0  # nothing is covered yet; don't even read the log
@@ -691,11 +686,7 @@ class SnapshotStore:
             # returns None for unregistered-but-snapshotted names — the
             # conservative "retain everything it might still replay".
             lagging.append((cursor, engine.relevance_filter(name)))
-        if (
-            rotate
-            and isinstance(self.log, SegmentedDeltaLog)
-            and self.log.num_segments > 0
-        ):
+        if rotate:  # a saved or loaded store's log is bound: >= 1 segment
             index = self._compact_rotation % self.log.num_segments
             self._compact_rotation = index + 1
             return self.log.compact_segment(
@@ -753,28 +744,21 @@ class SnapshotStore:
                 "shard splitting needs an engine backed by a "
                 "ShardedGraphStore"
             )
-        self._check_segmented_layout(engine)
-        segmented = isinstance(self.log, SegmentedDeltaLog)
-        if segmented and self.log.shard_map is None:
-            self.log.bind_map(graph.shard_map)
+        self._bind_layout(engine)
         old_map = graph.shard_map
         new_map = old_map.split(parent, boundary=boundary)
         # Seal the open window first: the split must not share a
         # group-commit window with ordinary batches.
-        self._flush_log()
+        self.log.flush()
         graph.repartition(new_map)
         try:
-            if segmented:
-                self.log.rebind_map(new_map)
-            self.shard_map = new_map
+            self.log.rebind_map(new_map)
             self.save(engine)
         except BaseException:
             graph.repartition(old_map)
-            if segmented:
-                self.log.rebind_map(old_map)
-            self.shard_map = old_map
+            self.log.rebind_map(old_map)
             raise
-        if segmented and self.log._worker_pool is not None:
+        if self.log._worker_pool is not None:
             # Function-level import: shardexec sits above persist in the
             # layer order (it journals through DeltaLog).
             from repro.shardexec.pool import ShardWorkerPool
@@ -816,9 +800,11 @@ class SnapshotStore:
 
         A snapshot carrying a ``%meta sharding`` stamp (version 3)
         restores into a :class:`~repro.graph.sharding.ShardedGraphStore`
-        with the identical layout, and the store adopts the stamp: a
-        segmented log opened without a map is bound to it before the
-        recovered engine resumes journaling.
+        with the identical layout; one without restores into a plain
+        :class:`DiGraph`.  Either way the log follows: a log opened
+        without a map is bound to the stamp (``ShardMap(1)`` when there
+        is none) before the recovered engine resumes journaling, and a
+        log whose map contradicts it is refused.
 
         The file is read by
         :func:`~repro.persist.format.split_snapshot_sections`, the same
@@ -838,7 +824,7 @@ class SnapshotStore:
         # durable entries, so an unflushed live window would otherwise
         # be invisible to the recovered engine while the live engine's
         # graph already holds it.
-        self._flush_log()
+        self.log.flush()
         try:
             return self._load(attach_journal, routed)
         except BaseException:
@@ -869,8 +855,7 @@ class SnapshotStore:
         shard_map = sections.shard_map
         graph = DiGraph() if shard_map is None else ShardedGraphStore(shard_map)
         _replay_graph_section(graph, sections, source)
-        if shard_map is not None:
-            self._adopt_shard_map(shard_map)
+        self.log.bind_map(shard_map or ShardMap(1))
         last_seq = sections.last_seq
         engine = Engine(graph)
         cursors: dict[str, int] = {}
@@ -946,19 +931,6 @@ class SnapshotStore:
             self.attach(engine)
         self._note_capture(engine)
         return engine
-
-    def _adopt_shard_map(self, shard_map: ShardMap) -> None:
-        """Adopt the snapshot's sharding stamp: bind a map-less
-        segmented log to it (or validate an existing one) so the
-        recovered engine can resume journaling per shard.  A store
-        whose log is monolithic keeps journaling monolithically — a
-        sharded graph over a monolithic log is a legal (just
-        unsegmented) deployment."""
-        if isinstance(self.log, SegmentedDeltaLog):
-            self.log.bind_map(shard_map)
-            self.shard_map = self.log.shard_map
-        else:
-            self.shard_map = shard_map
 
 
 def _replay_graph_section(

@@ -86,6 +86,7 @@ from repro.core.delta import Delta, Update
 from repro.engine.relevance import SubscribeAll
 from repro.engine.session import AutosnapshotError, Engine, EngineReport
 from repro.graph.digraph import Label, Node
+from repro.persist.deltalog import SegmentedDeltaLog
 
 __all__ = [
     "CacheStats",
@@ -422,9 +423,12 @@ class Repository:
         # its window seals.  The journal must already be attached
         # (SnapshotStore.attach) when the repository is built.
         journal = engine.journal
-        self._window_log = (
-            journal if hasattr(journal, "add_seal_listener") else None
-        )
+        if journal is not None and not isinstance(journal, SegmentedDeltaLog):
+            raise TypeError(
+                "a served engine journals into a SegmentedDeltaLog "
+                f"(SnapshotStore.attach) or not at all, not {journal!r}"
+            )
+        self._window_log: Optional[SegmentedDeltaLog] = journal
         self._durable_seq = 0
         self._durable_generation = 0
         #: (seq, generation) publishes awaiting their window's seal.

@@ -199,7 +199,7 @@ class ShardWorkerPool:
             return None
         if graph.shard_map != log.shard_map:
             return None
-        key = str(getattr(log, "root", ""))
+        key = str(log.root)
         with _REGISTRY_LOCK:
             if _WORKERS_UNAVAILABLE:
                 return None

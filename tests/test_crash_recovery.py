@@ -1,8 +1,9 @@
 """Crash-injection torture tests for the persistence layer.
 
-Every byte boundary of ``DeltaLog.append``, ``DeltaLog.compact``, and
-``SnapshotStore.save`` (full *and* incremental, including ``%graphdiff``
-chunks and ``compact=True``) is a kill point: the write is severed
+Every byte boundary of a log append and compaction (one segment and
+several), and of ``SnapshotStore.save`` (full *and* incremental,
+including ``%graphdiff`` chunks and ``compact=True``) is a kill point:
+the write is severed
 there, the torn bytes really reach the disk, and a fresh process must
 recover to a state equal to either the pre-operation or the
 post-operation state — never a torn hybrid.
@@ -31,7 +32,7 @@ from repro import (
 from repro.dataflow import DataflowView
 from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
-from repro.persist import DeltaLog, SegmentedDeltaLog, SnapshotStore
+from repro.persist import SegmentedDeltaLog, SnapshotStore
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
 
@@ -97,8 +98,15 @@ def assert_recovered_equals(recovered: Engine, reference: Engine) -> None:
 
 
 # ----------------------------------------------------------------------
-# DeltaLog.append
+# One-segment log: append
 # ----------------------------------------------------------------------
+
+
+def open_one_segment(root) -> SegmentedDeltaLog:
+    """A serial-executor one-segment log, the unsharded graph's journal
+    (kill points must be deterministic, and the crash shims live in this
+    process)."""
+    return SegmentedDeltaLog(root / "segments", ShardMap(1), executor="serial")
 
 
 class TestTornAppend:
@@ -114,19 +122,16 @@ class TestTornAppend:
         new_batch = Delta([insert(7, 8, "c", "d"), delete(1, 2)])
 
         def setup():
-            if root.exists():
-                for child in root.iterdir():
-                    child.unlink()
-            root.mkdir(exist_ok=True)
-            log = DeltaLog(root / "deltas.log")
+            clear_dir(root)
+            log = open_one_segment(root)
             for batch in pre:
                 log.append(batch)
 
         def operation():
-            DeltaLog(root / "deltas.log").append(new_batch)
+            open_one_segment(root).append(new_batch)
 
         def recover(completed):
-            log = DeltaLog(root / "deltas.log")
+            log = open_one_segment(root)
             entries = log.entries()
             seqs = [entry.seq for entry in entries]
             # pre- or post-state, never a hybrid: a kill that tore only
@@ -143,7 +148,7 @@ class TestTornAppend:
             # the log must stay appendable, without seq reuse
             next_seq = log.append(Delta([insert(9, 9)]))
             assert next_seq >= 3 and next_seq > max(seqs)
-            tail = DeltaLog(root / "deltas.log").entries()
+            tail = open_one_segment(root).entries()
             assert tail[-1].delta.updates == [insert(9, 9)]
 
         harness = FaultyStore(root, setup, operation, recover, stride=STRIDE)
@@ -156,25 +161,24 @@ class TestTornAppend:
         fresh process must skip past it."""
         root = tmp_path / "log"
         root.mkdir()
-        path = root / "deltas.log"
-        log = DeltaLog(path)
+        log = open_one_segment(root)
         log.append(Delta([insert(1, 2)]))
         harness = FaultyStore(root, lambda: None, lambda: None, lambda _: None)
         killed = harness.run(fuel=12)  # dies mid-entry, after "%batch 2\n"
         assert killed  # nothing ran; arming alone must not crash
 
         def torn_append():
-            DeltaLog(path).append(Delta([insert(5, 6)]))
+            open_one_segment(root).append(Delta([insert(5, 6)]))
 
         harness.operation = torn_append
         assert not harness.run(fuel=9)  # "%batch 2\n" is 9 bytes: seq torn in
-        fresh = DeltaLog(path)
+        fresh = open_one_segment(root)
         assert [entry.seq for entry in fresh.entries()] == [1]
         assert fresh.append(Delta([insert(6, 7)])) == 3  # 2 is spoken for
 
 
 # ----------------------------------------------------------------------
-# DeltaLog.compact
+# One-segment log: compact
 # ----------------------------------------------------------------------
 
 
@@ -184,19 +188,16 @@ class TestTornCompact:
         batches = [Delta([insert(k, k + 1)]) for k in range(4)]
 
         def setup():
-            if root.exists():
-                for child in root.iterdir():
-                    child.unlink()
-            root.mkdir(exist_ok=True)
-            log = DeltaLog(root / "deltas.log")
+            clear_dir(root)
+            log = open_one_segment(root)
             for batch in batches:
                 log.append(batch)
 
         def operation():
-            DeltaLog(root / "deltas.log").compact(after=2)
+            open_one_segment(root).compact(after=2)
 
         def recover(completed):
-            log = DeltaLog(root / "deltas.log")
+            log = open_one_segment(root)
             seqs = [entry.seq for entry in log.entries()]
             if completed:
                 assert seqs == [3, 4]
@@ -204,7 +205,7 @@ class TestTornCompact:
             else:
                 # temp-and-rename: the old log must be fully intact
                 assert seqs == [1, 2, 3, 4]
-            assert DeltaLog(root / "deltas.log").append(Delta([insert(9, 9)])) == 5
+            assert open_one_segment(root).append(Delta([insert(9, 9)])) == 5
 
         harness = FaultyStore(root, setup, operation, recover, stride=STRIDE)
         assert harness.torture() > 3
@@ -351,9 +352,7 @@ class TestTornAppendInSession:
         state = {}
 
         def setup():
-            if root.exists():
-                for child in root.iterdir():
-                    child.unlink()
+            clear_dir(root)
             engine = four_view_engine(sample_graph())
             store = SnapshotStore(root)
             store.attach(engine)
@@ -399,7 +398,7 @@ class TestTornSegmentedAppend:
         """A killed multi-segment append must recover to the old
         committed entries — or, when every participant's sub-entry
         landed intact, the old entries plus the new one (the same redo
-        caveat as the monolithic log) — never a partially merged batch."""
+        caveat as the one-segment log) — never a partially merged batch."""
         root = tmp_path / "log"
         pre = [
             Delta([insert(1, 2, "a", "b"), insert(6, 7, "d", "d")]),

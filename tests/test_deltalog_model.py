@@ -1,8 +1,8 @@
-"""Model test for the delta logs: after a crash, every reader recovers
+"""Model test for the delta log: after a crash, every reader recovers
 the same acknowledged prefix.
 
-Hypothesis draws a standalone :class:`DeltaLog` or a 1–3-segment
-:class:`SegmentedDeltaLog` and a history of appends, seals, compactions
+Hypothesis draws a 1–3-segment :class:`SegmentedDeltaLog` (one segment
+is the unsharded graph's journal) and a history of appends, seals, compactions
 (whole-log and one segment) and restarts.  Each process — the first
 object and every restart — either appends per batch or under
 group-commit windows; a restart drops the open window unsealed.
@@ -33,7 +33,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Delta, SegmentedDeltaLog, ShardMap, delete, insert
-from repro.persist import DeltaLog
 
 NODES = range(8)
 
@@ -79,21 +78,17 @@ class Model:
         self, root: Path, segments: int, window_size: int, windowed: bool
     ) -> None:
         self.root = root
-        self.segments = segments  # 0: a standalone DeltaLog
+        self.segments = segments
         self.window_size = window_size
         self.acked: dict[int, Delta] = {}
         self.pending: dict[int, Delta] = {}  # appended under an open window
         self.floor = 0
         #: last_seq() values taken with no window open: legal floors
         self.durable_points = [0]
-        self.window = None  # standalone: the caller's open window id
-        self.next_window = 1  # standalone: the caller allocates ids
         self.restart(windowed)
 
     def paths(self) -> list[Path]:
-        if self.segments:
-            return self.log.segment_paths()
-        return [self.log.path]
+        return self.log.segment_paths()
 
     # -- operations ---------------------------------------------------
 
@@ -103,46 +98,26 @@ class Model:
     def restart(self, windowed: bool) -> None:
         """A new process: the open window, if any, was never sealed."""
         self.pending.clear()
-        self.window = None
         self.windowed = windowed
-        if self.segments:
-            self.log = SegmentedDeltaLog(
-                self.root / "segments",
-                ShardMap(self.segments),
-                executor="serial",
-                window_size=self.window_size if windowed else None,
-            )
-        else:
-            self.log = DeltaLog(self.root / "deltas.log")
+        self.log = SegmentedDeltaLog(
+            self.root / "segments",
+            ShardMap(self.segments),
+            executor="serial",
+            window_size=self.window_size if windowed else None,
+        )
 
     def append(self, delta: Delta) -> None:
-        if self.segments or not self.windowed:
-            seq = self.log.append(delta)
-        else:
-            if self.window is None:
-                self.window = self.next_window
-                self.next_window += 1
-            seq = self.log.append(delta, window=self.window)
+        seq = self.log.append(delta)
         (self.pending if self.windowed else self.acked)[seq] = delta
-        if not self.segments and len(self.pending) >= self.window_size:
-            self.seal()
         self.settle()
 
     def seal(self) -> None:
-        if self.segments:
-            self.log.flush()
-        elif self.window is not None:
-            self.log.seal_window(self.window, 1)
-            self.window = None
+        self.log.flush()
         self.settle()
 
     def settle(self) -> None:
         """Move every sealed windowed batch from pending to acked."""
-        still_open = (
-            set(self.log.open_window_seqs())
-            if self.segments
-            else (set(self.pending) if self.window is not None else set())
-        )
+        still_open = set(self.log.open_window_seqs())
         for seq in list(self.pending):
             if seq not in still_open:
                 self.acked[seq] = self.pending.pop(seq)
@@ -154,16 +129,14 @@ class Model:
         return points[percent * (len(points) - 1) // 100]
 
     def compact(self, percent: int) -> None:
-        self.seal()  # a standalone log refuses to compact an open window
+        self.seal()
         floor = self.target_floor(percent)
         existed = any(path.exists() for path in self.paths())
         self.log.compact(floor)
-        if existed or not self.segments:
+        if existed:
             self.floor = max(self.floor, floor)
 
     def compact_segment(self, index: int, percent: int) -> None:
-        if not self.segments:
-            return self.compact(percent)
         self.seal()
         floor = self.target_floor(percent)
         index %= self.segments
@@ -228,7 +201,7 @@ def mentioned(paths, pattern) -> int:
     heal=Delta(),
 )
 @example(
-    segments=0,
+    segments=1,
     window_size=2,
     windowed=True,
     history=[],
@@ -238,7 +211,7 @@ def mentioned(paths, pattern) -> int:
     heal=Delta(),
 )
 @example(
-    segments=0,
+    segments=1,
     window_size=2,
     windowed=True,
     history=[],
@@ -248,7 +221,7 @@ def mentioned(paths, pattern) -> int:
     heal=Delta(),
 )
 @example(
-    segments=0,
+    segments=1,
     window_size=1,
     windowed=False,
     history=[("append", Delta())] * 12,
@@ -259,7 +232,7 @@ def mentioned(paths, pattern) -> int:
 )
 @settings(max_examples=200, deadline=None)
 @given(
-    segments=st.integers(0, 3),
+    segments=st.integers(1, 3),
     window_size=st.integers(1, 3),
     windowed=st.booleans(),
     history=st.lists(history_ops, max_size=16),
@@ -307,27 +280,23 @@ def test_reopened_log_holds_exactly_the_acknowledged_prefix(
 
         highest_seq = mentioned(model.paths(), SEQ_MENTIONS)
         highest_window = mentioned(model.paths(), WINDOW_MENTIONS)
-        if segments:
-            fresh = SegmentedDeltaLog(
-                Path(scratch) / "segments",
-                ShardMap(segments),
-                executor="serial",
-                window_size=2,
-            )
-            assert fresh.append(Delta()) > highest_seq
-            assert fresh.flush() > highest_window
-        else:
-            assert DeltaLog(log.path).append(Delta()) > highest_seq
+        fresh = SegmentedDeltaLog(
+            Path(scratch) / "segments",
+            ShardMap(segments),
+            executor="serial",
+            window_size=2,
+        )
+        assert fresh.append(Delta()) > highest_seq
+        assert fresh.flush() > highest_window
 
 
 # ----------------------------------------------------------------------
 # Byte pin: a fixed stream writes the same files as the recorded run
 # ----------------------------------------------------------------------
 
-#: sha256 over every file state the fixed stream leaves, per layout
-#: (0: a standalone DeltaLog; n: an n-segment SegmentedDeltaLog).
+#: sha256 over every file state the fixed stream leaves, per segment
+#: count of the SegmentedDeltaLog.
 RECORDED_STREAM_DIGESTS = {
-    0: "440a33fcd8a74688f2902d1d80a4938d4e2517201b35120ea93a47f0404592d7",
     1: "46700e8b9f489977ac01306aea3e5010f8cff2925b08c5243389c9db09182bd7",
     2: "3e61e09b195fd8491677bbc636570776f992daa834348de36a9812eab4959ce9",
 }
@@ -350,22 +319,18 @@ def run_fixed_stream(root: Path, segments: int) -> str:
     digest = hashlib.sha256()
 
     def open_log(window_size=None):
-        if segments:
-            return SegmentedDeltaLog(
-                root / "segments",
-                ShardMap(segments),
-                executor="serial",
-                window_size=window_size,
-            )
-        return DeltaLog(root / "deltas.log")
+        return SegmentedDeltaLog(
+            root / "segments",
+            ShardMap(segments),
+            executor="serial",
+            window_size=window_size,
+        )
 
     def paths():
-        if segments:
-            return [
-                root / "segments" / SegmentedDeltaLog.SEGMENT_FORMAT.format(i)
-                for i in range(segments)
-            ]
-        return [root / "deltas.log"]
+        return [
+            root / "segments" / SegmentedDeltaLog.SEGMENT_FORMAT.format(i)
+            for i in range(segments)
+        ]
 
     def record():
         for path in paths():
@@ -377,18 +342,12 @@ def run_fixed_stream(root: Path, segments: int) -> str:
             stream.write(text)
         record()
 
-    def append_windowed(log, k, window):
-        if segments:
-            log.append(fixed_batch(k))
-        else:
-            log.append(fixed_batch(k), window=window)
+    def append_windowed(log, k):
+        log.append(fixed_batch(k))
         record()
 
-    def seal(log, window):
-        if segments:
-            log.flush()
-        else:
-            log.seal_window(window, 1)
+    def seal(log):
+        log.flush()
         record()
 
     log = open_log()
@@ -398,9 +357,7 @@ def run_fixed_stream(root: Path, segments: int) -> str:
     # a crash mid-record, then a cross-segment append committed in one
     # segment only: both torn, both healed over by a fresh process
     tear("%batch 5 2\n+ 1 2 a")
-    head = open_log()
-    head_segment = head.segment(0) if segments else head
-    head_segment.append(fixed_batch(4), seq=6, participants=2)
+    open_log().segment(0).append(fixed_batch(4), seq=6, participants=2)
     record()
     log = open_log()
     for k in range(5, 12):
@@ -411,16 +368,13 @@ def run_fixed_stream(root: Path, segments: int) -> str:
     # group-commit windows, compacted once sealed
     log = open_log(window_size=2)
     for k in range(12, 15):
-        append_windowed(log, k, window=1 + (k - 12) // 2)
-    seal(log, window=2)
-    if segments:
-        log.compact_segment(0, log.last_seq())
-    else:
-        log.compact(log.last_seq())
+        append_windowed(log, k)
+    seal(log)
+    log.compact_segment(0, log.last_seq())
     record()
     # a window left unsealed by a crash, then a dangling window tag
     log = open_log(window_size=3)
-    append_windowed(log, 15, window=3)
+    append_windowed(log, 15)
     log = open_log()
     log.append(fixed_batch(16))
     record()
@@ -434,6 +388,6 @@ def run_fixed_stream(root: Path, segments: int) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("segments", [0, 1, 2])
+@pytest.mark.parametrize("segments", [1, 2])
 def test_fixed_stream_writes_the_recorded_bytes(tmp_path, segments):
     assert run_fixed_stream(tmp_path, segments) == RECORDED_STREAM_DIGESTS[segments]

@@ -16,10 +16,11 @@ Tier-1 runs a reduced stream count; the nightly CI job sets
 sweep.  Every stream is an independent seed, so a failure reproduces
 with ``-k "stream-<seed>"``.
 
-Every stream runs under **both storage layouts**: a plain ``DiGraph``
-with a monolithic delta log, and a ``ShardedGraphStore`` with a
-segmented per-shard log (snapshot format v3) — so the sharded path is
-held to the same oracle as the monolithic one, recovery included.
+Every stream runs under **every storage layout**: a plain ``DiGraph``
+journaling a one-segment log, and a ``ShardedGraphStore`` with one log
+segment per shard (snapshot format v3), per-batch or group-commit
+windowed — so the sharded path is held to the same oracle as the
+unsharded one, recovery included.
 
 Every stream also runs **through the serving layer**: all mutations go
 via a :class:`repro.serving.Repository`, and the stream interleaves
@@ -56,7 +57,7 @@ STREAMS = int(os.environ.get("REPRO_DIFFERENTIAL_STREAMS", "12"))
 STEPS = 14
 LABELS = ["a", "b", "c", "d"]
 #: Every storage layout runs the identical stream logic: ``plain`` is
-#: one DiGraph + monolithic log, ``sharded`` is a 3-shard
+#: one DiGraph + one-segment log, ``sharded`` is a 3-shard
 #: ShardedGraphStore + segmented per-shard log with per-batch fsync,
 #: and ``windowed`` is the same sharded store journaled under the
 #: ``workers`` strategy with multi-batch group-commit windows (format

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Delta, DiGraph, Engine, EngineError, delete, insert
+from repro.graph.sharding import ShardMap
 from repro.iso import ISOIndex, Pattern, vf2_matches
 from repro.kws import KWSIndex, KWSQuery, batch_kws
 from repro.persist import (
-    DeltaLog,
     PersistFormatError,
+    SegmentedDeltaLog,
     SnapshotStore,
     load_session,
     save_session,
@@ -69,13 +70,28 @@ def assert_sessions_equal(recovered: Engine, reference: Engine) -> None:
 
 
 # ----------------------------------------------------------------------
-# DeltaLog
+# The log: a one-segment SegmentedDeltaLog
 # ----------------------------------------------------------------------
+
+
+def one_segment(tmp_path) -> SegmentedDeltaLog:
+    """A one-segment log over ``tmp_path / "segments"``, per-batch
+    durable under any executor.  Each call is a fresh object that reads
+    the files afresh, as a new process would."""
+    return SegmentedDeltaLog(tmp_path / "segments", ShardMap(1), executor="serial")
+
+
+def segment_file(tmp_path):
+    """The one segment's file, its directory made (for hand-written
+    log text)."""
+    path = tmp_path / "segments" / SegmentedDeltaLog.SEGMENT_FORMAT.format(0)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 class TestDeltaLog:
     def test_append_and_read_back(self, tmp_path):
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         first = Delta([insert(1, 2, "a", "b"), delete(3, 4)])
         second = Delta([insert("spaced node", 'quo"ted', "x y", "")])
         assert log.append(first) == 1
@@ -86,7 +102,7 @@ class TestDeltaLog:
         assert entries[1].delta.updates == second.updates
 
     def test_after_filter_and_last_seq(self, tmp_path):
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         assert log.last_seq() == 0
         for k in range(3):
             log.append(Delta([insert(k, k + 1)]))
@@ -94,17 +110,17 @@ class TestDeltaLog:
         assert [entry.seq for entry in log.entries(after=2)] == [3]
 
     def test_seq_survives_reopen(self, tmp_path):
-        path = tmp_path / "deltas.log"
-        DeltaLog(path).append(Delta([insert(1, 2)]))
-        assert DeltaLog(path).append(Delta([insert(2, 3)])) == 2
+        path = segment_file(tmp_path)
+        one_segment(tmp_path).append(Delta([insert(1, 2)]))
+        assert one_segment(tmp_path).append(Delta([insert(2, 3)])) == 2
 
     def test_torn_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "deltas.log"
-        log = DeltaLog(path)
+        path = segment_file(tmp_path)
+        log = one_segment(tmp_path)
         log.append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("%batch 2\n+ 5 6")  # crash: no %commit, no newline
-        assert [entry.seq for entry in DeltaLog(path).entries()] == [1]
+        assert [entry.seq for entry in one_segment(tmp_path).entries()] == [1]
 
     @pytest.mark.parametrize(
         "torn", ["%bat", "%batch", "%comm", '%batch "'],
@@ -113,80 +129,80 @@ class TestDeltaLog:
     def test_torn_directive_tail_is_dropped(self, tmp_path, torn):
         """A crash can tear the framing directives themselves; every torn
         shape at EOF must be recoverable, not fatal."""
-        path = tmp_path / "deltas.log"
-        DeltaLog(path).append(Delta([insert(1, 2)]))
+        path = segment_file(tmp_path)
+        one_segment(tmp_path).append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write(torn)
-        assert [entry.seq for entry in DeltaLog(path).entries()] == [1]
+        assert [entry.seq for entry in one_segment(tmp_path).entries()] == [1]
 
     def test_unserializable_batch_leaves_no_torn_entry(self, tmp_path):
         from repro.graph.io_tokens import SerializationError
 
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         log.append(Delta([insert(1, 2)]))
         with pytest.raises(SerializationError):
             log.append(Delta([insert(3, 4, source_label=("tu", "ple"))]))
-        assert [entry.seq for entry in DeltaLog(log.path).entries()] == [1]
+        assert [entry.seq for entry in one_segment(tmp_path).entries()] == [1]
 
     def test_append_after_torn_tail_does_not_reuse_seq(self, tmp_path):
-        path = tmp_path / "deltas.log"
-        DeltaLog(path).append(Delta([insert(1, 2)]))
+        path = segment_file(tmp_path)
+        one_segment(tmp_path).append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("%batch 2\n")  # torn entry claims seq 2
-        fresh = DeltaLog(path)
+        fresh = one_segment(tmp_path)
         assert fresh.append(Delta([insert(2, 3)])) == 3
         assert [entry.seq for entry in fresh.entries()] == [1, 3]
 
     def test_corrupt_committed_entry_raises(self, tmp_path):
         """A %commit whose records did not parse is corruption of
         acknowledged data, not a torn fragment — it must raise."""
-        path = tmp_path / "deltas.log"
+        path = segment_file(tmp_path)
         path.write_text(
             "%batch 1\n? 1 2\n%commit\n%batch 2\n+ 2 3\n%commit\n",
             encoding="utf-8",
         )
         with pytest.raises(PersistFormatError, match="corrupt committed data"):
-            DeltaLog(path).entries()
+            one_segment(tmp_path).entries()
 
     def test_mid_file_torn_entry_is_skipped(self, tmp_path):
         """A torn entry prefix that a later (healed) append wrote past —
         the realistic mid-file crash residue — is skipped, and the
         committed entries around it survive."""
-        path = tmp_path / "deltas.log"
-        log = DeltaLog(path)
+        path = segment_file(tmp_path)
+        log = one_segment(tmp_path)
         log.append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("%batch 2\n- 1 ")  # crash mid-record, no commit
-        fresh = DeltaLog(path)
+        fresh = one_segment(tmp_path)
         assert fresh.append(Delta([insert(5, 6)])) == 3
         assert [entry.seq for entry in fresh.entries()] == [1, 3]
 
     def test_non_increasing_seq_raises(self, tmp_path):
-        path = tmp_path / "deltas.log"
+        path = segment_file(tmp_path)
         path.write_text(
             "%batch 2\n%commit\n%batch 1\n%commit\n", encoding="utf-8"
         )
         with pytest.raises(PersistFormatError, match="does not increase"):
-            DeltaLog(path).entries()
+            one_segment(tmp_path).entries()
 
     def test_compact_drops_covered_entries(self, tmp_path):
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         for k in range(4):
             log.append(Delta([insert(k, k + 1)]))
         assert log.compact(after=2) == 2
         assert [entry.seq for entry in log.entries()] == [3, 4]
         # seqs keep increasing after compaction
-        assert DeltaLog(log.path).append(Delta([insert(9, 10)])) == 5
+        assert one_segment(tmp_path).append(Delta([insert(9, 10)])) == 5
 
     def test_compact_floor_survives_fresh_process(self, tmp_path):
         """A fully compacted (empty) log must not reset seq allocation
         below the snapshot stamp — later appends would be invisible to
         the next recovery's entries(after=stamp)."""
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         log.append(Delta([insert(1, 2)]))
         log.append(Delta([insert(2, 3)]))
         log.compact(after=2)  # snapshot covered everything
-        fresh = DeltaLog(log.path)  # a new process
+        fresh = one_segment(tmp_path)  # a new process
         assert fresh.last_seq() == 2
         assert fresh.append(Delta([insert(3, 4)])) == 3
         assert [entry.seq for entry in fresh.entries(after=2)] == [3]
@@ -194,12 +210,12 @@ class TestDeltaLog:
     def test_append_heals_missing_trailing_newline(self, tmp_path):
         """A torn final line without a newline must not glue onto the
         next entry's %batch directive."""
-        path = tmp_path / "deltas.log"
-        log = DeltaLog(path)
+        path = segment_file(tmp_path)
+        log = one_segment(tmp_path)
         log.append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("%batch 2\n- 1 ")  # crash mid-record, no newline
-        fresh = DeltaLog(path)
+        fresh = one_segment(tmp_path)
         assert fresh.append(Delta([insert(5, 6)])) == 3
         assert [entry.seq for entry in fresh.entries()] == [1, 3]
 
@@ -208,7 +224,7 @@ class TestDeltaLog:
         (recovery reads are tail-sized)."""
         import repro.persist.deltalog as deltalog_module
 
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         for k in range(3):
             log.append(Delta([insert(k, k + 1)]))
         calls = []
@@ -235,12 +251,12 @@ class TestDeltaLog:
         append was adopted into that never-sealed window — an
         acknowledged batch discarded by ``entries()`` (or counted by it
         but not by ``last_seq()``)."""
-        path = tmp_path / "deltas.log"
-        DeltaLog(path).append(Delta([insert(1, 2)]))
+        path = segment_file(tmp_path)
+        one_segment(tmp_path).append(Delta([insert(1, 2)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write(torn)
-        assert DeltaLog(path).append(Delta([insert(2, 3)])) == 2
-        reopened = DeltaLog(path)
+        assert one_segment(tmp_path).append(Delta([insert(2, 3)])) == 2
+        reopened = one_segment(tmp_path)
         assert [entry.seq for entry in reopened.entries()] == [1, 2]
         assert reopened.last_seq() == 2
 
@@ -248,14 +264,14 @@ class TestDeltaLog:
         """Regression: ``%batch 13`` cut after its first digit reads
         ``%batch 1``; the non-increasing seq of that uncommitted fragment
         used to raise instead of being skipped as torn debris."""
-        path = tmp_path / "deltas.log"
-        log = DeltaLog(path)
+        path = segment_file(tmp_path)
+        log = one_segment(tmp_path)
         for k in range(12):
             log.append(Delta([insert(k, k + 1)]))
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("%batch 1")
-        assert DeltaLog(path).append(Delta([insert(20, 21)])) == 13
-        assert [entry.seq for entry in DeltaLog(path).entries()] == list(
+        assert one_segment(tmp_path).append(Delta([insert(20, 21)])) == 13
+        assert [entry.seq for entry in one_segment(tmp_path).entries()] == list(
             range(1, 14)
         )
 
@@ -267,12 +283,12 @@ class TestDeltaLog:
     def test_every_reader_rejects_corrupt_committed_content(self, tmp_path, text):
         """``last_seq()`` and seq allocation read the same pass as
         ``entries()``, so they refuse what it refuses."""
-        path = tmp_path / "deltas.log"
+        path = segment_file(tmp_path)
         path.write_text(text, encoding="utf-8")
         for read in (
-            DeltaLog(path).entries,
-            DeltaLog(path).last_seq,
-            lambda: DeltaLog(path).append(Delta([insert(1, 2)])),
+            one_segment(tmp_path).entries,
+            one_segment(tmp_path).last_seq,
+            lambda: one_segment(tmp_path).append(Delta([insert(1, 2)])),
         ):
             with pytest.raises(PersistFormatError):
                 read()
@@ -492,6 +508,52 @@ class TestSnapshotStore:
         engine.apply(PRE_BATCHES[0])  # journaled by save_session's attach
         assert_sessions_equal(load_session(tmp_path / "store"), engine)
 
+    def test_legacy_deltas_log_is_refused_then_migrates_by_rename(self, tmp_path):
+        """A root holding a pre-segmented ``deltas.log`` — here compacted
+        (``%truncated``) and with a torn tail — is refused untouched, and
+        the documented one-step migration (move it to
+        ``segments/segment-000.log``) recovers the session: the frames
+        are the one-segment log's grammar."""
+        reference = four_view_engine(sample_graph())
+        writer = SnapshotStore(tmp_path / "writer")
+        writer.attach(reference)
+        for batch in PRE_BATCHES:
+            reference.apply(batch)
+        writer.save(reference)  # stamps last-seq 2
+        for batch in POST_BATCHES:
+            reference.apply(batch)
+        root = tmp_path / "legacy"
+        root.mkdir()
+        (root / "snapshot.repro").write_bytes(writer.snapshot_path.read_bytes())
+        legacy = root / "deltas.log"
+        legacy.write_text(
+            "%truncated 2\n"
+            "%batch 3\n- 1 2\n%commit\n"
+            "%batch 4\n+ 6 1 b a\n- 4 5\n%commit\n"
+            "%batch 99\n+ 7 ",  # torn by a crash mid-append
+            encoding="utf-8",
+        )
+        before = legacy.read_bytes()
+
+        with pytest.raises(ValueError, match="orphan") as refused:
+            SnapshotStore(root)
+        assert "segments/segment-000.log" in str(refused.value)
+        assert legacy.read_bytes() == before
+        assert sorted(path.name for path in root.iterdir()) == [
+            "deltas.log",
+            "snapshot.repro",
+        ]
+
+        (root / "segments").mkdir()
+        legacy.rename(root / "segments" / "segment-000.log")
+        store = SnapshotStore(root)
+        recovered = store.load()
+        assert_sessions_equal(recovered, reference)
+        follow_up = Delta([insert(4, 2)])
+        assert recovered.apply(follow_up).seq == 100  # above the torn %batch 99
+        reference.apply(follow_up)
+        assert_sessions_equal(SnapshotStore(root).load(), reference)
+
 
 # ----------------------------------------------------------------------
 # Per-view replay cursors, %graphdiff, and compaction equivalences
@@ -670,7 +732,7 @@ class TestGraphDiff:
         store = SnapshotStore(tmp_path / "store")
         store.attach(engine)
         store.save(engine)
-        elsewhere = DeltaLog(tmp_path / "elsewhere.log")
+        elsewhere = SegmentedDeltaLog(tmp_path / "elsewhere", ShardMap(1))
         engine.set_journal(elsewhere)
         engine.apply(PRE_BATCHES[0])  # invisible to store.log
         engine.set_journal(store.log)
@@ -804,12 +866,12 @@ class TestCompactionEquivalence:
             def wants_node(self, node, label):
                 return False
 
-        log = DeltaLog(tmp_path / "deltas.log")
+        log = one_segment(tmp_path)
         for k in range(4):
             log.append(Delta([insert(k, k + 1)]))
         log.compact(after=4, lagging=[(0, OnlyEntryTwo())], label_of=lambda n: "")
         assert [entry.seq for entry in log.entries()] == [2]
-        fresh = DeltaLog(log.path)  # a fresh process
+        fresh = one_segment(tmp_path)  # a fresh process
         assert fresh.last_seq() == 4  # covered seqs stay spoken for
         assert fresh.append(Delta([insert(9, 9)])) == 5  # never re-allocates 3/4
 

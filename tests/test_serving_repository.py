@@ -200,6 +200,31 @@ def test_snapshot_save_does_not_poison(tmp_path):
     assert repo.poisoned is None
 
 
+def test_journal_must_be_a_segmented_log_or_none(tmp_path):
+    """The durable generation tracks the journal's window seals, so the
+    journal is either absent or a SegmentedDeltaLog — any other object
+    is refused at construction instead of silently never advancing
+    ``durable_generation``."""
+
+    class Tape:
+        def append(self, delta):
+            return 1
+
+    engine = Engine(DiGraph(labels={1: "a"}, edges=[]))
+    engine.set_journal(Tape())
+    with pytest.raises(TypeError, match="SegmentedDeltaLog"):
+        Repository(engine)
+    engine.set_journal(None)
+    Repository(engine).close()
+    store = SnapshotStore(tmp_path / "store")
+    store.attach(engine)
+    repo = Repository(engine)
+    repo.apply([insert(1, 2, "a", "b")])
+    repo.flush()
+    assert repo.durable_generation == repo.generation == 1
+    repo.close()
+
+
 # ----------------------------------------------------------------------
 # cache=False and freeze_answer
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.graph.digraph import (
 from repro.graph.sharding import route_updates, stable_shard_hash
 from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
-from repro.persist import DeltaLog, PersistFormatError, SnapshotPolicy
+from repro.persist import PersistFormatError, SnapshotPolicy
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
 from repro.shardexec import shutdown_pools
@@ -392,7 +392,7 @@ class TestSegmentedDeltaLog:
         assert log.append(batch) == 1
         routed = route_updates(batch, log.shard_map)
         for index, updates in routed.items():
-            segment_entries = log.segment(index).entries()
+            segment_entries = log.segment(index)._scan(0).entries(0)
             assert [u.edge for u in segment_entries[0].delta] == [
                 u.edge for u in updates
             ]
@@ -444,6 +444,23 @@ class TestSegmentedDeltaLog:
         log.segment(1).append(Delta([insert(3, 4)]), seq=1, participants=3)
         with pytest.raises(PersistFormatError, match="participants"):
             SegmentedDeltaLog(tmp_path / "segments").entries()
+
+    def test_window_sealed_by_more_segments_than_declared_names_the_log(
+        self, tmp_path
+    ):
+        """Regression: a window sealed in two segments while its seals
+        declare one participant is corruption, and the error named no
+        file (``<segmented log>``).  It names the log directory."""
+        root = tmp_path / "segments"
+        root.mkdir()
+        for index, update in enumerate(("+ 0 1", "+ 1 0")):
+            (root / SegmentedDeltaLog.SEGMENT_FORMAT.format(index)).write_text(
+                f"%window 1\n%batch 1 2\n{update}\n%commit\n%seal 1 1\n",
+                encoding="utf-8",
+            )
+        with pytest.raises(PersistFormatError, match="sealed in 2 segments") as bad:
+            SegmentedDeltaLog(root).entries()
+        assert str(root) in str(bad.value)
 
     def test_insert_label_stabilization_across_segments(self, tmp_path):
         """A node introduced twice in one batch must get the same label
@@ -501,10 +518,10 @@ class TestSegmentedDeltaLog:
         assert fresh.append(Delta([insert(9, 9)])) == 4
 
     def test_seq_pinning_rejects_regression(self, tmp_path):
-        log = DeltaLog(tmp_path / "seg.log")
+        log = segmented(tmp_path, shards=1)
         log.append(Delta([insert(1, 2)]))
         with pytest.raises(ValueError, match="regresses"):
-            log.append(Delta([insert(3, 4)]), seq=1, participants=1)
+            log.segment(0).append(Delta([insert(3, 4)]), seq=1, participants=1)
 
     @pytest.mark.parametrize("executor", ["serial", "workers"])
     def test_append_parallelism_is_equivalent(self, tmp_path, executor):
@@ -664,8 +681,7 @@ class TestShardedSnapshots:
             tmp_path / "store",
             shard_map=shard_map if store_map == "same" else None,
         )
-        if hasattr(store.log, "executor"):
-            store.log.executor = "serial"
+        store.log.executor = "serial"
         return engine, store
 
     def assert_sessions_equal(self, recovered, reference):
@@ -728,13 +744,19 @@ class TestShardedSnapshots:
         self.assert_sessions_equal(revived, engine)
 
     def test_sharded_graph_over_monolithic_log(self, tmp_path):
-        """A sharded graph journaling into a monolithic log is a legal
-        (just unsegmented) deployment, and survives recovery."""
+        """The log follows the graph: a store opened without a map and
+        attached to a sharded graph adopts the graph's map — one
+        segment per shard — and the session survives recovery."""
         engine, store = self.build(tmp_path, store_map="none")
-        assert isinstance(store.log, DeltaLog)
+        assert store.log.shard_map is None
         store.attach(engine)
+        assert store.shard_map == store.log.shard_map == engine.graph.shard_map
         store.save(engine)
         engine.apply(Delta([delete(6, 7), insert(7, 1, "d", "a")]))
+        assert {path.name for path in store.log.root.iterdir()} >= {
+            "segment-000.log"
+        }
+        assert not (tmp_path / "store" / "deltas.log").exists()
         revived = SnapshotStore(tmp_path / "store").load(attach_journal=False)
         assert isinstance(revived.graph, ShardedGraphStore)
         self.assert_sessions_equal(revived, engine)
@@ -761,31 +783,33 @@ class TestShardedSnapshots:
                 store.load()
 
     def test_monolithic_store_refuses_segmented_reopen(self, tmp_path):
-        """Regression: reopening a store that already journals a
-        monolithic deltas.log with a shard map must refuse loudly —
-        silently switching layouts would orphan committed entries."""
-        engine = four_view_engine(
-            DiGraph(labels={1: "a", 2: "b"}, edges=[(1, 2)])
+        """A root holding a legacy monolithic deltas.log is refused by
+        every open — with or without a shard map — because journaling
+        beside it would orphan its committed entries; the refusal names
+        the one-rename migration and leaves the file untouched."""
+        root = tmp_path / "store"
+        root.mkdir()
+        legacy = root / "deltas.log"
+        legacy.write_text("%batch 1\n+ 1 2 a b\n%commit\n", encoding="utf-8")
+        for shard_map in (None, ShardMap(2)):
+            with pytest.raises(ValueError, match="orphan") as refused:
+                SnapshotStore(root, shard_map=shard_map)
+            assert "segments/segment-000.log" in str(refused.value)
+        assert legacy.read_text(encoding="utf-8") == (
+            "%batch 1\n+ 1 2 a b\n%commit\n"
         )
-        store = SnapshotStore(tmp_path / "store")
-        store.attach(engine)
-        store.save(engine)
-        engine.apply(Delta([insert(2, 3, "b", "c")]))  # journaled tail
-        with pytest.raises(ValueError, match="orphan"):
-            SnapshotStore(tmp_path / "store", shard_map=ShardMap(2))
-        # the refusal preserved everything: a plain reopen recovers it
-        revived = SnapshotStore(tmp_path / "store").load(attach_journal=False)
-        assert revived.graph == engine.graph
+        assert not (root / "segments").exists()
 
     def test_segmented_store_requires_matching_sharded_graph(self, tmp_path):
-        """Regression: a segmented store over a plain DiGraph (or a
-        differently-sharded graph) journals fine but can never recover
-        — the mismatch must be refused at attach/save time."""
+        """Regression: a 3-shard store over a plain DiGraph (whose layout
+        is one segment) or a differently-sharded graph journals fine but
+        can never recover — the mismatch must be refused at attach/save
+        time."""
         plain = four_view_engine(DiGraph(labels={1: "a"}, edges=[]))
         store = SnapshotStore(tmp_path / "store", shard_map=ShardMap(3))
-        with pytest.raises(ValueError, match="not a ShardedGraphStore"):
+        with pytest.raises(ValueError, match=r"ShardMap\(1\) \(DiGraph\) differs"):
             store.attach(plain)
-        with pytest.raises(ValueError, match="not a ShardedGraphStore"):
+        with pytest.raises(ValueError, match=r"ShardMap\(1\) \(DiGraph\) differs"):
             store.save(plain)
         mismatched = four_view_engine(
             ShardedGraphStore(shard_map=ShardMap(2), labels={1: "a"}, edges=[])

@@ -40,6 +40,7 @@ import os
 import time
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -532,9 +533,13 @@ class SnapshotStore:
                         "section", "view", name, state.kind, last_seq
                     )
                 )
-                body = [render_directive("config", *state.config)]
-                body.extend(render_record(row) for row in state.records)
-                self._write_fresh_body(stream, body)
+                self._write_fresh_body(
+                    stream,
+                    chain(
+                        (render_directive("config", *state.config),),
+                        map(render_record, state.records),
+                    ),
+                )
                 cursors[name] = last_seq
             stream.write(render_directive("end"))
             stream.flush()
@@ -553,9 +558,12 @@ class SnapshotStore:
 
     def _write_fresh_body(self, stream, lines) -> None:
         """Write freshly-rendered section body lines, packed into one
-        ``%packed`` block when the store has a codec.  Carried lines
-        never pass through here — incremental saves copy them verbatim
-        (compressed bytes are compared and copied, never re-encoded)."""
+        ``%packed`` block when the store has a codec.  ``lines`` may be a
+        lazy iterable: a plaintext store streams it line by line, so a
+        view's rendered body is never held whole; a codec store collects
+        it to compress.  Carried lines never pass through here —
+        incremental saves copy them verbatim (compressed bytes are
+        compared and copied, never re-encoded)."""
         if self.codec is None:
             for line in lines:
                 stream.write(line)

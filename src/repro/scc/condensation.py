@@ -26,7 +26,7 @@ O(satellite), not O(giant).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.cost import CostMeter, NULL_METER
 from repro.graph.digraph import DiGraph, Node
@@ -47,6 +47,10 @@ class Condensation:
     :meth:`partition` returns frozen copies for value comparisons.
     A merge keeps the largest participant's id; a split keeps the largest
     part's id; all other ids involved become invalid and raise loudly.
+
+    Write ``rank`` through :meth:`set_rank` (or :meth:`renumber`): it keeps
+    the cached lowest and highest rank exact, which is what places a fresh
+    node without scanning every component's rank.
     """
 
     members: dict[CompId, set[Node]]
@@ -55,6 +59,9 @@ class Condensation:
     pred: dict[CompId, dict[CompId, int]]
     rank: dict[CompId, float]
     _next_id: int
+    # min/max of ``rank``; None = unknown, rescanned on the next read.
+    _rank_floor: float | None = field(default=None, repr=False, compare=False)
+    _rank_ceiling: float | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -147,11 +154,13 @@ class Condensation:
     # Singleton node arrival (insertions may create new graph nodes)
     # ------------------------------------------------------------------
 
-    def add_singleton(self, node: Node) -> CompId:
+    def add_singleton(self, node: Node, above: bool = False) -> CompId:
         """Register a brand-new graph node as its own component.
 
-        A fresh node has no edges, so any rank below the current minimum
-        keeps the invariant (it will be adjusted when edges arrive).
+        A fresh node has no edges, so any rank outside the current range
+        keeps the invariant: one below the lowest rank by default, one
+        above the highest with ``above=True`` (for a node about to gain an
+        outgoing edge).  Both extremes are cached, so this costs O(1).
         """
         if node in self.comp_of:
             raise CondensationError(f"node {node!r} already belongs to a component")
@@ -160,8 +169,10 @@ class Condensation:
         self.comp_of[node] = comp
         self.succ[comp] = {}
         self.pred[comp] = {}
-        floor = min(self.rank.values(), default=0.0)
-        self.rank[comp] = floor - 1.0
+        if above:
+            self.set_rank(comp, self._extreme_rank(highest=True) + 1)
+        else:
+            self.set_rank(comp, self._extreme_rank(highest=False) - 1.0)
         return comp
 
     # ------------------------------------------------------------------
@@ -221,8 +232,8 @@ class Condensation:
             del self.members[comp]
             del self.succ[comp]
             del self.pred[comp]
-            del self.rank[comp]
-        self.rank[host] = new_rank
+            self._drop_rank(comp)
+        self.set_rank(host, new_rank)
         return host
 
     # ------------------------------------------------------------------
@@ -272,7 +283,7 @@ class Condensation:
                 moved_nodes.append((node, new_id))
         self.members[comp] = set(parts_reverse_topological[host_position])
         for position, new_id in enumerate(new_ids):
-            self.rank[new_id] = new_ranks[position]
+            self.set_rank(new_id, new_ranks[position])
 
         # Counter fix-up from the moved nodes' incident edges only.
         for node, node_comp in moved_nodes:
@@ -378,6 +389,46 @@ class Condensation:
         total = len(order)
         for position, comp in enumerate(order):
             self.rank[comp] = float(total - position)
+        self._rank_floor = self._rank_ceiling = None
+
+    def set_rank(self, comp: CompId, value: float) -> None:
+        """Write one component's rank, keeping the cached extremes exact:
+        an extreme is forgotten only when the rank holding it moves
+        inward."""
+        old = self.rank.get(comp)
+        self.rank[comp] = value
+        floor, ceiling = self._rank_floor, self._rank_ceiling
+        if floor is not None:
+            if value <= floor:
+                self._rank_floor = value
+            elif old == floor:
+                self._rank_floor = None
+        if ceiling is not None:
+            if value >= ceiling:
+                self._rank_ceiling = value
+            elif old == ceiling:
+                self._rank_ceiling = None
+
+    def _drop_rank(self, comp: CompId) -> None:
+        old = self.rank.pop(comp)
+        if old == self._rank_floor:
+            self._rank_floor = None
+        if old == self._rank_ceiling:
+            self._rank_ceiling = None
+
+    def _extreme_rank(self, highest: bool) -> float:
+        """The highest or lowest rank (0.0 with no components), scanning
+        every rank only when the cached value was forgotten."""
+        cached = self._rank_ceiling if highest else self._rank_floor
+        if cached is not None:
+            return cached
+        if not self.rank:
+            return 0.0
+        if highest:
+            self._rank_ceiling = max(self.rank.values())
+            return self._rank_ceiling
+        self._rank_floor = min(self.rank.values())
+        return self._rank_floor
 
     # ------------------------------------------------------------------
     # Validation (tests + defensive fallback)

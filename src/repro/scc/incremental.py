@@ -1,16 +1,17 @@
 """IncSCC — bounded incremental SCC maintenance relative to Tarjan
 (paper Section 5.3, Figures 6-7, Examples 6-9).
 
-:class:`SCCIndex` owns a graph plus Tarjan's auxiliary structures (num,
-lowlink, per-component edge classification) and the contracted graph G_c
-with topological ranks, and repairs all of them under updates:
+:class:`SCCIndex` owns a graph plus the one Tarjan auxiliary structure
+the algorithms read (the edge classification inside each component, for
+the reverse-frond deletion path) and the contracted graph G_c with
+topological ranks, and repairs all of them under updates:
 
 * **IncSCC+** (:meth:`SCCIndex.insert_edge`, paper Fig. 7): an insertion
-  within one component only refreshes num/lowlink locally; an insertion
-  respecting the rank order just bumps a G_c counter; a rank-violating
-  insertion triggers the bounded bidirectional search DFSf/DFSb over G_c,
-  a cycle check on the affected area, and either a component merge or
-  ``reallocRank``.
+  within one component only marks its edge classification stale; an
+  insertion respecting the rank order just bumps a G_c counter; a
+  rank-violating insertion triggers the bounded bidirectional search
+  DFSf/DFSb over G_c, a cycle check on the affected area, and either a
+  component merge or ``reallocRank``.
 * **IncSCC−** (:meth:`SCCIndex.delete_edge`): an inter-component deletion
   decrements a counter; an intra-component deletion of a *reverse frond*
   is simply dropped (the DFS tree path witnesses reachability —
@@ -25,10 +26,10 @@ with topological ranks, and repairs all of them under updates:
   grouped intra/deletion phases are where the batch savings shown in the
   paper's ablation arise (see DESIGN.md).
 
-``num``/``lowlink`` values are unique *within* each component's latest
-(re-)computation, which is the scope in which the algorithms consult
-them; global uniqueness across components is not maintained after local
-repairs.
+Tarjan's ``num``/``lowlink`` are not kept: every restricted Tarjan run
+recomputes them from scratch, and nothing between runs reads them.  The
+edge classification is kept only for components with intra-component
+edges, from each component's latest (re-)computation.
 
 ΔO is reported as ``(added_components, removed_components)`` per the
 paper's definition ``SCC(G ⊕ ΔG) = SCC(G) ⊕ ΔO``.
@@ -46,6 +47,8 @@ above it or below it and stay on the correct side).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta, Update
@@ -71,21 +74,15 @@ class SCCIndex:
         self._split_view: DiGraph | "_EdgeOverlay" = graph
         result = tarjan_scc(graph, meter=meter)
         self.cond = Condensation.from_tarjan(graph, result)
-        self.num: dict[Node, int] = dict(result.num)
-        self.lowlink: dict[Node, int] = dict(result.lowlink)
-        # Edge classification per component, from that component's latest
-        # Tarjan pass; consulted by the reverse-frond deletion fast path.
-        self._edge_kinds: dict[CompId, dict[Edge, EdgeKind]] = {
-            comp_id: {} for comp_id in self.cond.members
-        }
-        comp_of = self.cond.comp_of
-        for edge, kind in result.edge_kinds.items():
-            comp_id = comp_of[edge[0]]
-            if comp_of[edge[1]] == comp_id:
-                self._edge_kinds[comp_id][edge] = kind
-        # Components whose num/lowlink/edge-kind caches are out of date.
-        # Partition correctness never depends on them; they are refreshed
-        # by the next restricted Tarjan that actually needs them.
+        # Intra-component edge classification per component, from that
+        # component's latest Tarjan pass; consulted by the reverse-frond
+        # deletion fast path.  A component without intra-component edges
+        # has no entry.  from_tarjan numbers components by emission index.
+        self._edge_kinds: dict[CompId, dict[Edge, EdgeKind]] = {}
+        self._keep_edge_kinds(range(len(result.components)), result)
+        # Components whose edge-kind caches are out of date.  Partition
+        # correctness never depends on them; they are refreshed by the
+        # next restricted Tarjan that actually needs them.
         self._stale: set[CompId] = set()
 
     # ------------------------------------------------------------------
@@ -148,16 +145,7 @@ class SCCIndex:
             if mutate_graph:
                 label_key = "source_label" if is_source else "target_label"
                 self.graph.add_node(node, label=labels.get(label_key, ""))
-            comp = self.cond.add_singleton(node)
-            if is_source:
-                ceiling = max(
-                    (rank for cid, rank in self.cond.rank.items() if cid != comp),
-                    default=0.0,
-                )
-                self.cond.rank[comp] = ceiling + 1
-            self.num[node] = 0
-            self.lowlink[node] = 0
-            self._edge_kinds[comp] = {}
+            self.cond.add_singleton(node, above=is_source)
             added.add(frozenset([node]))
         return added
 
@@ -261,7 +249,7 @@ class SCCIndex:
 
     def _set_rank(self, comp: CompId, value: float) -> None:
         if self.cond.rank[comp] != value:
-            self.cond.rank[comp] = value
+            self.cond.set_rank(comp, value)
             self.meter.write()
 
     # ------------------------------------------------------------------
@@ -297,30 +285,15 @@ class SCCIndex:
         and split if strong connectivity was lost."""
         members = frozenset(self.cond.component_nodes(comp))
         result = tarjan_scc(self.graph, meter=self.meter, restrict_to=members)
-        self._absorb_local_run(result)
-        if len(result.components) == 1:
-            # Still one SCC: structures refreshed, output unchanged.
-            self._edge_kinds[comp] = dict(result.edge_kinds)
-            self._stale.discard(comp)
-            return set(), set()
-        removed = {members}
-        parts = list(result.components)  # emission order = reverse topological
-        new_ids = self.cond.split(comp, parts, self._split_view, meter=self.meter)
-        self._edge_kinds.pop(comp, None)
         self._stale.discard(comp)
-        part_of = {
-            node: position
-            for position, part in enumerate(parts)
-            for node in part
-        }
-        buckets: list[dict[Edge, EdgeKind]] = [{} for _ in parts]
-        for edge, kind in result.edge_kinds.items():
-            position = part_of[edge[0]]
-            if part_of[edge[1]] == position:
-                buckets[position][edge] = kind
-        for new_id, bucket in zip(new_ids, buckets):
-            self._edge_kinds[new_id] = bucket
-        return set(parts), removed
+        parts = result.components  # emission order = reverse topological
+        if len(parts) == 1:
+            # Still one SCC: edge kinds refreshed, output unchanged.
+            self._keep_edge_kinds([comp], result)
+            return set(), set()
+        new_ids = self.cond.split(comp, parts, self._split_view, meter=self.meter)
+        self._keep_edge_kinds(new_ids, result)
+        return set(parts), {members}
 
     def _still_reaches(self, comp: CompId, source: Node, target: Node) -> bool:
         """chkReach: does ``source`` still reach ``target`` inside the
@@ -527,9 +500,9 @@ class SCCIndex:
         ``(comp_id, rank, member...)`` with the float rank carried as its
         ``repr`` string (ranks need only stay unique and ordered;
         ``repr`` round-trips floats exactly).  Inter-edge counters are
-        derived by one edge scan on restore, and the num/lowlink/
-        edge-kind caches are deliberately dropped — the partition never
-        depends on them, so the restored index starts with every
+        derived by one edge scan on restore, and the edge-kind caches
+        are deliberately dropped — the partition never depends on
+        them, so the restored index starts with every
         component marked stale and rebuilds caches lazily, exactly like
         a component after an in-place intra-component insertion.
         """
@@ -588,8 +561,6 @@ class SCCIndex:
             rank=rank,
             _next_id=int(state.config[0]),
         )
-        index.num = {}
-        index.lowlink = {}
         index._edge_kinds = {}
         index._stale = set(members)
         return index
@@ -599,7 +570,7 @@ class SCCIndex:
     # ------------------------------------------------------------------
 
     def _mark_stale(self, comp: CompId) -> None:
-        """Invalidate a component's num/lowlink/edge-kind caches.
+        """Invalidate a component's edge-kind cache.
 
         The partition itself stays exact; stale caches only disable the
         reverse-frond deletion fast path until the next restricted Tarjan
@@ -609,18 +580,28 @@ class SCCIndex:
         self._edge_kinds.pop(comp, None)
 
     def refresh_component(self, comp: CompId) -> None:
-        """Eagerly rebuild one component's caches (public hook; the
-        algorithms themselves refresh lazily)."""
+        """Eagerly rebuild one component's edge-kind cache (public hook;
+        the algorithms themselves refresh lazily)."""
         members = self.cond.component_nodes(comp)
         result = tarjan_scc(self.graph, meter=self.meter, restrict_to=members)
-        self._absorb_local_run(result)
-        self._edge_kinds[comp] = dict(result.edge_kinds)
+        self._keep_edge_kinds([comp], result)
         self._stale.discard(comp)
 
-    def _absorb_local_run(self, result: TarjanResult) -> None:
-        self.num.update(result.num)
-        self.lowlink.update(result.lowlink)
-        self.meter.write(2 * len(result.num))
+    def _keep_edge_kinds(
+        self, comp_ids: Sequence[CompId], result: TarjanResult
+    ) -> None:
+        """File a Tarjan run's edge kinds under the components it emitted
+        (``comp_ids[i]`` is emitted component ``i``), replacing their old
+        maps.  A component without intra-component edges gets no map."""
+        for comp_id in comp_ids:
+            self._edge_kinds.pop(comp_id, None)
+        component_of = result.component_of
+        for edge, kind in result.edge_kinds.items():
+            comp_id = comp_ids[component_of[edge[0]]]
+            kinds = self._edge_kinds.get(comp_id)
+            if kinds is None:
+                kinds = self._edge_kinds[comp_id] = {}
+            kinds[edge] = kind
 
     def check_consistency(self) -> None:
         """Audit every maintained structure against recomputation."""

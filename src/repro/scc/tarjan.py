@@ -13,6 +13,17 @@ topological order, so ranking components by emission order yields the
 invariant ``r(u) > r(v)`` for every inter-component edge ``(u, v)`` — the
 property IncSCC+ capitalizes on (Fig. 7).
 
+The classification is kept for *intra-component* edges only: IncSCC's
+reverse-frond deletion path (Example 8) consults it inside one component,
+and an inter-component edge is tracked by G_c's counters instead.  The
+DFS knows which side an edge falls on without buffering: a non-tree edge
+whose target is still on Tarjan's stack stays inside the current
+component, and a tree arc does when its child returns without having
+emitted a component.
+
+``num``/``lowlink`` are returned for callers that inspect one run; the
+incremental index does not keep them.
+
 The implementation is iterative (explicit stacks) so graph size is not
 limited by Python's recursion limit.
 """
@@ -42,7 +53,9 @@ class TarjanResult:
     ``components`` are frozen node sets in *emission order* — reverse
     topological order of the condensation, which doubles as the initial
     topological rank assignment (component i gets rank i; see
-    :mod:`repro.scc.condensation`).
+    :mod:`repro.scc.condensation`).  ``edge_kinds`` classifies exactly the
+    edges whose endpoints share a component; an edge between components
+    never appears in it.
     """
 
     components: list[frozenset[Node]] = field(default_factory=list)
@@ -113,7 +126,7 @@ def tarjan_scc(
                 cursor += 1
                 meter.traverse_edge()
                 if successor not in num:
-                    edge_kinds[(node, successor)] = EdgeKind.TREE_ARC
+                    # A tree arc: classified when the child returns.
                     num[successor] = lowlink[successor] = counter
                     counter += 1
                     meter.visit_node(successor)
@@ -127,16 +140,20 @@ def tarjan_scc(
                     )
                     advanced = True
                     break
-                # Already discovered: classify and maybe update lowlink.
-                if successor in ancestors:
-                    edge_kinds[(node, successor)] = EdgeKind.FROND
-                elif num[successor] > num[node]:
-                    edge_kinds[(node, successor)] = EdgeKind.REVERSE_FROND
-                else:
-                    edge_kinds[(node, successor)] = EdgeKind.CROSS_LINK
-                if successor in on_stack and num[successor] < lowlink[node]:
-                    lowlink[node] = num[successor]
-                    meter.write()
+                # Already discovered.  A target still on the stack is in
+                # the current component: classify it and maybe update
+                # lowlink.  A target off the stack sits in a component
+                # emitted earlier, so the edge is inter-component.
+                if successor in on_stack:
+                    if successor in ancestors:
+                        edge_kinds[(node, successor)] = EdgeKind.FROND
+                    elif num[successor] > num[node]:
+                        edge_kinds[(node, successor)] = EdgeKind.REVERSE_FROND
+                    else:
+                        edge_kinds[(node, successor)] = EdgeKind.CROSS_LINK
+                    if num[successor] < lowlink[node]:
+                        lowlink[node] = num[successor]
+                        meter.write()
             if advanced:
                 continue
             call_stack.pop()
@@ -146,6 +163,10 @@ def tarjan_scc(
                 if lowlink[node] < lowlink[parent]:
                     lowlink[parent] = lowlink[node]
                     meter.write()
+                if lowlink[node] < num[node]:
+                    # Not a root: node stays on the stack, in its parent's
+                    # component.
+                    edge_kinds[(parent, node)] = EdgeKind.TREE_ARC
             if lowlink[node] == num[node]:
                 # node is the root of an SCC: pop the component.
                 component: list[Node] = []

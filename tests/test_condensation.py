@@ -1,6 +1,8 @@
 """Focused tests for the contracted graph G_c: merge-into-host, split
 with host-keeping counters, rank interpolation and renumbering."""
 
+import random
+
 import pytest
 
 from repro.graph import DiGraph
@@ -164,6 +166,28 @@ class TestRanks:
         )
         with pytest.raises(CondensationError):
             cond.add_singleton(99)
+
+    def test_cached_extremes_follow_every_rank_write(self):
+        # Random writes that move extremes in and out (ties included),
+        # drops and fresh singletons above and below: the cached floor
+        # and ceiling must equal a full scan after every step.
+        rng = random.Random(3)
+        cond = build(DiGraph(labels={i: "x" for i in range(6)},
+                             edges=[(0, 1), (1, 2), (3, 4)]))
+        fresh = 100
+        for _ in range(2000):
+            roll = rng.random()
+            comps = list(cond.rank)
+            if roll < 0.6:
+                value = rng.choice([*cond.rank.values(), rng.uniform(-20.0, 20.0)])
+                cond.set_rank(rng.choice(comps), value)
+            elif roll < 0.75 and len(comps) > 2:
+                cond._drop_rank(rng.choice(comps))
+            else:
+                cond.add_singleton(fresh, above=rng.random() < 0.5)
+                fresh += 1
+            assert cond._extreme_rank(highest=False) == min(cond.rank.values())
+            assert cond._extreme_rank(highest=True) == max(cond.rank.values())
 
     def test_components_in_rank_order(self):
         g = DiGraph(labels={i: "x" for i in range(3)}, edges=[(0, 1), (1, 2)])

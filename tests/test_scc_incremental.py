@@ -10,7 +10,7 @@ from repro.core.delta import Delta, delete, insert
 from repro.graph import DiGraph
 from repro.graph.generators import label_alphabet, uniform_random_graph
 from repro.graph.updates import random_delta
-from repro.scc import DynSCC, SCCIndex, inc_scc_n, tarjan_scc
+from repro.scc import Condensation, DynSCC, SCCIndex, inc_scc_n, tarjan_scc
 
 ALPHABET = label_alphabet(6)
 
@@ -284,3 +284,94 @@ class TestRelativeBoundedness:
             index.delete_edge(1, 0)   # split back
             costs.append(meter.total())
         assert costs[2] <= costs[0] * 3  # flat, not linear in |G|
+
+
+class _UncachedCondensation(Condensation):
+    """The rank rule without the cached extremes: every read rescans."""
+
+    def _extreme_rank(self, highest: bool) -> float:
+        self._rank_floor = self._rank_ceiling = None
+        return super()._extreme_rank(highest)
+
+
+class _ScanCountingRanks(dict):
+    """A rank map that counts whole-map scans."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestFreshNodeRanks:
+    def test_cached_extremes_give_the_uncached_ranks(self):
+        # Fresh sources and targets interleaved with merges, splits and
+        # renumbering: the cached floor/ceiling must place every fresh
+        # node exactly where a full scan would.
+        graph = uniform_random_graph(50, 130, ALPHABET, seed=21)
+        cached, uncached = SCCIndex(graph.copy()), SCCIndex(graph.copy())
+        uncached.cond.__class__ = _UncachedCondensation
+        rng = random.Random(21)
+        merges = splits = 0
+        for step in range(40):
+            batch = random_delta(
+                cached.graph, 10, rho=1.5, seed=step, new_node_fraction=0.3
+            )
+            nodes = list(cached.graph.nodes())
+            fresh = 1 + max(*nodes, *(update.target for update in batch))
+            for offset in range(3):
+                target = rng.choice(nodes)
+                batch.updates.append(
+                    insert(
+                        fresh + offset,
+                        target,
+                        source_label="L0",
+                        target_label=cached.graph.label(target),
+                    )
+                )
+            added, removed = cached.apply(batch)
+            assert uncached.apply(batch) == (added, removed)
+            merges += any(old < new for old in removed for new in added)
+            splits += any(new < old for old in removed for new in added)
+            if step % 10 == 9:
+                cached.cond.renumber()
+                uncached.cond.renumber()
+            assert cached.cond.rank == uncached.cond.rank
+        assert merges and splits
+        cached.check_consistency()
+
+    def test_fresh_node_batch_scans_ranks_a_bounded_number_of_times(self):
+        # 1 600 fresh sources (and 400 fresh targets) in one batch: each
+        # used to rescan every component's rank, O(|G_c|) per fresh node.
+        graph = uniform_random_graph(400, 1200, ALPHABET, seed=5)
+        index = SCCIndex(graph)
+        ranks = _ScanCountingRanks(index.cond.rank)
+        index.cond.rank = ranks
+        nodes = sorted(graph.nodes())
+        fresh = nodes[-1] + 1
+        updates = [
+            insert(fresh + i, nodes[i % len(nodes)], source_label="L0",
+                   target_label=graph.label(nodes[i % len(nodes)]))
+            for i in range(1600)
+        ]
+        updates += [
+            insert(nodes[i], fresh + 1600 + i, source_label=graph.label(nodes[i]),
+                   target_label="L0")
+            for i in range(400)
+        ]
+        index.apply(Delta(updates))
+        assert ranks.scans <= 4
+        index.check_consistency()

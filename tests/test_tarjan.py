@@ -104,10 +104,42 @@ class TestEdgeClassification:
         tree_targets = [e[1] for e, k in result.edge_kinds.items() if k is EdgeKind.TREE_ARC]
         assert len(tree_targets) == len(set(tree_targets))  # one parent each
 
-    def test_every_edge_classified(self):
+    def test_every_intra_component_edge_classified_and_no_inter(self):
+        # G_c's counters track inter-component edges; the classification
+        # holds exactly the edges inside one component.
+        for seed in (8, 11, 12, 13):
+            g = uniform_random_graph(30, 90, ALPHABET, seed=seed)
+            result = tarjan_scc(g)
+            component_of = result.component_of
+            intra = {(s, t) for s, t in g.edges() if component_of[s] == component_of[t]}
+            assert 0 < len(intra) < g.num_edges  # the graph mixes both kinds
+            assert set(result.edge_kinds) == intra
+            # Per kind: fronds point to an earlier node, reverse fronds to
+            # a later one, cross-links to an earlier one; the tree arcs
+            # kept span each component (|C| - 1 of them), as Tarjan's DFS
+            # subtree does.
+            num = result.num
+            for (source, target), kind in result.edge_kinds.items():
+                if kind is EdgeKind.FROND:
+                    assert num[target] <= num[source]
+                elif kind is EdgeKind.REVERSE_FROND:
+                    assert num[target] > num[source]
+                elif kind is EdgeKind.CROSS_LINK:
+                    assert num[target] < num[source]
+            tree_arcs = [e for e, k in result.edge_kinds.items() if k is EdgeKind.TREE_ARC]
+            assert len(tree_arcs) == sum(len(c) - 1 for c in result.components)
+
+    def test_restricted_run_classifies_only_its_components(self):
         g = uniform_random_graph(30, 90, ALPHABET, seed=8)
-        result = tarjan_scc(g)
-        assert set(result.edge_kinds) == set(g.edges())
+        largest = max(tarjan_scc(g).components, key=len)
+        scope = largest | frozenset(list(g.nodes())[:5])
+        result = tarjan_scc(g, restrict_to=scope)
+        component_of = result.component_of
+        assert set(result.edge_kinds) == {
+            (s, t)
+            for s, t in g.edges()
+            if s in scope and t in scope and component_of[s] == component_of[t]
+        }
 
     def test_frond_goes_to_smaller_num(self):
         g = uniform_random_graph(30, 90, ALPHABET, seed=9)

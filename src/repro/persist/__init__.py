@@ -32,6 +32,7 @@ from repro.persist.format import (
 )
 from repro.persist.snapshot import (
     LoadReport,
+    SaveReport,
     SnapshotPolicy,
     SnapshotStore,
     load_session,
@@ -47,6 +48,7 @@ __all__ = [
     "PersistFormatError",
     "SNAPSHOT_CODECS",
     "SUPPORTED_VERSIONS",
+    "SaveReport",
     "SegmentedDeltaLog",
     "SnapshotPolicy",
     "SnapshotStore",

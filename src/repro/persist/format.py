@@ -491,10 +491,13 @@ class ViewSection(NamedTuple):
 class SnapshotSections:
     """A snapshot file split into sections, its structure validated.
 
-    Incremental saves carry clean view bodies and the whole graph
-    portion (base records plus any accumulated ``%graphdiff`` chunks)
-    into the next snapshot by literal line copy; ``load()`` parses the
-    same bodies into the graph and each view's state.
+    ``load()`` parses these bodies into the graph and each view's state.
+    An incremental save reads them only as its fallback: it carries
+    clean view bodies and the whole graph portion (base records plus any
+    accumulated ``%graphdiff`` chunks) by byte range from the file the
+    store wrote last, and splits the previous file — then copies these
+    lines — only when it has no layout for it (a fresh store, the first
+    save after ``load()``, a file replaced or touched out of band).
     """
 
     #: Format version of the source file.
@@ -519,7 +522,8 @@ class SnapshotSections:
 
 def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSections:
     """Split a snapshot file's raw lines into sections — the one reader
-    of the snapshot grammar, serving both incremental saves and load.
+    of the snapshot grammar, serving load and the incremental save's
+    fallback carry.
 
     Returns a :class:`SnapshotSections` whose bodies are the raw lines
     **verbatim** (newline-terminated), ready to be copied into a new

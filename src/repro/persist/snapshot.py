@@ -36,13 +36,15 @@ Example — snapshot a session, lose the process, recover::
 
 from __future__ import annotations
 
+import codecs
 import os
 import time
 import weakref
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, NamedTuple, Optional, Union
 
 from repro.core.cost import CostMeter
 from repro.core.delta import InvalidDeltaError, concat
@@ -85,6 +87,7 @@ PathLike = Union[str, Path]
 
 __all__ = [
     "LoadReport",
+    "SaveReport",
     "SnapshotPolicy",
     "SnapshotStore",
     "load_session",
@@ -139,6 +142,52 @@ class LoadReport:
     entries_replayed: int = 0
     entries_delivered: int = 0
     completed: bool = False
+
+
+@dataclass(frozen=True)
+class SaveReport:
+    """What one :meth:`SnapshotStore.save` read, copied and wrote.
+
+    ``lines_parsed`` counts the previous file's lines read through
+    :func:`~repro.persist.format.split_snapshot_sections` — 0 on a full
+    save and on every incremental save that carried by byte range.
+    ``bytes_carried`` counts the section-body bytes copied from the
+    previous file.  ``sections_carried`` and ``sections_rendered`` count
+    section bodies copied and written fresh; the graph section counts
+    once, as carried when its previous body was copied (a fresh
+    ``%graphdiff`` chunk may follow it).  ``seconds`` is the wall time
+    from entry to the durable rename (a ``compact=True`` compaction
+    afterwards is not included).
+    """
+
+    lines_parsed: int = 0
+    bytes_carried: int = 0
+    sections_carried: int = 0
+    sections_rendered: int = 0
+    seconds: float = 0.0
+
+
+#: A carryable section body: its ``[start, end)`` byte span in the file
+#: this store wrote last, or its lines as :func:`split_snapshot_sections`
+#: returned them.
+Body = Union[tuple[int, int], list[str]]
+
+#: Bytes one read of a byte-range carry moves (the carry's only buffer).
+CARRY_CHUNK_BYTES = 1 << 16
+
+
+class _PreviousFile(NamedTuple):
+    """What an incremental save may carry from the snapshot on disk."""
+
+    last_seq: int
+    graphdiff_chunks: int
+    graph: Body
+    #: ``{view_name: (kind, replay cursor, body)}`` in file order.
+    views: dict[str, tuple[str, int, Body]]
+
+
+def _file_identity(stat: os.stat_result) -> tuple[int, int, int, int]:
+    return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 @dataclass
@@ -333,6 +382,14 @@ class SnapshotStore:
         self._last_saved_seq: Optional[int] = None
         #: Phase breakdown of the most recent :meth:`load` (None before).
         self.last_load_report: Optional[LoadReport] = None
+        #: Counts of the most recent :meth:`save` (None before the first
+        #: and after a save that raised).
+        self.last_save_report: Optional[SaveReport] = None
+        # The layout of the file this store wrote last: its identity
+        # (st_dev, st_ino, st_size, st_mtime_ns) and every body's byte
+        # span.  While the file on disk still has that identity, an
+        # incremental save copies byte ranges instead of re-reading it.
+        self._layout: Optional[tuple[tuple[int, int, int, int], _PreviousFile]] = None
         #: Node set of the on-disk snapshot's graph (the compaction-floor
         #: state), set by save()/load() wherever they set
         #: ``_last_saved_seq``, so compact_log() never re-parses the file.
@@ -441,11 +498,20 @@ class SnapshotStore:
         With ``incremental=True`` only *dirty* views (per
         :meth:`~repro.engine.session.Engine.dirty_views` — views that
         absorbed changes since the last save) are re-serialized through
-        their ``snapshot()``; every clean view's section is carried
-        forward from the previous snapshot file by literal line copy
-        (sound because view snapshots are canonical — an unchanged view
-        would re-render the same bytes), keeping the replay cursor it
-        was originally serialized at.  The **graph section goes
+        their ``snapshot()``; every clean view's body is carried forward
+        from the previous snapshot file unchanged (sound because view
+        snapshots are canonical — an unchanged view would re-render the
+        same bytes), keeping the replay cursor it was originally
+        serialized at.  **Carry is by byte range**: every save records
+        the identity of the file it wrote and each body's byte span, and
+        while the file on disk keeps that identity the next incremental
+        save parses nothing — it copies the spans through a bounded
+        buffer.  With no such layout (a fresh store, the first save
+        after :meth:`load`, a file another writer replaced or touched)
+        the save falls back to :func:`split_snapshot_sections` and copies
+        the bodies line by line, recording the layout for the next save;
+        a file that reader refuses is never carried from.  Either way
+        the carried bytes are the same.  The **graph section goes
         incremental too**: when the previous file is this store's own
         current capture and the engine has journaled here uninterrupted,
         the previous graph portion is carried verbatim and a
@@ -458,8 +524,11 @@ class SnapshotStore:
         distinguish the two.  Falls back to a full write per view (and
         per graph) whenever carry provenance cannot be established —
         which is always sound.  Either way the save marks every view
-        clean.
+        clean, and :attr:`last_save_report` counts what it parsed,
+        carried and rendered.
         """
+        self.last_save_report = None
+        started = time.perf_counter()
         self._bind_layout(engine)
         # A save is a durability point: the open group-commit window, if
         # any, seals first — the stamped last-seq must cover every batch
@@ -469,27 +538,23 @@ class SnapshotStore:
         # recovery).
         self.log.flush()
         last_seq = self.log.last_seq()
-        previous: Optional[SnapshotSections] = None
-        carried_names: frozenset[str] = frozenset()
-        graph_plan = None
-        if (
-            incremental
-            and self._holds_current_capture(engine)
-            and self.snapshot_path.exists()
-        ):
-            try:
-                with open(self.snapshot_path, "r", encoding="utf-8") as stream:
-                    previous = split_snapshot_sections(
-                        stream, source=str(self.snapshot_path)
-                    )
-            except PersistFormatError:
-                pass  # carry nothing: every section written fresh heals it
-            else:
-                carried_names = frozenset(previous.views) - engine.dirty_views()
-                graph_plan = self._plan_graph_carry(engine, previous, last_seq)
-        cursors: dict[str, int] = {}
+        bytes_carried = sections_carried = 0
+        views: dict[str, tuple[str, int, Body]] = {}  # the new file's layout
         temp = self.snapshot_path.with_suffix(".tmp")
-        with open(temp, "w", encoding="utf-8") as stream:
+        with ExitStack() as stack:
+            previous, source, lines_parsed = (
+                self._previous_file(stack)
+                if incremental and self._holds_current_capture(engine)
+                else (None, None, 0)
+            )
+            carried_names: frozenset[str] = frozenset()
+            diff_lines: Optional[list[str]] = None  # None: a fresh graph base
+            if previous is not None:
+                carried_names = frozenset(previous.views) - engine.dirty_views()
+                diff_lines = self._plan_graph_carry(
+                    engine, previous.graphdiff_chunks, previous.last_seq, last_seq
+                )
+            stream = stack.enter_context(open(temp, "w", encoding="utf-8"))
             stream.write(render_directive(SNAPSHOT_MAGIC, FORMAT_VERSION))
             stream.write(render_directive("meta", "last-seq", last_seq))
             if self.codec is not None:
@@ -502,68 +567,131 @@ class SnapshotStore:
                 stream.write(render_sharding_meta(engine.graph.shard_map))
                 stream.write(render_shard_split_meta(engine.graph.shard_map))
             stream.write(render_directive("section", "graph"))
-            if graph_plan is None:
+            start = stream.tell()
+            if diff_lines is None:
                 self._write_fresh_body(stream, graph_record_lines(engine.graph))
+                graphdiff_chunks = 0
             else:
-                carried_graph, diff_lines = graph_plan
-                stream.writelines(carried_graph)
+                assert previous is not None  # a diff plan implies a carry
+                _carry_body(stream, previous.graph, source)
+                bytes_carried += stream.tell() - start
+                sections_carried += 1
+                graphdiff_chunks = previous.graphdiff_chunks
                 if diff_lines:
                     stream.write(render_directive("graphdiff", last_seq))
                     self._write_fresh_body(stream, diff_lines)
+                    graphdiff_chunks += 1
+            graph = (start, stream.tell())
             for name in engine.names():
                 if name in carried_names:
-                    section = previous.views[name]
-                    cursor = (
-                        section.cursor
-                        if section.cursor is not None
-                        else previous.last_seq  # v1 sections predate cursors
-                    )
+                    assert previous is not None  # names come from its views
+                    kind, cursor, body = previous.views[name]
                     stream.write(
-                        render_directive(
-                            "section", "view", name, section.kind, cursor
-                        )
+                        render_directive("section", "view", name, kind, cursor)
                     )
-                    stream.writelines(section.body)
-                    cursors[name] = cursor
-                    continue
-                view = engine.view(name)  # materializes lazy views
-                state = view.snapshot()
-                stream.write(
-                    render_directive(
-                        "section", "view", name, state.kind, last_seq
+                    start = stream.tell()
+                    _carry_body(stream, body, source)
+                    bytes_carried += stream.tell() - start
+                    sections_carried += 1
+                else:
+                    state = engine.view(name).snapshot()  # materializes lazy views
+                    kind, cursor = state.kind, last_seq
+                    stream.write(
+                        render_directive("section", "view", name, kind, cursor)
                     )
-                )
-                self._write_fresh_body(
-                    stream,
-                    chain(
-                        (render_directive("config", *state.config),),
-                        map(render_record, state.records),
-                    ),
-                )
-                cursors[name] = last_seq
+                    start = stream.tell()
+                    self._write_fresh_body(
+                        stream,
+                        chain(
+                            (render_directive("config", *state.config),),
+                            map(render_record, state.records),
+                        ),
+                    )
+                views[name] = (kind, cursor, (start, stream.tell()))
             stream.write(render_directive("end"))
             stream.flush()
             os.fsync(stream.fileno())
+            identity = _file_identity(os.fstat(stream.fileno()))
         os.replace(temp, self.snapshot_path)
         fsync_directory(self.root)  # the rename must be durable before
         engine.mark_views_clean()   # every section is now on disk
         self._note_capture(engine)
-        self._cursors = cursors
+        self._layout = (
+            identity,
+            _PreviousFile(last_seq, graphdiff_chunks, graph, views),
+        )
+        self._cursors = {name: cursor for name, (_, cursor, _) in views.items()}
         self._last_saved_seq = last_seq
         # the file just written captures exactly the current graph
         self._floor_nodes = frozenset(engine.graph.nodes())
+        self.last_save_report = SaveReport(
+            lines_parsed=lines_parsed,
+            bytes_carried=bytes_carried,
+            sections_carried=sections_carried,
+            sections_rendered=1 + len(views) - sections_carried,
+            seconds=time.perf_counter() - started,
+        )
         if compact:                 # the log below it is compacted
             self.compact_log(engine)
         return self.snapshot_path
+
+    def _previous_file(
+        self, stack: ExitStack
+    ) -> tuple[Optional[_PreviousFile], Optional[BinaryIO], int]:
+        """The snapshot on disk as an incremental save may carry from it,
+        the handle its byte spans are copied from, and the number of its
+        lines parsed to get there.
+
+        While the file keeps the identity this store recorded when it
+        wrote it, the recorded layout answers and nothing is parsed.
+        Otherwise :func:`split_snapshot_sections` reads it and its bodies
+        are carried as lines.  No file, or one that reader refuses,
+        carries nothing: every section written fresh heals it."""
+        try:
+            source = stack.enter_context(open(self.snapshot_path, "rb"))
+        except FileNotFoundError:
+            return None, None, 0
+        if self._layout is not None:
+            identity, layout = self._layout
+            if _file_identity(os.fstat(source.fileno())) == identity:
+                return layout, source, 0
+        parsed = 0
+
+        def counted(lines):
+            nonlocal parsed
+            for line in lines:
+                parsed += 1
+                yield line
+
+        try:
+            with open(self.snapshot_path, "r", encoding="utf-8") as stream:
+                sections = split_snapshot_sections(
+                    counted(stream), source=str(self.snapshot_path)
+                )
+        except PersistFormatError:
+            return None, None, parsed
+        views: dict[str, tuple[str, int, Body]] = {
+            name: (
+                section.kind,
+                # v1 sections predate cursors
+                sections.last_seq if section.cursor is None else section.cursor,
+                section.body,
+            )
+            for name, section in sections.views.items()
+        }
+        previous = _PreviousFile(
+            sections.last_seq, sections.graphdiff_chunks, sections.graph_lines, views
+        )
+        return previous, None, parsed
 
     def _write_fresh_body(self, stream, lines) -> None:
         """Write freshly-rendered section body lines, packed into one
         ``%packed`` block when the store has a codec.  ``lines`` may be a
         lazy iterable: a plaintext store streams it line by line, so a
         view's rendered body is never held whole; a codec store collects
-        it to compress.  Carried lines never pass through here —
-        incremental saves copy them verbatim (compressed bytes are
-        compared and copied, never re-encoded)."""
+        it to compress.  Carried bodies never pass through here —
+        incremental saves copy them unchanged (compressed bytes are
+        copied, never re-encoded)."""
         if self.codec is None:
             for line in lines:
                 stream.write(line)
@@ -573,14 +701,19 @@ class SnapshotStore:
             stream.writelines(encode_packed_block(body, self.codec))
 
     def _plan_graph_carry(
-        self, engine: Engine, previous: SnapshotSections, last_seq: int
-    ) -> Optional[tuple[list[str], list[str]]]:
+        self,
+        engine: Engine,
+        graphdiff_chunks: int,
+        previous_seq: int,
+        last_seq: int,
+    ) -> Optional[list[str]]:
         """Can the graph section be carried forward with a diff chunk?
 
-        Returns ``(carried_lines, diff_lines)`` — the previous graph
-        portion verbatim plus the new chunk's records — or ``None`` to
-        force a full rewrite.  The diff is derived from this store's own
-        log tail ``(previous.last_seq, last_seq]``, which covers the
+        ``graphdiff_chunks`` and ``previous_seq`` describe the previous
+        file.  Returns the new chunk's records (empty when the tail is:
+        the previous body is carried alone), or ``None`` to force a full
+        rewrite.  The diff is derived from this store's own
+        log tail ``(previous_seq, last_seq]``, which covers the
         window exactly when the engine journaled into this log,
         uninterrupted, since the previous capture (``journal_epoch``
         tripwire); the provenance check in :meth:`save` already
@@ -593,17 +726,17 @@ class SnapshotStore:
         later deleted, which the net delta alone would lose), followed by
         the tail's net-normalized ``+``/``-`` update records.
         """
-        if previous.graphdiff_chunks >= self.graphdiff_limit:
+        if graphdiff_chunks >= self.graphdiff_limit:
             return None  # consolidate: rewrite a fresh full base
         if engine.journal is not self.log or not self._journal_uninterrupted(
             engine
         ):
             return None
-        if previous.last_seq > last_seq:
+        if previous_seq > last_seq:
             return None  # foreign file: its stamp outruns our log
-        tail = self.log.entries(after=previous.last_seq)
+        tail = self.log.entries(after=previous_seq)
         if not tail:
-            return (previous.graph_lines, [])
+            return []
         try:
             net = concat(entry.delta for entry in tail).normalized()
         except InvalidDeltaError:
@@ -620,7 +753,7 @@ class SnapshotStore:
             return None  # a touched node left the graph out-of-band
         for update in net:
             diff_lines.append(update_to_line(update))
-        return (previous.graph_lines, diff_lines)
+        return diff_lines
 
     def _note_capture(self, engine: Engine) -> None:
         self._captured = (
@@ -816,8 +949,9 @@ class SnapshotStore:
 
         The file is read by
         :func:`~repro.persist.format.split_snapshot_sections`, the same
-        reader incremental saves use, so save and load accept exactly
-        the same files; a malformed one raises
+        reader an incremental save falls back to when it has no byte
+        layout for the file, so save and load accept exactly the same
+        files; a malformed one raises
         :class:`~repro.persist.format.PersistFormatError` naming file
         and line.
 
@@ -939,6 +1073,27 @@ class SnapshotStore:
             self.attach(engine)
         self._note_capture(engine)
         return engine
+
+
+def _carry_body(stream, body: Body, source: Optional[BinaryIO]) -> None:
+    """Copy a carried section body into ``stream``: lines as they are,
+    a byte span of ``source`` one :data:`CARRY_CHUNK_BYTES` read at a
+    time (never the whole body at once).  Both go through the text
+    layer's ``write``, like every rendered line."""
+    if isinstance(body, list):
+        stream.writelines(body)
+        return
+    assert source is not None  # spans come only with the file they index
+    start, end = body
+    source.seek(start)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    remaining = end - start
+    while remaining:
+        chunk = source.read(min(CARRY_CHUNK_BYTES, remaining))
+        if not chunk:
+            raise OSError(f"{source.name} ended inside a carried section body")
+        remaining -= len(chunk)
+        stream.write(decoder.decode(chunk, final=not remaining))
 
 
 def _replay_graph_section(

@@ -17,10 +17,11 @@ entirely — its cost meter records zero for the batch.
 Soundness contract
 ------------------
 
-``wants_update`` may consult live view state (it runs after ``G ⊕ ΔG``
-is applied but *before* any view absorbs the batch, i.e. against
+``wants_update`` may consult live view state (it runs once per batch,
+*before* ``G ⊕ ΔG`` and before any view absorbs the batch, i.e. against
 pre-repair auxiliary structures — exactly the state the view's own
-``absorb`` would consult first).  The filter must be *conservative*:
+``absorb`` would consult first).  It must not consult the graph: the
+batch has not landed yet.  The filter must be *conservative*:
 whenever dropping the update could change what ``absorb`` computes —
 alone or in combination with the rest of the batch — it must return
 ``True``.  Routed fan-out is then output-equivalent to broadcast, which
@@ -73,13 +74,18 @@ class DeltaFilter(Protocol):
     ) -> bool:
         """Can this unit update possibly change the view's answer?
 
-        ``source_label``/``target_label`` are the endpoint labels as
-        resolved by the scheduler against the post-``G ⊕ ΔG`` graph (a
-        brand-new endpoint already carries its declared label)."""
+        ``source_label``/``target_label`` are the endpoint labels the
+        scheduler resolves before ``G ⊕ ΔG``: an existing endpoint's
+        from the pre-batch graph (updates never relabel), a brand-new
+        endpoint's from its first declaring insert — the label
+        ``DiGraph.add_edge`` will stamp.  The same decision drives the
+        serving layer's freeze (the engine's route hook), so nothing
+        re-evaluates the filter after the graph mutates."""
 
     def wants_node(self, node: Node, label: Label) -> bool:
         """Must this brand-new node reach the view's ``absorb`` even if
-        none of its incident updates are relevant?  (Bootstrap interest:
+        none of its incident updates are relevant?  ``label`` is the one
+        its first declaring insert carries.  (Bootstrap interest:
         e.g. a new keyword-labeled node seeds a dist-0 kdist entry.)"""
 
 

@@ -8,10 +8,10 @@ hottest path in three ways:
 * **Relevance routing** — each view may expose a ``relevance()`` hook
   returning a :class:`~repro.engine.relevance.DeltaFilter`;
   :meth:`FanOutScheduler.partition` evaluates every filter in **one
-  pass** over the batch and builds each view's sub-delta (original
-  update order preserved) plus the subset of brand-new nodes the view
-  must see (nodes it asked for via ``wants_node``, plus endpoints of its
-  delivered updates).  A view whose sub-delta and new-node subset are
+  pass** over the batch, *before* ``G ⊕ ΔG``, and builds each view's
+  sub-delta (original update order preserved) plus the subset of
+  brand-new nodes the view must see (nodes it asked for via
+  ``wants_node``, plus endpoints of its delivered updates).  A view whose sub-delta and new-node subset are
   both empty is *skipped*: its ``absorb`` is never called and its
   per-batch cost is exactly zero.  Views without a filter — or with
   :class:`~repro.engine.relevance.SubscribeAll` — receive the full
@@ -67,16 +67,17 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.cost import CostMeter, CostSnapshot
-from repro.core.delta import Delta
+from repro.core.delta import Delta, Update
 from repro.engine.relevance import DeltaFilter, SubscribeAll
 from repro.engine.view import IncrementalView
-from repro.graph.digraph import DiGraph, Node
+from repro.graph.digraph import DiGraph, Label, Node
 
 __all__ = [
     "EXECUTOR_ENV",
     "EXECUTOR_STRATEGIES",
     "FanOutScheduler",
     "RouteStats",
+    "Routing",
     "SchedulerError",
     "ViewReport",
     "resolve_executor",
@@ -154,6 +155,20 @@ class _Dispatch:
     skipped: bool
 
 
+@dataclass(frozen=True)
+class Routing:
+    """One batch's routing decision, made once before ``G ⊕ ΔG``: the
+    batch's brand-new nodes and every view's dispatch, in registration
+    order."""
+
+    new_nodes: frozenset[Node]
+    plans: list[_Dispatch]
+
+    def routed(self) -> tuple[str, ...]:
+        """Names of the views the batch is delivered to (not skipped)."""
+        return tuple(plan.name for plan in self.plans if not plan.skipped)
+
+
 def resolve_executor(executor: Optional[str]) -> str:
     """The strategy in effect: the explicit name, else the
     :data:`EXECUTOR_ENV` environment variable, else ``serial``.  The
@@ -183,17 +198,39 @@ class FanOutScheduler:
     def partition(
         self,
         delta: Delta,
-        new_nodes: frozenset[Node],
         graph: DiGraph,
-        views: Mapping[str, IncrementalView],
+        views: Mapping[str, Optional[IncrementalView]],
         meters: Mapping[str, CostMeter],
         filters: Mapping[str, Optional[DeltaFilter]],
-    ) -> list[_Dispatch]:
-        """Pre-partition ``delta`` once: each filtered view gets the
-        sub-delta its filter wants (original order preserved); broadcast
-        views (filter ``None``) get the full batch.  The graph already
-        holds ``G ⊕ ΔG``, so every endpoint label resolves through it.
+    ) -> Routing:
+        """Pre-partition ``delta`` once, *before* ``G ⊕ ΔG``: each
+        filtered view gets the sub-delta its filter wants (original
+        order preserved); broadcast views (filter ``None``) get the
+        full batch.
+
+        Endpoints already in ``graph`` resolve their labels through it
+        (updates never relabel); a brand-new endpoint takes the label
+        of its first declaring insert — the label
+        :meth:`~repro.graph.digraph.DiGraph.add_edge` will stamp.  The
+        batch's new nodes are derived here too.  On the replay path
+        (:meth:`~repro.engine.session.Engine.deliver`) the graph
+        already holds the batch, so no endpoint is new.
         """
+        new_labels: dict[Node, Label] = {}
+        for update in delta:
+            if update.is_insert:
+                for node, label in (
+                    (update.source, update.source_label),
+                    (update.target, update.target_label),
+                ):
+                    if node not in graph and node not in new_labels:
+                        new_labels[node] = label
+        new_nodes = frozenset(new_labels)
+        graph_label = graph.label
+
+        def label_of(node: Node) -> Label:
+            return new_labels[node] if node in new_labels else graph_label(node)
+
         # SubscribeAll wants every update by definition; route it down
         # the broadcast path so the batch is never copied per view.
         filtered = [
@@ -201,10 +238,9 @@ class FanOutScheduler:
             for name, flt in filters.items()
             if flt is not None and not isinstance(flt, SubscribeAll)
         ]
-        wanted: dict[str, list] = {name: [] for name, _ in filtered}
+        wanted: dict[str, list[Update]] = {name: [] for name, _ in filtered}
         touched: dict[str, set[Node]] = {name: set() for name, _ in filtered}
         if filtered and delta:
-            label_of = graph.label
             for update in delta:
                 source_label = label_of(update.source)
                 target_label = label_of(update.target)
@@ -228,7 +264,7 @@ class FanOutScheduler:
                     sub_new = frozenset(
                         node
                         for node in new_nodes
-                        if node in keep or flt.wants_node(node, graph.label(node))
+                        if node in keep or flt.wants_node(node, new_labels[node])
                     )
                 else:
                     sub_new = new_nodes
@@ -236,17 +272,17 @@ class FanOutScheduler:
             plans.append(
                 _Dispatch(name, view, meters[name], sub_delta, sub_new, skipped)
             )
-        return plans
+        return Routing(new_nodes, plans)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def dispatch(self, plans: list[_Dispatch]) -> dict[str, ViewReport]:
+    def dispatch(self, routing: Routing) -> dict[str, ViewReport]:
         """Run every non-skipped plan's absorb, in registration order on
         the caller's thread, and assemble the per-view reports."""
         reports: dict[str, ViewReport] = {}
-        for plan in plans:
+        for plan in routing.plans:
             if plan.skipped:
                 empty = getattr(plan.view, "empty_output", None)
                 reports[plan.name] = ViewReport(

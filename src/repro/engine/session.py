@@ -9,15 +9,15 @@ maintain *many* query answers with bounded / localizable work.  The
   KWS, RPQ, SCC, ISO indexes) register against it and share that graph
   object instead of each owning a copy;
 * :meth:`Engine.apply` validates and normalizes an incoming
-  :class:`~repro.core.delta.Delta` **once**, applies ``G ⊕ ΔG`` to the
-  shared graph **once**, and hands the batch to the
-  :class:`~repro.engine.scheduler.FanOutScheduler`, which *routes* it:
-  each view's :meth:`relevance` filter (see
+  :class:`~repro.core.delta.Delta` **once**, has the
+  :class:`~repro.engine.scheduler.FanOutScheduler` *route* it **once**
+  before anything mutates — each view's :meth:`relevance` filter (see
   :mod:`repro.engine.relevance`) selects the sub-delta that can actually
-  affect its answer, views routed an empty sub-delta are skipped at zero
-  cost, and the remaining absorbs run in registration order —
-  collecting each view's ΔO, cost units, and wall-clock into one
-  :class:`EngineReport`;
+  affect its answer, and views routed an empty sub-delta are skipped at
+  zero cost — tells the route listeners which views the batch will
+  change, applies ``G ⊕ ΔG`` to the shared graph **once**, and runs the
+  remaining absorbs in registration order, collecting each view's ΔO,
+  cost units, and wall-clock into one :class:`EngineReport`;
 * :meth:`Engine.checkpoint` / :meth:`Engine.rollback` undo applied
   batches through :meth:`Delta.inverted`, repairing every view along the
   way — no view ever needs to be rebuilt;
@@ -27,8 +27,8 @@ maintain *many* query answers with bounded / localizable work.  The
   standing queries and pay for each only when it is actually driven;
 * :meth:`Engine.set_journal` attaches a write-ahead log
   (:class:`repro.persist.SegmentedDeltaLog`); every applied batch — and every
-  rollback's undo batch — is appended after it succeeds, which is what
-  makes snapshot-plus-replay recovery (:class:`repro.persist.
+  rollback's undo batch — is appended before ``G ⊕ ΔG`` (write-ahead),
+  which is what makes snapshot-plus-replay recovery (:class:`repro.persist.
   SnapshotStore`) possible.
 
 Example — two views maintained by one update stream:
@@ -65,7 +65,7 @@ from typing import Any, Optional, Union
 from repro.core.cost import CostMeter, CostSnapshot, NULL_METER
 from repro.core.delta import Delta, InvalidDeltaError, Update, concat, delete, insert
 from repro.engine.relevance import DeltaFilter
-from repro.engine.scheduler import FanOutScheduler, RouteStats, ViewReport
+from repro.engine.scheduler import FanOutScheduler, RouteStats, Routing, ViewReport
 from repro.engine.view import IncrementalView
 from repro.graph.digraph import DiGraph, Label, Node
 
@@ -142,9 +142,9 @@ class EngineReport:
         return self.views[name].skipped
 
     def wall_seconds(self) -> float:
-        """Summed wall-clock across all view absorbs (serial dispatch:
-        the fan-out's own duration; threaded dispatch: the aggregate CPU
-        wall of all views, which can exceed the batch's elapsed time)."""
+        """Summed wall-clock across all view absorbs (or rebuilds, for
+        :meth:`Engine.bulk_load`).  Absorbs run one after another on
+        the caller's thread, so this is the fan-out's own duration."""
         return sum(report.wall_seconds for report in self.views.values())
 
     def __iter__(self):
@@ -207,6 +207,9 @@ class Engine:
         #: Publication hooks (see :meth:`add_apply_listener`): called
         #: with every :class:`EngineReport` the fan-out produces.
         self._apply_listeners: list[Callable[[EngineReport], None]] = []
+        #: Route hooks (see :meth:`add_route_listener`): called with the
+        #: routed view names of every write before anything mutates.
+        self._route_listeners: list[Callable[[tuple[str, ...]], None]] = []
 
     # ------------------------------------------------------------------
     # View registration
@@ -387,12 +390,13 @@ class Engine:
         :class:`~repro.core.delta.InvalidDeltaError` on un-applicable net
         balances) and validated against the current graph *before* any
         mutation, so a bad batch leaves graph and views untouched.  Lazy
-        views are materialized first (on the pre-batch graph).  When a
-        journal is attached the validated batch is appended *before* the
-        mutation — classic write-ahead ordering: a batch that cannot be
-        journaled (e.g. non-serializable labels) fails with graph and
-        views untouched, and the log can never lag a batch the session
-        applied.
+        views are materialized first (on the pre-batch graph), then the
+        batch is routed and the route listeners run
+        (:meth:`add_route_listener`).  When a journal is attached the
+        routed batch is appended *before* the mutation — classic
+        write-ahead ordering: a batch that cannot be journaled (e.g.
+        non-serializable labels) fails with graph and views untouched,
+        and the log can never lag a batch the session applied.
 
         >>> from repro import DiGraph, Engine, insert
         >>> from repro.scc import SCCIndex
@@ -407,23 +411,7 @@ class Engine:
             delta = Delta(list(delta))
         if not delta.is_normalized():
             delta = delta.normalized()
-        self._validate(delta)  # before materializing: a bad batch stays free
-        self._materialize_pending()
-        seq = None
-        if self.journal is not None:
-            seq = self.journal.append(delta)
-        report = self._fan_out(delta, seq=seq)
-        self._history.append(delta)
-        if self._autosnapshot is not None:
-            try:
-                self._autosnapshot(self)
-            except Exception as exc:
-                # The batch itself succeeded (applied + absorbed +
-                # journaled); surface the snapshot failure distinctly so
-                # the caller neither mistakes it for a failed batch nor
-                # loses the report.
-                raise AutosnapshotError(report, exc) from exc
-        return report
+        return self._write(delta)
 
     def insert_edge(
         self,
@@ -491,59 +479,113 @@ class Engine:
         delta = Delta(updates)
         if not delta.is_normalized():
             delta = delta.normalized()
-        self._validate(delta)  # before any mutation: a bad batch stays free
+        return self._write(delta, rebuild=True)
+
+    def _write(
+        self,
+        delta: Delta,
+        rebuild: bool = False,
+        checkpoint: Optional[int] = None,
+    ) -> EngineReport:
+        """The one write path :meth:`apply`, :meth:`rollback` and
+        :meth:`bulk_load` share: validate → materialize → plan → route
+        hook → journal append → ``G ⊕ ΔG`` → dispatch (or rebuild) →
+        publish → history → autosnapshot.
+
+        The batch is routed once, before anything mutates, and the route
+        listeners (:meth:`add_route_listener`) see that decision ahead of
+        the journal append — so a validation, build, routing or listener
+        failure leaves log, graph and views untouched.  ``rebuild``
+        (:meth:`bulk_load`) rebuilds every view with a retained factory
+        over the imported graph and routes the batch only to the views
+        :meth:`attach` adopted.  ``checkpoint`` (:meth:`rollback`)
+        truncates the history to that mark instead of appending, and an
+        empty undo batch is not journaled."""
+        self._validate(delta)  # before materializing: a bad batch stays free
+        if rebuild:
+            # lazy views build over the imported graph in _rebuild_views
+            fallback = [name for name in self._views if name not in self._factories]
+            routing = self._route(delta, fallback)
+            routed = routing.routed()
+            changed = tuple(
+                name
+                for name in self._views
+                if name in self._factories or name in routed
+            )
+        else:
+            self._materialize_pending()
+            routing = self._route(delta, self._views)
+            changed = routing.routed()
+        for listener in tuple(self._route_listeners):
+            listener(changed)
         seq = None
-        if self.journal is not None:
-            seq = self.journal.append(delta)  # write-ahead, as in apply()
-            flush = getattr(self.journal, "flush", None)
-            if flush is not None:
-                # Seal right away: the import is one logical window,
-                # admitted (or discarded) atomically on recovery.
-                flush()
-        new_nodes = frozenset(
-            node for node in delta.touched_nodes() if node not in self.graph
-        )
-        delta.apply_to(self.graph)  # the single G ⊕ ΔG — no fan-out
-        views = self._rebuild_views(delta, new_nodes)
+        if self.journal is not None and (delta or checkpoint is None):
+            seq = self.journal.append(delta)  # write-ahead
+            if rebuild:
+                flush = getattr(self.journal, "flush", None)
+                if flush is not None:
+                    # Seal right away: the import is one logical window,
+                    # admitted (or discarded) atomically on recovery.
+                    flush()
+        delta.apply_to(self.graph)  # the single G ⊕ ΔG
+        if rebuild:
+            views = self._rebuild_views(delta)
+            views.update(self.scheduler.dispatch(routing))
+        else:
+            views = self.scheduler.dispatch(routing)
+        self._record_reports(views)
         if seq is not None:
             self._last_journaled_seq = seq
         report = EngineReport(
-            delta=delta, new_nodes=new_nodes, views=views, seq=seq
+            delta=delta, new_nodes=routing.new_nodes, views=views, seq=seq
         )
-        for listener in tuple(self._apply_listeners):
-            listener(report)
-        self._history.append(delta)
+        for apply_listener in tuple(self._apply_listeners):
+            apply_listener(report)
+        if checkpoint is None:
+            self._history.append(delta)
+        else:
+            del self._history[checkpoint:]
         if self._autosnapshot is not None:
             try:
                 self._autosnapshot(self)
             except Exception as exc:
+                # The batch itself succeeded (applied + absorbed +
+                # journaled); surface the snapshot failure distinctly so
+                # the caller neither mistakes it for a failed batch nor
+                # loses the report.
                 raise AutosnapshotError(report, exc) from exc
         return report
 
-    def _rebuild_views(
-        self, delta: Delta, new_nodes: frozenset[Node]
-    ) -> dict[str, ViewReport]:
-        """Bring every view current after a bulk import: rebuild views
-        with retained factories from scratch over the imported graph,
-        materialize lazy views (their first build already sees the
-        import), and route one delivery to factory-less views."""
+    def _route(self, delta: Delta, names: Iterable[str]) -> Routing:
+        """Plan ``delta`` for the named views against the current graph
+        (``routing=False`` broadcasts to every one of them)."""
+        views = {name: self._views[name] for name in names}
+        filters = {
+            name: self._filters[name] if self.routing else None for name in views
+        }
+        return self.scheduler.partition(
+            delta, self.graph, views, self._meters, filters
+        )
+
+    def _rebuild_views(self, delta: Delta) -> dict[str, ViewReport]:
+        """Bring every view with a retained factory current after a bulk
+        import: rebuild it from scratch over the imported graph, or
+        materialize it if it is lazy (its first build already sees the
+        import).  Views :meth:`attach` adopted are left to the routed
+        delivery."""
         reports: dict[str, ViewReport] = {}
-        fallback: list[str] = []
         for name in self.names():
+            factory = self._factories.get(name)
+            if factory is None:
+                continue
             started = time.perf_counter()
             if name in self._pending:
-                self._materialize(name)
-                view = self._views[name]
+                view = self._materialize(name)
                 cost = self._meters[name].snapshot()
             else:
-                factory = self._factories.get(name)
-                if factory is None:
-                    fallback.append(name)
-                    continue
                 meter = self._meters[name]
                 before = meter.snapshot()
-                view = factory(self.graph, meter)
-                self._admit(name, view, meter)
+                view = self._admit(name, factory(self.graph, meter), meter)
                 cost = meter.snapshot().since(before)
             empty = getattr(view, "empty_output", None)
             reports[name] = ViewReport(
@@ -554,20 +596,6 @@ class Engine:
                 skipped=False,
                 routed_updates=len(delta),
             )
-        self._record_reports(reports)
-        if fallback:
-            # attach()ed views: one routed delivery of the net batch —
-            # the graph already holds it, so this is deliver() with the
-            # batch's true new-node set.
-            views = {name: self._views[name] for name in fallback}
-            meters = {name: self._meters[name] for name in fallback}
-            filters = {name: self._filters[name] for name in fallback}
-            plans = self.scheduler.partition(
-                delta, new_nodes, self.graph, views, meters, filters
-            )
-            delivered = self.scheduler.dispatch(plans)
-            self._record_reports(delivered)
-            reports.update(delivered)
         return reports
 
     def _validate(self, delta: Delta) -> None:
@@ -596,30 +624,6 @@ class Engine:
                 overlay_removed.add(edge)
                 overlay_added.discard(edge)
 
-    def _fan_out(self, delta: Delta, seq: Optional[int] = None) -> EngineReport:
-        new_nodes = frozenset(
-            node for node in delta.touched_nodes() if node not in self.graph
-        )
-        delta.apply_to(self.graph)  # the single G ⊕ ΔG
-        filters = (
-            self._filters
-            if self.routing
-            else {name: None for name in self._views}
-        )
-        plans = self.scheduler.partition(
-            delta, new_nodes, self.graph, self._views, self._meters, filters
-        )
-        views = self.scheduler.dispatch(plans)
-        self._record_reports(views)
-        if seq is not None:
-            self._last_journaled_seq = seq
-        report = EngineReport(
-            delta=delta, new_nodes=new_nodes, views=views, seq=seq
-        )
-        for listener in tuple(self._apply_listeners):
-            listener(report)
-        return report
-
     def _record_reports(self, reports: dict[str, ViewReport]) -> None:
         """Fold one dispatch's reports into routing stats + dirty set
         (shared by the apply fan-out and the replay :meth:`deliver`)."""
@@ -645,49 +649,25 @@ class Engine:
         """Mark the current state; pass the mark to :meth:`rollback`."""
         return len(self._history)
 
-    def pending_undo(self, checkpoint: int = 0) -> Delta:
-        """The normalized undo batch :meth:`rollback` *would* push
-        through the fan-out for ``checkpoint`` — without applying it.
+    def rollback(self, checkpoint: int = 0) -> EngineReport:
+        """Undo every batch applied since ``checkpoint``.
 
-        Exposed so layers that must act *before* a rollback mutates
-        anything (the serving layer's MVCC freeze in
-        :class:`repro.serving.Repository` previews which views the undo
-        will touch) see exactly the batch the rollback will use;
-        :meth:`rollback` itself is built on this method, so the two can
-        never drift.
-
-        >>> from repro import DiGraph, Engine, insert
-        >>> engine = Engine(DiGraph(edges=[(1, 2)]))
-        >>> _ = engine.apply([insert(2, 1)])
-        >>> [str(update) for update in engine.pending_undo()]
-        ['delete(2, 1)']
+        The undo is the concatenation of the inverted batches in reverse
+        order, normalized (so an edge inserted then deleted across the
+        window cancels) and pushed through the same write path as
+        :meth:`apply` — every view repairs incrementally, nothing is
+        rebuilt.  Nodes introduced by rolled-back batches stay in the
+        graph as isolated nodes (edge deletion never removes endpoints).
         """
         if not 0 <= checkpoint <= len(self._history):
             raise EngineError(
                 f"checkpoint {checkpoint} is out of range "
                 f"(0..{len(self._history)})"
             )
-        return concat(
+        undo = concat(
             batch.inverted() for batch in reversed(self._history[checkpoint:])
         ).normalized()
-
-    def rollback(self, checkpoint: int = 0) -> EngineReport:
-        """Undo every batch applied since ``checkpoint``.
-
-        The undo is the concatenation of the inverted batches in reverse
-        order, normalized (so an edge inserted then deleted across the
-        window cancels) and pushed through the same fan-out path — every
-        view repairs incrementally, nothing is rebuilt.  Nodes introduced
-        by rolled-back batches stay in the graph as isolated nodes (edge
-        deletion never removes endpoints).
-        """
-        undo = self.pending_undo(checkpoint)
-        self._materialize_pending()
-        seq = None
-        if self.journal is not None and undo:
-            seq = self.journal.append(undo)  # write-ahead, as in apply()
-        self._history = self._history[:checkpoint]
-        return self._fan_out(undo, seq=seq)
+        return self._write(undo, checkpoint=checkpoint)
 
     # ------------------------------------------------------------------
     # Replay delivery (persistence recovery path)
@@ -721,26 +701,23 @@ class Engine:
         """
         if not isinstance(delta, Delta):
             delta = Delta(list(delta))
-        views: dict[str, IncrementalView] = {}
-        meters: dict[str, CostMeter] = {}
+        views: dict[str, Optional[IncrementalView]] = {}
         filters: dict[str, Optional[DeltaFilter]] = {}
         for name in names:
-            self.view(name)  # materializes lazy views
-            views[name] = self._views[name]
-            meters[name] = self._meters[name]
+            views[name] = self.view(name)  # materializes lazy views
             filters[name] = self._filters[name]
-        plans = self.scheduler.partition(
-            delta, frozenset(), self.graph, views, meters, filters
+        routing = self.scheduler.partition(
+            delta, self.graph, views, self._meters, filters
         )
         if strict:
-            routed = [plan.name for plan in plans if not plan.skipped]
+            routed = list(routing.routed())
             if routed:
                 raise EngineError(
                     f"replay delivery routed updates to views {routed!r} whose "
                     "snapshot cursor claimed they were already current — the "
                     "snapshot and delta log disagree"
                 )
-        reports = self.scheduler.dispatch(plans)
+        reports = self.scheduler.dispatch(routing)
         self._record_reports(reports)
         return reports
 
@@ -834,7 +811,8 @@ class Engine:
         """Attach an auto-snapshot hook (or ``None`` to detach).
 
         ``hook(engine)`` is invoked after every successful
-        :meth:`apply`, once the batch is fully absorbed and journaled —
+        :meth:`apply`, :meth:`rollback` and :meth:`bulk_load`, once the
+        batch is fully absorbed and journaled —
         in practice the closure :meth:`repro.persist.SnapshotStore.
         attach` installs when given a ``SnapshotPolicy``, which decides
         per batch whether to write an incremental snapshot.  A hook
@@ -849,8 +827,8 @@ class Engine:
 
     def add_apply_listener(self, listener: Callable[[EngineReport], None]) -> None:
         """Attach a publication hook: ``listener(report)`` runs at the
-        end of every fan-out — each :meth:`apply` and each
-        :meth:`rollback` (replay :meth:`deliver` does not publish; the
+        end of every write — each :meth:`apply`, :meth:`rollback` and
+        :meth:`bulk_load` (replay :meth:`deliver` does not publish; the
         graph never changed).  It runs *after* every view has absorbed
         the batch and the dirty/routing accounting is folded in, so the
         report describes a fully-published state — which is what makes
@@ -884,6 +862,46 @@ class Engine:
         except ValueError:
             pass
 
+    def add_route_listener(
+        self, listener: Callable[[tuple[str, ...]], None]
+    ) -> None:
+        """Attach a route hook: ``listener(names)`` runs once per
+        :meth:`apply`, :meth:`rollback` and :meth:`bulk_load`, after the
+        batch is validated and routed but *before* the journal append
+        and ``G ⊕ ΔG``.  ``names`` are the views the batch will change,
+        in registration order: the routed (not skipped) views, and for
+        :meth:`bulk_load` every rebuilt view too.  Views still hold
+        their pre-batch state, which is what lets a serving layer freeze
+        the answers the batch is about to overwrite (see
+        :class:`repro.serving.Repository`).
+
+        A listener that raises aborts the write with log, graph and
+        views untouched.  It must not mutate the engine.
+
+        >>> from repro import DiGraph, Engine, insert
+        >>> from repro.kws import KWSIndex, KWSQuery
+        >>> from repro.scc import SCCIndex
+        >>> engine = Engine(DiGraph(labels={1: "a", 2: "b", 3: "c"}, edges=[(1, 2)]))
+        >>> _ = engine.register("kws", lambda g, m: KWSIndex(g, KWSQuery(("a",), 2), meter=m))
+        >>> _ = engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
+        >>> seen = []
+        >>> engine.add_route_listener(lambda names: seen.append((names, engine.graph.num_edges)))
+        >>> _ = engine.apply([insert(3, 3)])   # no keyword reaches through c→c
+        >>> seen                               # routed before the edge landed
+        [(('scc',), 1)]
+        """
+        self._route_listeners.append(listener)
+
+    def remove_route_listener(
+        self, listener: Callable[[tuple[str, ...]], None]
+    ) -> None:
+        """Detach a previously added route hook (no-op when it is not
+        attached)."""
+        try:
+            self._route_listeners.remove(listener)
+        except ValueError:
+            pass
+
     # ------------------------------------------------------------------
     # Journaling (write-ahead delta log)
     # ------------------------------------------------------------------
@@ -895,7 +913,7 @@ class Engine:
         in practice a :class:`repro.persist.SegmentedDeltaLog`.  Every
         batch :meth:`apply` accepts, and every non-empty undo batch produced
         by :meth:`rollback`, is appended — *before* the mutation
-        (write-ahead), immediately after validation, so the log never
+        (write-ahead), right after validation and routing, so the log never
         lags the session and an unjournalable batch fails cleanly with
         nothing applied.  Replaying the log in order over the graph it
         started from reproduces the session state — which is exactly

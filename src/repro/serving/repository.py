@@ -33,27 +33,29 @@ How the cache *is* the MVCC version store
 
 The engine's views mutate in place, so an old generation's answers must
 be captured before the batch that overwrites them.  The writer does this
-lazily and proportionally to the change: before applying a batch it
-*previews* the routed fan-out (same relevance filters, same label
-resolution, evaluated against the pre-batch graph — see
-:meth:`Repository._preview_changed_views`) and, while it still has
-exclusive access, computes any registered query of a to-be-changed view
-that is not already cached at the view's current version.  After the
-batch, those entries are exactly the answers at every generation the
-view's new version supersedes — old pinned sessions keep reading them as
-cache hits.  Views the batch skips need no freeze: their live state
-still *is* their state at every retained generation, so a miss can be
-recomputed from the live view under the read lock.  No graph copy, no
-view copy, ever.
+lazily and proportionally to the change, from the engine's route hook
+(:meth:`repro.engine.session.Engine.add_route_listener`): the engine
+validates the batch and routes it once, before anything mutates —
+labels of existing endpoints from the pre-batch graph, a brand-new
+endpoint's from its first declaring insert — and hands the hook the
+views the batch will change.  Still holding exclusive access, and still
+before the journal append and ``G ⊕ ΔG``, the hook computes any
+registered query of those views that is not already cached at the
+view's current version.  After the batch, those entries are exactly the
+answers at every generation the view's new version supersedes — old
+pinned sessions keep reading them as cache hits.  Views the batch skips
+need no freeze: their live state still *is* their state at every
+retained generation, so a miss can be recomputed from the live view
+under the read lock.  No graph copy, no view copy, ever.  A batch the
+engine rejects freezes nothing, and a freeze that raises aborts the
+write with log and graph untouched.
 
-The preview is conservative-by-construction for every filter shipped
-today (filters consult endpoint labels — resolved identically pre- and
-post-batch — plus pre-repair view state), and a tripwire enforces it:
-if a batch's report shows a changed view the preview missed, the
-repository *poisons* itself and every subsequent operation raises
-:class:`RepositoryPoisonedError` rather than serving silently wrong
-snapshots.  The same poison triggers when the engine is mutated behind
-the repository's back (detected via
+The freeze and the fan-out use the same routing decision, and a tripwire
+still checks them at publish: if a batch's report shows a changed view
+whose queries were not frozen, the repository *poisons* itself and every
+subsequent operation raises :class:`RepositoryPoisonedError` rather than
+serving silently wrong snapshots.  The same poison triggers when the
+engine is mutated behind the repository's back (detected via
 :meth:`repro.engine.session.Engine.add_apply_listener`).
 
 >>> from repro import DiGraph, Engine, insert
@@ -80,13 +82,15 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
 from repro.core.delta import Delta, Update
-from repro.engine.relevance import SubscribeAll
 from repro.engine.session import AutosnapshotError, Engine, EngineReport
-from repro.graph.digraph import Label, Node
 from repro.persist.deltalog import SegmentedDeltaLog
+
+if TYPE_CHECKING:
+    from repro.graph.sharding import ShardMap
+    from repro.persist.snapshot import SnapshotStore
 
 __all__ = [
     "CacheStats",
@@ -146,9 +150,9 @@ class RepositoryPoisonedError(ServingError):
     Raised by every subsequent operation once the repository detects
     either an out-of-band engine mutation (an apply/rollback that did
     not go through the repository, observed via the engine's
-    publication hook) or a routed batch touching a view the freeze
-    preview missed.  Serving provably-wrong snapshots would be worse
-    than failing loudly."""
+    publication hook) or a routed batch touching a view whose queries
+    the route hook did not freeze.  Serving provably-wrong snapshots
+    would be worse than failing loudly."""
 
 
 class UnknownQueryError(ServingError):
@@ -441,6 +445,7 @@ class Repository:
             self._queries[name] = (
                 default_queries(engine.view(name)) if auto_queries else {}
             )
+        engine.add_route_listener(self._on_route)
         engine.add_apply_listener(self._on_engine_publication)
 
     # ------------------------------------------------------------------
@@ -727,8 +732,8 @@ class Repository:
                 self._poison(
                     f"read of view {view!r} query {query!r} at version "
                     f"{version} found neither a frozen entry nor live state "
-                    f"(view is at version {current}) — the freeze preview "
-                    "missed a change or a query was registered after the "
+                    f"(view is at version {current}) — the freeze missed a "
+                    "change or a query was registered after the "
                     "generation it is being read at"
                 )
             raise ServingError(
@@ -757,45 +762,22 @@ class Repository:
         generation.
 
         The whole operation holds the write side of the engine lock:
-        freeze answers for views the routed preview says the batch will
-        touch (only those some open session still pins), run
-        ``engine.apply`` (journaling, auto-snapshotting, and fan-out
-        exactly as a direct call would), then publish — bump the
-        generation, bump the version of every view the report says
-        changed, and evict cache entries no retained generation can
+        ``engine.apply`` validates and routes the batch, and its route
+        hook freezes the answers of every view the batch will touch
+        (only those some open session still pins) before the journal
+        append and ``G ⊕ ΔG``; journaling, fan-out and auto-snapshotting
+        run exactly as a direct call would.  Then the batch publishes —
+        bump the generation, bump the version of every view the report
+        says changed, and evict cache entries no retained generation can
         reach.  An :class:`~repro.engine.session.AutosnapshotError`
         still publishes (the batch *is* applied) before propagating."""
-        if not isinstance(delta, Delta):
-            delta = Delta(list(delta))
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        with self._engine_lock.write():
-            self._prepare_write(delta)
-            self._applying = True
-            try:
-                report = self.engine.apply(delta)
-            except AutosnapshotError as error:
-                self._publish_locked(error.report)
-                raise
-            finally:
-                self._applying = False
-            self._publish_locked(report)
-        return report
+        return self._write(lambda: self.engine.apply(delta))
 
     def rollback(self, checkpoint: int = 0) -> EngineReport:
         """Roll the engine back to ``checkpoint`` and publish the undo
         as a new generation (MVCC time moves forward even when graph
         time moves back — pinned sessions keep their snapshots)."""
-        with self._engine_lock.write():
-            undo = self.engine.pending_undo(checkpoint)
-            self._prepare_write(undo)
-            self._applying = True
-            try:
-                report = self.engine.rollback(checkpoint)
-            finally:
-                self._applying = False
-            self._publish_locked(report)
-        return report
+        return self._write(lambda: self.engine.rollback(checkpoint))
 
     def checkpoint(self) -> int:
         """The engine's current rollback mark (see
@@ -812,32 +794,17 @@ class Repository:
         Delegates to :meth:`repro.engine.session.Engine.bulk_load`:
         view maintenance is suspended while the edges stream into the
         graph and every view is rebuilt once at the end, so the rebuild
-        cost is paid per view, not per edge.  Every view's registered
-        queries are frozen first (a rebuild changes every view, so the
-        conservative preview is *all* of them), which keeps pinned
-        sessions reading their admitted generation throughout — readers
-        admitted before the import never see a partially-loaded graph,
-        readers admitted after it see the whole import or none of it."""
-        with self._engine_lock.write():
-            with self._meta_lock:
-                self._check_serving_locked()
-                pinned = bool(self._pins)
-            if pinned and self._cache_enabled:
-                self._freeze_views(self.engine.names())
-            self._applying = True
-            try:
-                report = self.engine.bulk_load(edges)
-            except AutosnapshotError as error:
-                self._publish_locked(error.report)
-                raise
-            finally:
-                self._applying = False
-            self._publish_locked(report)
-        return report
+        cost is paid per view, not per edge.  The route hook names every
+        rebuilt view, so all their registered queries are frozen first,
+        which keeps pinned sessions reading their admitted generation
+        throughout — readers admitted before the import never see a
+        partially-loaded graph, readers admitted after it see the whole
+        import or none of it."""
+        return self._write(lambda: self.engine.bulk_load(edges))
 
     def split_shard(
-        self, store: Any, parent: int, boundary: Optional[Any] = None
-    ) -> Any:
+        self, store: SnapshotStore, parent: int, boundary: Optional[Any] = None
+    ) -> ShardMap:
         """Split shard ``parent`` of the served engine's store online.
 
         Delegates to :meth:`repro.persist.SnapshotStore.split_shard`
@@ -856,14 +823,36 @@ class Repository:
             finally:
                 self._applying = False
 
-    def _prepare_write(self, delta: Delta) -> None:
-        """Freeze what the batch will overwrite (write lock held)."""
-        with self._meta_lock:
-            self._check_serving_locked()
-            pinned = bool(self._pins)
-        if not pinned or not self._cache_enabled:
+    def _write(self, run: Callable[[], EngineReport]) -> EngineReport:
+        """Run one engine write under the write side of the engine lock
+        and publish its report — also when only the auto-snapshot
+        failed (the batch *is* applied).  The freeze happens inside
+        ``run``, from the engine's route hook (:meth:`_on_route`)."""
+        with self._engine_lock.write():
+            with self._meta_lock:
+                self._check_serving_locked()
+            self._applying = True
+            try:
+                report = run()
+            except AutosnapshotError as error:
+                self._publish_locked(error.report)
+                raise
+            finally:
+                self._applying = False
+            self._publish_locked(report)
+        return report
+
+    def _on_route(self, names: tuple[str, ...]) -> None:
+        """Engine route hook: freeze what the routed batch will
+        overwrite, before the journal append and ``G ⊕ ΔG`` (write lock
+        held).  A write the repository did not initiate is left alone
+        here; the publication hook poisons on it."""
+        if not self._applying:
             return
-        self._freeze_views(self._preview_changed_views(delta))
+        with self._meta_lock:
+            pinned = bool(self._pins)
+        if pinned and self._cache_enabled:
+            self._freeze_views(names)
 
     def _freeze_views(self, names: Iterable[str]) -> None:
         """Freeze every registered query of ``names`` at the views'
@@ -882,61 +871,6 @@ class Repository:
                 with self._meta_lock:
                     self._cache[(name, query, version)] = entry
                     self._count_locked(frozen=1)
-
-    def _preview_changed_views(self, delta: Delta) -> frozenset[str]:
-        """The views the routed fan-out *may* deliver this batch to,
-        decided before the graph mutates.
-
-        Replicates the scheduler's skip decision exactly for every
-        filter that consults only endpoint labels and pre-repair view
-        state (all shipped filters do): labels of existing endpoints
-        read from the pre-batch graph — updates never relabel — and
-        labels of batch-new endpoints from their first declaring
-        insertion, which is the label ``DiGraph.add_edge`` will stamp.
-        Conservative supersets are sound (an extra freeze is just a
-        warm cache entry); *missing* a changed view is what the
-        publish-time tripwire poisons on."""
-        graph = self.engine.graph
-        new_labels: dict[Node, Label] = {}
-        for update in delta:
-            if not update.is_insert:
-                continue
-            for node, label in (
-                (update.source, update.source_label),
-                (update.target, update.target_label),
-            ):
-                if node not in graph and node not in new_labels:
-                    new_labels[node] = label
-
-        def label_of(node: Node) -> Label:
-            if node in new_labels:
-                return new_labels[node]
-            return graph.label(node)
-
-        broadcast_changes = bool(delta) or bool(new_labels)
-        changed: set[str] = set()
-        for name in self.engine.names():
-            flt = self.engine.relevance_filter(name)
-            if (
-                not self.engine.routing
-                or flt is None
-                or isinstance(flt, SubscribeAll)
-            ):
-                if broadcast_changes:
-                    changed.add(name)
-                continue
-            if any(
-                flt.wants_update(
-                    update, label_of(update.source), label_of(update.target)
-                )
-                for update in delta
-            ):
-                changed.add(name)
-            elif any(
-                flt.wants_node(node, label) for node, label in new_labels.items()
-            ):
-                changed.add(name)
-        return frozenset(changed)
 
     def _publish_locked(self, report: EngineReport) -> None:
         """Advance the generation from a fan-out report (write lock
@@ -959,8 +893,8 @@ class Repository:
                         self._poison_locked(
                             f"batch changed view {name!r} but queries "
                             f"{sorted(missing)!r} were not frozen for pinned "
-                            "generations — the routed preview and the "
-                            "fan-out disagree"
+                            "generations — the route hook and the fan-out "
+                            "disagree"
                         )
                 versions.append(self._generation)
                 self._count_locked(invalidations=1)
@@ -977,7 +911,7 @@ class Repository:
         auto-sealed *during* the apply, before this publish); the seq
         sits in the still-open window → pending until
         :meth:`_on_window_seal` or :meth:`flush`."""
-        seq = getattr(report, "seq", None)
+        seq = report.seq
         log = self._window_log
         if log is None or seq is None or seq <= self._durable_seq:
             self._durable_generation = self._generation
@@ -1106,6 +1040,7 @@ class Repository:
         hook, and reject subsequent operations (idempotent).  The
         underlying engine is untouched and may keep being used
         directly."""
+        self.engine.remove_route_listener(self._on_route)
         self.engine.remove_apply_listener(self._on_engine_publication)
         if self._window_log is not None:
             self._window_log.remove_seal_listener(self._on_window_seal)
@@ -1131,7 +1066,7 @@ class Repository:
     # ------------------------------------------------------------------
 
     @classmethod
-    def recover(cls, store: Any, **kwargs: Any) -> "Repository":
+    def recover(cls, store: SnapshotStore, **kwargs: Any) -> "Repository":
         """Serve a persisted session: ``store.load()`` (a
         :class:`repro.persist.SnapshotStore`) rebuilds the engine —
         snapshot restore plus routed log-tail replay — and the

@@ -208,17 +208,15 @@ class TestRelevanceObjects:
         graph = sample_graph()
         scc = SCCIndex(graph)
         delta = Delta([delete(6, 7)])
-        delta.apply_to(graph)
-        plans = scheduler.partition(
+        routing = scheduler.partition(  # before G ⊕ ΔG, as the engine calls it
             delta,
-            frozenset(),
             graph,
             {"scc": scc},
             {"scc": scc.meter},
             {"scc": SubscribeAll()},
         )
-        assert plans[0].delta is delta  # no per-view copy
-        assert not plans[0].skipped
+        assert routing.plans[0].delta is delta  # no per-view copy
+        assert not routing.plans[0].skipped
 
     def test_rpq_alphabet_filter_is_target_label_based(self):
         graph = sample_graph()

@@ -7,13 +7,16 @@ import pytest
 from repro import (
     DiGraph,
     Engine,
+    InvalidDeltaError,
     Repository,
     ServingError,
     SessionLimitError,
     insert,
 )
+from repro.engine import AlphabetRelevance, KeywordRelevance
 from repro.kws import KWSIndex, KWSQuery
 from repro.persist import SnapshotStore
+from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
 from repro.serving import (
     RepositoryPoisonedError,
@@ -24,7 +27,7 @@ from repro.serving import (
 )
 
 
-def make_repo(**kwargs):
+def make_engine():
     engine = Engine(
         DiGraph(labels={1: "a", 2: "b", 3: "c"}, edges=[(1, 2), (2, 3)])
     )
@@ -32,7 +35,11 @@ def make_repo(**kwargs):
     engine.register(
         "kws", lambda g, m: KWSIndex(g, KWSQuery(("a", "b"), 2), meter=m)
     )
-    return Repository(engine, **kwargs)
+    return engine
+
+
+def make_repo(**kwargs):
+    return Repository(make_engine(), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +230,88 @@ def test_journal_must_be_a_segmented_log_or_none(tmp_path):
     repo.flush()
     assert repo.durable_generation == repo.generation == 1
     repo.close()
+
+
+# ----------------------------------------------------------------------
+# The freeze runs from the engine's route hook
+# ----------------------------------------------------------------------
+
+
+def journaled_repo(tmp_path):
+    engine = make_engine()
+    store = SnapshotStore(tmp_path / "store")
+    store.attach(engine)
+    return Repository(engine), store.log
+
+
+def test_pinned_write_evaluates_each_filter_once(monkeypatch):
+    """One routing decision per batch: a pinned write asks each filtered
+    view about each update once, not once to freeze and again to
+    fan out."""
+    engine = Engine(
+        DiGraph(labels={1: "a", 2: "b", 3: "c", 4: "d"}, edges=[(1, 2), (2, 3)])
+    )
+    engine.register(
+        "kws", lambda g, m: KWSIndex(g, KWSQuery(("a", "b"), 2), meter=m)
+    )
+    engine.register("rpq", lambda g, m: RPQIndex(g, "a . (b + c)* . c", meter=m))
+    repo = Repository(engine)
+    calls = []
+    for cls in (KeywordRelevance, AlphabetRelevance):
+        original = cls.wants_update
+
+        def counted(self, update, source_label, target_label, original=original):
+            calls.append(update)
+            return original(self, update, source_label, target_label)
+
+        monkeypatch.setattr(cls, "wants_update", counted)
+    with repo.session():
+        report = repo.apply([insert(3, 4), insert(4, 4)])  # d-targets: no view
+    assert report.skipped("kws") and report.skipped("rpq")
+    assert len(calls) == 4  # 2 updates x 2 filtered views
+
+
+def test_rejected_batch_freezes_and_journals_nothing(tmp_path):
+    repo, log = journaled_repo(tmp_path)
+    seq = log.last_seq()
+    with repo.session():
+        with pytest.raises(InvalidDeltaError):
+            repo.apply([insert(1, 2)])  # the edge already exists
+    assert repo.cache_stats().frozen == 0
+    assert log.last_seq() == seq
+    assert repo.generation == 0 and repo.poisoned is None
+
+
+def test_failed_freeze_leaves_log_and_graph_untouched(tmp_path):
+    repo, log = journaled_repo(tmp_path)
+
+    def boom(view):
+        raise RuntimeError("query failed")
+
+    repo.register_query("scc", "boom", boom)
+    seq, edges = log.last_seq(), set(repo.engine.graph.edges())
+    with repo.session():
+        with pytest.raises(RuntimeError, match="query failed"):
+            repo.apply([insert(3, 1)])
+    assert log.last_seq() == seq
+    assert set(repo.engine.graph.edges()) == edges
+    assert repo.generation == 0 and repo.poisoned is None
+
+
+def test_route_hook_that_drops_a_view_poisons_at_publish(monkeypatch):
+    """The publish-time tripwire does not trust the route hook: a hook
+    that fails to freeze a routed view poisons the repository."""
+    original = Repository._on_route
+
+    def dropping(self, names):
+        original(self, tuple(name for name in names if name != "scc"))
+
+    monkeypatch.setattr(Repository, "_on_route", dropping)
+    repo = make_repo()
+    with repo.session():
+        with pytest.raises(RepositoryPoisonedError, match="scc"):
+            repo.apply([insert(3, 1)])
+    assert repo.poisoned is not None
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ does the journaling and *when* durability is acknowledged:
 * ``serial`` — the coordinator appends and fsyncs every batch inline
   (one fsync per batch, format v1–v3 framing);
 * ``workers`` — the resident shared-nothing tier (format v4): each
-  shard's worker owns its replica and segment, sub-deltas stream over
-  persistent pipes with **no per-batch acknowledgement**, and fsync
-  happens once per *group-commit window* per touched segment, in
-  parallel across workers, at ``%seal`` time.
+  shard's worker owns its log segment and only journals (append, seal),
+  sub-deltas stream over persistent pipes with **no per-batch
+  acknowledgement**, and fsync happens once per *group-commit window*
+  per touched segment, in parallel across workers, at ``%seal`` time.
 
 So the measured speedup is exactly the tentpole claim: amortizing one
 fsync per batch into one per window, and overlapping the fsync *wait*
@@ -120,7 +120,7 @@ def make_stream(seed: int) -> list[Delta]:
     """Deterministic shard-local stream, round-robin across 8 ranges:
     each batch's *sources* live in one range (entity locality — the
     batch journals into one segment), targets roam the whole space, so
-    cross-shard edges and ghost updates are constantly exercised."""
+    cross-shard edges are constantly exercised."""
     rng = random.Random(seed)
     ranges = [
         (NODE_SPACE * k // 8, NODE_SPACE * (k + 1) // 8) for k in range(8)

@@ -25,13 +25,13 @@ hottest path in three ways:
   segment of a :class:`~repro.persist.deltalog.SegmentedDeltaLog` in
   the caller, per batch; ``"workers"`` is the resident shared-nothing
   tier (:mod:`repro.shardexec`) — one long-lived process per shard
-  owns its log segment and sub-graph replica, appends pipeline across
-  batches under group-commit windows (format v4), and durability is
-  acknowledged per sealed window instead of per batch.  Where worker
-  processes cannot start, ``workers`` degrades to in-process windowed
-  appends — same framing, same durability rules.  Pick one per engine
-  via ``Engine(executor=...)`` or process-wide via the
-  ``REPRO_ENGINE_EXECUTOR`` environment variable;
+  owns that shard's log segment and nothing else, appends pipeline
+  across batches under group-commit windows (format v4), and
+  durability is acknowledged per sealed window instead of per batch.
+  Where worker processes cannot start, ``workers`` degrades to
+  in-process windowed appends — same framing, same durability rules.
+  Pick one per engine via ``Engine(executor=...)`` or process-wide via
+  the ``REPRO_ENGINE_EXECUTOR`` environment variable;
   :func:`resolve_executor` is the one place either is read, and an
   unknown value raises :class:`SchedulerError` naming the accepted
   strategies.  Every :class:`ViewReport` carries wall-clock

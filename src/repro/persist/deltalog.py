@@ -727,18 +727,25 @@ class DeltaLog:
 
 #: Environment variable setting the default group-commit window size
 #: for logs journaling under the ``workers`` executor (see
-#: ``docs/OPERATIONS.md``).  Unset/invalid → 1: windowed framing with
+#: ``docs/OPERATIONS.md``).  Unset or empty → 1: windowed framing with
 #: per-batch seals, i.e. the same durability cadence as v1–v3.
 WINDOW_ENV = "REPRO_WINDOW_SIZE"
 
 
 def _default_window_size() -> int:
-    """The ``workers``-executor window size from :data:`WINDOW_ENV`."""
+    """The ``workers``-executor window size from :data:`WINDOW_ENV`;
+    anything but an integer >= 1 raises ``ValueError``, as
+    ``SegmentedDeltaLog(window_size=...)`` does."""
+    value = os.environ.get(WINDOW_ENV) or "1"
     try:
-        size = int(os.environ.get(WINDOW_ENV, "1"))
+        size = int(value)
     except ValueError:
-        return 1
-    return max(1, size)
+        size = 0
+    if size < 1:
+        raise ValueError(
+            f"{WINDOW_ENV} must be an integer >= 1, got {value!r}"
+        )
+    return size
 
 
 def _stabilize_insert_labels(delta: Delta) -> Delta:
@@ -1059,9 +1066,7 @@ class SegmentedDeltaLog:
         participants = len(routed)
         tasks = sorted(routed.items())
         if window_size is not None:
-            return self._append_windowed(
-                seq, stable, tasks, participants, window_size
-            )
+            return self._append_windowed(seq, tasks, participants, window_size)
         try:
             for index, updates in tasks:
                 self._segments[index].append(
@@ -1105,12 +1110,7 @@ class SegmentedDeltaLog:
         return self._current_window
 
     def _append_windowed(
-        self,
-        seq: int,
-        stable: Delta,
-        tasks: list,
-        participants: int,
-        window_size: int,
+        self, seq: int, tasks: list, participants: int, window_size: int
     ) -> int:
         """Append one batch under the open group-commit window.
 
@@ -1125,9 +1125,7 @@ class SegmentedDeltaLog:
         window = self._ensure_window()
         try:
             if self._worker_pool is not None:
-                self._worker_pool.append(
-                    window, seq, participants, tasks, stable
-                )
+                self._worker_pool.append(window, seq, participants, tasks)
             else:
                 for index, updates in tasks:
                     self._segments[index].append(

@@ -872,7 +872,8 @@ class SnapshotStore:
 
         A resident :class:`~repro.shardexec.pool.ShardWorkerPool`, if
         installed, is respawned against the new layout after the commit
-        (workers reload their shard replicas from the new snapshot).
+        (one worker per segment of the new layout, each adopting its
+        segment).
 
         The logical graph, every view, and MVCC read generations are
         unchanged — :meth:`repro.serving.repository.Repository.

@@ -1,43 +1,34 @@
-"""Shared-nothing shard execution: resident worker processes that own
-their shard's log segment and sub-graph replica, coordinated by a thin
-scatter/gather driver under group-commit windows (format v4).
+"""Shared-nothing shard journaling: resident worker processes that each
+own one shard's log segment, coordinated by a thin scatter/seal driver
+under group-commit windows (format v4).
 
 The tier has three layers:
 
 * :mod:`repro.shardexec.messages` — the closed wire vocabulary (the
   pipe allowlist the repro-lint ``ipc`` rule enforces);
-* :mod:`repro.shardexec.worker` — the per-shard worker process loop;
+* :mod:`repro.shardexec.worker` — the per-shard worker process loop:
+  append, seal, report errors — nothing else;
 * :mod:`repro.shardexec.pool` — the coordinator driver
   (:class:`ShardWorkerPool`), wired into
   :class:`repro.persist.deltalog.SegmentedDeltaLog` by the ``workers``
   executor strategy (see :meth:`repro.persist.snapshot.SnapshotStore.
   attach`).
 
-See ``docs/ARCHITECTURE.md`` (worker tier, invariant 11) and
-``docs/OPERATIONS.md`` (tuning) for the operational story.
+Workers hold no graph and no view; the segment files they write are
+the only state recovery reads.  See ``docs/ARCHITECTURE.md`` (worker
+tier, invariant 11) and ``docs/OPERATIONS.md`` (tuning) for the
+operational story.
 """
 
-from repro.shardexec.messages import MESSAGE_TYPES, ViewInterest, register_message
-from repro.shardexec.pool import (
-    GHOST_SYNC_ENV,
-    GHOST_SYNC_POLICIES,
-    ShardWorkerPool,
-    WindowReport,
-    WorkerPoolError,
-    shutdown_pools,
-)
-from repro.shardexec.worker import replica_digest, shard_worker_main
+from repro.shardexec.messages import MESSAGE_TYPES, register_message
+from repro.shardexec.pool import ShardWorkerPool, WorkerPoolError, shutdown_pools
+from repro.shardexec.worker import shard_worker_main
 
 __all__ = [
     "MESSAGE_TYPES",
-    "ViewInterest",
     "register_message",
-    "GHOST_SYNC_ENV",
-    "GHOST_SYNC_POLICIES",
     "ShardWorkerPool",
-    "WindowReport",
     "WorkerPoolError",
-    "replica_digest",
     "shard_worker_main",
     "shutdown_pools",
 ]

@@ -30,20 +30,16 @@ node/label tokens — the same vocabulary the log's record lines carry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = [
     "MESSAGE_TYPES",
     "register_message",
-    "ViewInterest",
-    "LoadReplica",
-    "RegisterViews",
+    "AdoptSegment",
     "WindowAppend",
     "SealWindow",
-    "Digest",
     "Shutdown",
+    "Adopted",
     "SealAck",
-    "DigestReply",
     "ErrorReply",
 ]
 
@@ -65,48 +61,10 @@ def register_message(cls: type) -> type:
 
 @register_message
 @dataclass(frozen=True)
-class ViewInterest:
-    """A picklable stand-in for one registered view's relevance filter.
+class AdoptSegment:
+    """Adopt one shard's log segment (replies :class:`Adopted`)."""
 
-    Live :class:`~repro.engine.relevance.DeltaFilter` objects duck-type
-    against index state and cannot cross the pipe; workers instead count
-    per-view routed updates against this descriptor:
-
-    * ``mode="all"`` — every update counts (broadcast views and
-      :class:`~repro.engine.relevance.SubscribeAll`);
-    * ``mode="target-labels"`` — an update counts when its target's
-      label is in :attr:`labels` (exact for
-      :class:`~repro.engine.relevance.AlphabetRelevance`);
-    * ``mode="conservative"`` — the filter consults live index state the
-      worker does not hold, so every update counts (an upper bound,
-      never an undercount).
-    """
-
-    name: str
-    mode: str = "all"
-    labels: Optional[tuple] = None
-
-
-@register_message
-@dataclass(frozen=True)
-class LoadReplica:
-    """Adopt a shard: segment path, shard index, and the shard's
-    resident sub-graph replica (owned nodes plus ghost copies, exactly
-    the hosting :class:`~repro.graph.sharding.ShardedGraphStore` shard)
-    as ``(node, label)`` pairs and ``(source, target)`` edges."""
-
-    shard_index: int
     segment_path: str
-    labels: tuple = ()
-    edges: tuple = ()
-
-
-@register_message
-@dataclass(frozen=True)
-class RegisterViews:
-    """Replace the worker's view-interest table (fragment counting)."""
-
-    views: tuple = ()
 
 
 @register_message
@@ -115,24 +73,16 @@ class WindowAppend:
     """One routed sub-delta of one batch, under a group-commit window.
 
     Pipelined: the worker appends the sub-entry to its segment (tagged
-    ``%window``, no fsync — the seal pays that), absorbs it into the
-    replica, and sends **no reply**; errors surface at the next
-    :class:`SealWindow`.  ``updates`` empty means replica-only upkeep
-    (``foreign_targets`` introduces nodes this shard owns that only
-    remote-source edges reference) and appends nothing to the log.
-
-    ``ghost_labels`` carries the authoritative labels of *pre-existing*
-    remote targets touched by this sub-delta, so ghost copies heal on
-    touch; brand-new targets take the update's stabilized declared
-    label.
+    ``%window``, no fsync — the seal pays that) and sends **no reply**;
+    errors surface at the next :class:`SealWindow`.  An empty
+    ``updates`` is an empty batch's sub-entry and is appended like any
+    other, so its seq stays spoken for.
     """
 
     window: int
     seq: int
     participants: int
     updates: tuple = ()
-    ghost_labels: tuple = ()
-    foreign_targets: tuple = ()
 
 
 @register_message
@@ -148,40 +98,24 @@ class SealWindow:
 
 @register_message
 @dataclass(frozen=True)
-class Digest:
-    """Request a replica digest (replies :class:`DigestReply`)."""
-
-
-@register_message
-@dataclass(frozen=True)
 class Shutdown:
     """Exit the worker loop cleanly (no reply)."""
 
 
 @register_message
 @dataclass(frozen=True)
-class SealAck:
-    """Window sealed durably.  Carries the worker's gather fragment:
-    the newest seq it holds, per-view routed-update counts for the
-    window (``(name, count)`` pairs), and a cost snapshot of
-    ``(counter, value)`` pairs (batches/updates appended, absorb and
-    append wall seconds)."""
+class Adopted:
+    """The worker opened the segment named in :class:`AdoptSegment`."""
 
-    window: int
-    last_seq: int = 0
-    fragments: tuple = ()
-    cost: tuple = ()
+    segment_path: str
 
 
 @register_message
 @dataclass(frozen=True)
-class DigestReply:
-    """Replica digest: logical size plus a content checksum."""
+class SealAck:
+    """Window sealed durably in this worker's segment."""
 
-    shard_index: int
-    nodes: int = 0
-    edges: int = 0
-    checksum: int = 0
+    window: int
 
 
 @register_message
@@ -193,4 +127,3 @@ class ErrorReply:
     acknowledged it."""
 
     message: str = ""
-    window: Optional[int] = None

@@ -1,203 +1,45 @@
-"""The resident shard worker: one process, one shard, no shared state.
+"""The resident shard worker: one process, one log segment, no shared
+state.
 
 :func:`shard_worker_main` is the entry point
 :class:`repro.shardexec.pool.ShardWorkerPool` spawns one process per
-shard around.  Each worker owns, for the lifetime of the pool:
-
-* its **log segment** — a :class:`~repro.persist.deltalog.DeltaLog` it
-  appends routed sub-entries to under ``%window`` tags (format v4), so
-  per-batch writes are flush-only and the seal pays one fsync for the
-  whole window;
-* its **sub-graph replica** — a plain
-  :class:`~repro.graph.digraph.DiGraph` mirroring the hosting shard of
-  the coordinator's :class:`~repro.graph.sharding.ShardedGraphStore`
-  (owned nodes, their full out-adjacency, ghost copies of remote
-  targets), absorbed batch by batch off the coordinator's critical
-  path;
-* its **gather fragment** — per-view routed-update counts and a cost
-  snapshot, returned on every :class:`~repro.shardexec.messages.SealAck`
-  for the coordinator to merge.
+shard around.  A worker owns exactly one thing for the lifetime of the
+pool: its shard's **log segment**, a
+:class:`~repro.persist.deltalog.DeltaLog` it appends routed sub-entries
+to under ``%window`` tags (format v4), so per-batch writes are
+flush-only and the seal pays one fsync for the whole window.  The
+graph and every view stay on the coordinator; the segment files are
+the only state recovery reads.
 
 The loop is strictly message-driven over one duplex pipe and replies
-only to :class:`~repro.shardexec.messages.SealWindow` and
-:class:`~repro.shardexec.messages.Digest` — appends are pipelined with
-no per-batch acknowledgment, which is exactly the group-commit
-contract: durability is only ever claimed at a seal.  A processing
-error does not kill the worker; it is latched and reported as an
+only to :class:`~repro.shardexec.messages.AdoptSegment` and
+:class:`~repro.shardexec.messages.SealWindow` — appends are pipelined
+with no per-batch acknowledgment, which is exactly the group-commit
+contract: durability is only ever claimed at a seal.  A failed append
+does not kill the worker; it is latched and reported as an
 :class:`~repro.shardexec.messages.ErrorReply` in place of the next
-expected reply, so the coordinator's seal fails (and the window stays
-torn) instead of silently losing a sub-entry.
+seal's acknowledgment, so the coordinator's seal fails (and the window
+stays torn) instead of silently losing a sub-entry.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
-import zlib
 from typing import Optional
 
 from repro.core.delta import Delta
-from repro.graph.digraph import DiGraph
 from repro.persist.deltalog import DeltaLog
 from repro.shardexec.messages import (
-    Digest,
-    DigestReply,
+    AdoptSegment,
+    Adopted,
     ErrorReply,
-    LoadReplica,
-    RegisterViews,
     SealAck,
     SealWindow,
     Shutdown,
     WindowAppend,
 )
 
-__all__ = ["shard_worker_main", "replica_digest"]
-
-
-def replica_digest(graph) -> tuple[int, int, int]:
-    """Order-independent content digest of a (sub-)graph:
-    ``(num_nodes, num_edges, checksum)`` over sorted node/label and
-    edge reprs.  Computed identically on the worker replica and the
-    coordinator's hosting shard, so
-    :meth:`~repro.shardexec.pool.ShardWorkerPool.verify` can compare
-    the two without shipping either graph.
-
-    >>> replica_digest(DiGraph(labels={1: "a"}, edges=[])) \\
-    ...     == replica_digest(DiGraph(labels={1: "a"}, edges=[]))
-    True
-    """
-    checksum = 0
-    nodes = 0
-    for node in sorted(graph.nodes(), key=repr):
-        nodes += 1
-        token = f"n {node!r} {graph.label(node)!r}\n"
-        checksum = zlib.crc32(token.encode("utf-8"), checksum)
-    edges = 0
-    for edge in sorted(graph.edges(), key=repr):
-        edges += 1
-        checksum = zlib.crc32(repr(edge).encode("utf-8"), checksum)
-    return nodes, edges, checksum
-
-
-class _ShardContext:
-    """Everything one worker owns for its adopted shard."""
-
-    def __init__(self, message: LoadReplica) -> None:
-        self.shard_index = message.shard_index
-        self.log = DeltaLog(message.segment_path)
-        self.replica = DiGraph()
-        for node, label in message.labels:
-            self.replica.add_node(node, label=label)
-        for source, target in message.edges:
-            self.replica.add_edge(source, target)
-        self.views: tuple = ()
-        self.last_seq = 0
-        #: Latched failure from a pipelined message; reported (and the
-        #: seal refused) at the next reply opportunity.
-        self.error: Optional[str] = None
-        self.reset_window_stats()
-
-    def reset_window_stats(self) -> None:
-        self.fragments: dict[str, int] = {}
-        self.batches = 0
-        self.updates = 0
-        self.append_seconds = 0.0
-        self.absorb_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # Message handlers
-    # ------------------------------------------------------------------
-
-    def window_append(self, message: WindowAppend) -> None:
-        if message.updates:
-            started = time.perf_counter()
-            self.log.append(
-                Delta(list(message.updates)),
-                seq=message.seq,
-                participants=message.participants,
-                window=message.window,
-            )
-            self.append_seconds += time.perf_counter() - started
-            self.last_seq = max(self.last_seq, message.seq)
-            self.batches += 1
-            self.updates += len(message.updates)
-        started = time.perf_counter()
-        self._absorb(message)
-        self._count_fragments(message.updates)
-        self.absorb_seconds += time.perf_counter() - started
-
-    def _absorb(self, message: WindowAppend) -> None:
-        """Mirror the hosting shard's mutation semantics
-        (:meth:`repro.graph.sharding.ShardedGraphStore.add_edge` /
-        ``remove_edge`` restricted to this shard): the source's shard
-        stores the edge and hosts ghost targets; the target's owner
-        hosts nodes that only remote edges reference
-        (``foreign_targets``)."""
-        replica = self.replica
-        ghost_labels = dict(message.ghost_labels)
-        for node, label in message.foreign_targets:
-            if not replica.has_node(node):
-                replica.add_node(node, label=label)
-        for update in message.updates:
-            if update.is_insert:
-                if not replica.has_node(update.source):
-                    replica.add_node(update.source, label=update.source_label)
-                if not replica.has_node(update.target):
-                    replica.add_node(
-                        update.target,
-                        label=ghost_labels.get(
-                            update.target, update.target_label
-                        ),
-                    )
-                replica.add_edge(update.source, update.target)
-            else:
-                replica.remove_edge(update.source, update.target)
-
-    def _count_fragments(self, updates: tuple) -> None:
-        replica = self.replica
-        for interest in self.views:
-            count = 0
-            if interest.mode == "target-labels":
-                wanted = interest.labels or ()
-                for update in updates:
-                    label = (
-                        replica.label(update.target)
-                        if replica.has_node(update.target)
-                        else update.target_label
-                    )
-                    if label in wanted:
-                        count += 1
-            else:  # "all" and "conservative": every update counts
-                count = len(updates)
-            if count:
-                self.fragments[interest.name] = (
-                    self.fragments.get(interest.name, 0) + count
-                )
-
-    def seal(self, message: SealWindow) -> SealAck:
-        self.log.seal_window(message.window, message.participants)
-        ack = SealAck(
-            window=message.window,
-            last_seq=self.last_seq,
-            fragments=tuple(sorted(self.fragments.items())),
-            cost=(
-                ("batches", float(self.batches)),
-                ("updates", float(self.updates)),
-                ("append_seconds", self.append_seconds),
-                ("absorb_seconds", self.absorb_seconds),
-            ),
-        )
-        self.reset_window_stats()
-        return ack
-
-    def digest(self) -> DigestReply:
-        nodes, edges, checksum = replica_digest(self.replica)
-        return DigestReply(
-            shard_index=self.shard_index,
-            nodes=nodes,
-            edges=edges,
-            checksum=checksum,
-        )
+__all__ = ["shard_worker_main"]
 
 
 def shard_worker_main(conn) -> None:
@@ -209,7 +51,10 @@ def shard_worker_main(conn) -> None:
     the child — the only state a worker ever holds arrived as a
     registered message.
     """
-    context: Optional[_ShardContext] = None
+    log: Optional[DeltaLog] = None
+    #: Latched failure of a pipelined append; reported (and the seal
+    #: refused) at the next seal.
+    error: Optional[str] = None
     try:
         while True:
             try:
@@ -219,34 +64,27 @@ def shard_worker_main(conn) -> None:
             if isinstance(message, Shutdown):
                 return
             try:
-                if isinstance(message, LoadReplica):
-                    context = _ShardContext(message)
-                elif context is None:
-                    conn.send(
-                        ErrorReply(message="worker has no shard loaded")
-                    )
-                elif isinstance(message, RegisterViews):
-                    context.views = message.views
+                if isinstance(message, AdoptSegment):
+                    log = DeltaLog(message.segment_path)
+                    error = None
+                    conn.send(Adopted(segment_path=message.segment_path))
+                elif log is None:
+                    conn.send(ErrorReply(message="worker has adopted no segment"))
                 elif isinstance(message, WindowAppend):
-                    if context.error is None:
-                        context.window_append(message)
-                elif isinstance(message, SealWindow):
-                    if context.error is not None:
-                        conn.send(
-                            ErrorReply(
-                                message=context.error,
-                                window=message.window,
-                            )
+                    if error is None:
+                        log.append(
+                            Delta(list(message.updates)),
+                            seq=message.seq,
+                            participants=message.participants,
+                            window=message.window,
                         )
-                        context.error = None
+                elif isinstance(message, SealWindow):
+                    if error is not None:
+                        conn.send(ErrorReply(message=error))
+                        error = None
                     else:
-                        conn.send(context.seal(message))
-                elif isinstance(message, Digest):
-                    if context.error is not None:
-                        conn.send(ErrorReply(message=context.error))
-                        context.error = None
-                    else:
-                        conn.send(context.digest())
+                        log.seal_window(message.window, message.participants)
+                        conn.send(SealAck(window=message.window))
                 else:
                     conn.send(
                         ErrorReply(
@@ -255,20 +93,13 @@ def shard_worker_main(conn) -> None:
                     )
             except Exception:
                 failure = traceback.format_exc(limit=8)
-                if isinstance(message, (SealWindow, Digest)):
-                    # the coordinator is blocked on a reply — fail the
-                    # seal now rather than latching (the window stays
-                    # torn either way)
-                    conn.send(
-                        ErrorReply(
-                            message=failure,
-                            window=getattr(message, "window", None),
-                        )
-                    )
-                elif context is not None and context.error is None:
-                    # pipelined message: latch, surface at the next seal
-                    context.error = failure
-                elif context is None:
+                if isinstance(message, WindowAppend):
+                    # pipelined: latch, surface at the next seal
+                    if error is None:
+                        error = failure
+                else:
+                    # the coordinator is blocked on a reply — fail it now
+                    # (a failed seal leaves the window torn either way)
                     conn.send(ErrorReply(message=failure))
     finally:
         conn.close()

@@ -757,11 +757,15 @@ class TestCoordinatorDeathMidWindow:
             revived = SnapshotStore(root).load(attach_journal=False)
             assert_recovered_equals(revived, reference)
             # the root stays serviceable: a fresh session re-spawns
-            # workers and the next sealed window lands on top
+            # workers and the next sealed window lands on top.  The
+            # strategy is set on the log, where load()'s attach reads it
             fresh_store = SnapshotStore(root, shard_map=shard_map)
-            fresh = fresh_store.load()
-            fresh.scheduler.executor = "workers"
+            fresh_store.log.executor = "workers"
             fresh_store.log.window_size = 100
+            fresh = fresh_store.load()
+            respawned = fresh_store.log._worker_pool
+            assert respawned is not None and respawned is not pool
+            assert respawned.alive()
             follow_up = Delta([insert(1, 5, "a", "b")])
             fresh.apply(follow_up)
             reference.apply(follow_up)

@@ -1,13 +1,13 @@
 """Shard worker tier test suite (``repro.shardexec``).
 
-Covers the three layers of the tier plus its serving integration:
+Covers the tier plus its serving integration:
 
-* the wire vocabulary and the replica digest primitive;
-* :class:`ShardWorkerPool` — install/degrade/rebind, the scatter/gather
+* :class:`ShardWorkerPool` — install/degrade/rebind, the scatter/seal
   hot path (routed ≡ broadcast ≡ workers equivalence under group-commit
-  windows), ghost-boundary shipments, drain-synchronous verification,
-  and the error contract (latched pipelined failures surface at the
-  seal; the affected window stays torn and invisible to replay);
+  windows, and byte-identical segments from workers and the in-process
+  windowed writer), and the error contract (latched pipelined failures
+  surface at the seal, a dead worker fails the next write at once; the
+  affected window stays torn and invisible to replay);
 * the serving layer's durability split: under windowed journaling a
   published generation is visible immediately but
   :attr:`~repro.serving.Repository.durable_generation` trails until the
@@ -17,7 +17,10 @@ Worker processes are real (``spawn``); every test reaps its pool via
 the module fixture so resident workers never outlive their scenario.
 """
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -37,15 +40,7 @@ from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
-from repro.shardexec import (
-    GHOST_SYNC_ENV,
-    ShardWorkerPool,
-    ViewInterest,
-    WorkerPoolError,
-    replica_digest,
-    shutdown_pools,
-)
-from repro.shardexec.pool import _ghost_sync_policy, _view_interests
+from repro.shardexec import ShardWorkerPool, WorkerPoolError, shutdown_pools
 
 KWS_QUERY = KWSQuery(("a", "b"), bound=2)
 RPQ_QUERY = "a . (b + c)* . c"
@@ -110,53 +105,6 @@ def random_batch(rng, graph, next_node):
 
 
 # ----------------------------------------------------------------------
-# Primitives: digest, view interests, ghost-sync policy
-# ----------------------------------------------------------------------
-
-
-class TestPrimitives:
-    def test_replica_digest_is_order_independent(self):
-        one = DiGraph(labels={1: "a", 2: "b", 3: "c"}, edges=[(1, 2), (2, 3)])
-        two = DiGraph(labels={3: "c", 1: "a", 2: "b"})
-        two.add_edge(2, 3)
-        two.add_edge(1, 2)
-        assert replica_digest(one) == replica_digest(two)
-
-    def test_replica_digest_detects_divergence(self):
-        base = DiGraph(labels={1: "a", 2: "b"}, edges=[(1, 2)])
-        relabeled = DiGraph(labels={1: "a", 2: "c"}, edges=[(1, 2)])
-        rewired = DiGraph(labels={1: "a", 2: "b"}, edges=[(2, 1)])
-        assert replica_digest(base) != replica_digest(relabeled)
-        assert replica_digest(base) != replica_digest(rewired)
-        # sizes agree on both divergences — the checksum is what catches them
-        assert replica_digest(base)[:2] == replica_digest(relabeled)[:2]
-
-    def test_view_interests_cover_every_filter_family(self):
-        engine = four_view_engine(DiGraph(labels={1: "a"}))
-        modes = {i.name: i.mode for i in _view_interests(engine)}
-        # scc subscribes to everything; rpq's NFA alphabet is exact;
-        # kws/iso consult live index state, so workers over-count
-        assert modes == {
-            "kws": "conservative",
-            "rpq": "target-labels",
-            "scc": "all",
-            "iso": "conservative",
-        }
-        rpq = next(i for i in _view_interests(engine) if i.name == "rpq")
-        assert set(rpq.labels) == {"a", "b", "c"}
-
-    def test_ghost_sync_policy_resolution(self, monkeypatch):
-        monkeypatch.delenv(GHOST_SYNC_ENV, raising=False)
-        assert _ghost_sync_policy(None) == "touch"
-        assert _ghost_sync_policy("declared") == "declared"
-        monkeypatch.setenv(GHOST_SYNC_ENV, "declared")
-        assert _ghost_sync_policy(None) == "declared"
-        assert _ghost_sync_policy("touch") == "touch"  # argument wins
-        with pytest.raises(WorkerPoolError, match="unknown ghost-sync"):
-            _ghost_sync_policy("everything")
-
-
-# ----------------------------------------------------------------------
 # Pool lifecycle
 # ----------------------------------------------------------------------
 
@@ -192,7 +140,41 @@ class TestPoolLifecycle:
         pool2 = again.log._worker_pool
         assert pool2 is pool
         assert [process.pid for process in pool2._processes] == pids
-        pool2.verify(engine.graph)
+        # the re-adopted workers keep journaling into the same segments
+        engine.apply(Delta([insert(2, 998, "a", "c")]))
+        again.log.flush()
+        recovered = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert recovered.graph == engine.graph
+
+    def test_dead_on_arrival_worker_degrades_install(self, tmp_path, monkeypatch):
+        """The adoption round trip is what notices a worker that died
+        before its first message: install reaps the pool and declines,
+        leaving the log on its in-process windowed appends."""
+        spawn = ShardWorkerPool._start
+        spawned = []
+
+        def spawn_then_kill(pool):
+            started = spawn(pool)
+            if started:
+                spawned.append(pool)
+                os.kill(pool._processes[0].pid, signal.SIGKILL)
+                pool._processes[0].join(timeout=5.0)
+            return started
+
+        monkeypatch.setattr(ShardWorkerPool, "_start", spawn_then_kill)
+        sharded, _ = random_setup(random.Random(3), shards=2)
+        engine = four_view_engine(sharded, executor="workers")
+        store = SnapshotStore(tmp_path / "store", shard_map=sharded.shard_map)
+        store.attach(engine)
+        if not spawned:
+            pytest.skip("worker processes unavailable in this interpreter")
+        assert store.log._worker_pool is None
+        assert not spawned[0].alive()  # reaped, not left half-adopted
+        store.save(engine)
+        engine.apply(Delta([insert(1, 997, "a", "b")]))
+        store.log.flush()
+        recovered = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert recovered.graph == engine.graph
 
     def test_shutdown_pools_reaps_workers(self, tmp_path):
         sharded, _ = random_setup(random.Random(2))
@@ -209,7 +191,7 @@ class TestPoolLifecycle:
 
 
 # ----------------------------------------------------------------------
-# The hot path: equivalence, ghosts, reports
+# The hot path: equivalence, cross-shard batches, the written bytes
 # ----------------------------------------------------------------------
 
 
@@ -220,8 +202,8 @@ class TestWorkerEquivalence:
     ):
         """Random batch streams through the full workers stack: the
         sharded engine equals the unsharded reference after every
-        batch, worker replicas digest-match the coordinator, and the
-        windowed log replays to the same session routed and broadcast."""
+        batch, and the windowed log the workers wrote replays to the
+        same session routed and broadcast."""
         monkeypatch.setenv("REPRO_WINDOW_SIZE", "3")
         rng = random.Random(0x5EED + seed)
         sharded_graph, plain_graph = random_setup(rng)
@@ -232,7 +214,6 @@ class TestWorkerEquivalence:
         )
         store.attach(engine)
         store.save(engine)
-        pool = store.log._worker_pool
         next_node = [100]
         for _ in range(12):
             batch = random_batch(rng, reference.graph, next_node)
@@ -246,8 +227,6 @@ class TestWorkerEquivalence:
             assert engine["scc"].components() == reference["scc"].components()
             assert engine["iso"].matches == reference["iso"].matches
         store.log.flush()
-        if pool is not None:
-            pool.verify(engine.graph)  # drain barrier + replica digest
         routed = store.load(attach_journal=False)
         broadcast = store.load(attach_journal=False, routed=False)
         for recovered in (routed, broadcast):
@@ -256,10 +235,10 @@ class TestWorkerEquivalence:
             assert recovered["iso"].matches == engine["iso"].matches
 
     def test_cross_shard_ghosts_and_foreign_targets(self, tmp_path):
-        """Inserts whose endpoints live on different shards: the source
-        shard's replica hosts a ghost of the target, and a brand-new
-        node introduced only by a remote-source edge still materializes
-        on its owning shard's replica (verified by digest)."""
+        """Inserts whose endpoints live on different shards — to existing
+        nodes (the source shard hosts a ghost of the target) and to
+        brand-new nodes that only a remote-source edge introduces —
+        journal through the workers and recover shard for shard."""
         shard_map = ShardMap(4)
         nodes = list(range(16))
         sharded = ShardedGraphStore(
@@ -268,10 +247,10 @@ class TestWorkerEquivalence:
         engine = four_view_engine(sharded, executor="workers")
         store = SnapshotStore(tmp_path / "store", shard_map=shard_map)
         store.attach(engine)
+        store.save(engine)
         store.log.window_size = 4
         if store.log._worker_pool is None:
             pytest.skip("worker processes unavailable in this interpreter")
-        # cross-shard edges to existing nodes and to brand-new ones
         batches = [
             Delta([insert(0, 1, "a", "a"), insert(2, 3, "a", "a")]),
             Delta([insert(1, 100, "a", "d"), insert(3, 101, "a", "b")]),
@@ -280,39 +259,63 @@ class TestWorkerEquivalence:
         for batch in batches:
             engine.apply(batch)
         store.log.flush()
-        store.log._worker_pool.verify(engine.graph)
+        revived = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert revived.graph == engine.graph
+        for index in range(shard_map.count):
+            assert revived.graph.shard(index) == engine.graph.shard(index)
 
-    def test_seal_report_merges_fragments_and_costs(self, tmp_path):
-        """The gather side: per-view ΔO fragment counts are summed
-        across workers (exact for the alphabet view, everything for
-        the subscribe-all view) and per-shard cost snapshots survive."""
-        shard_map = ShardMap(3)
-        sharded = ShardedGraphStore(
-            shard_map=shard_map, labels={n: "a" for n in range(9)}
+    def test_workers_and_serial_write_identical_segments(self, tmp_path):
+        """One seeded stream — an empty batch and cross-shard inserts
+        included — journaled once through the resident workers and once
+        through the in-process windowed writer: the segment files come
+        out byte for byte the same, so every routed sub-entry, the empty
+        batch's frame included, reaches its segment."""
+        rng = random.Random(0x10C)
+        shard_map = ShardMap(4)
+        labels = {n: rng.choice(LABELS) for n in range(12)}
+        edges: set = set()
+        stream = [Delta([])]
+        for step in range(10):
+            if step == 4:
+                stream.append(Delta([]))
+            if step == 7:
+                gone = sorted(edges)[0]
+                edges.discard(gone)
+                stream.append(Delta([delete(*gone)]))
+            updates = []
+            for source in rng.sample(range(12), 3):
+                target = rng.randrange(12 + 3 * step)  # new nodes too
+                if target != source and (source, target) not in edges:
+                    edges.add((source, target))
+                    updates.append(insert(source, target, "a", "b"))
+            stream.append(Delta(updates))
+        assert any(
+            shard_map.shard_of(update.source) != shard_map.shard_of(update.target)
+            for batch in stream
+            for update in batch
         )
-        engine = Engine(sharded, executor="workers")
-        engine.register("rpq", lambda g, m: RPQIndex(g, RPQ_QUERY, meter=m))
-        engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
-        store = SnapshotStore(tmp_path / "store", shard_map=shard_map)
-        store.attach(engine)
-        store.log.window_size = 8
-        pool = store.log._worker_pool
-        if pool is None:
-            pytest.skip("worker processes unavailable in this interpreter")
-        # rpq's alphabet is {a, b, c}: the "d"-labelled target is
-        # invisible to it but counted by subscribe-all scc
-        engine.apply(Delta([insert(0, 50, "a", "d")]))
-        engine.apply(Delta([insert(1, 51, "a", "b"), insert(2, 52, "a", "c")]))
-        store.log.flush()
-        report = pool.last_window_report
-        assert report is not None
-        assert report.fragments["scc"] == 3
-        assert report.fragments["rpq"] == 2
-        assert report.last_seq == store.log.last_seq()
-        total_batches = sum(
-            cost.get("batches", 0) for cost in report.per_shard.values()
-        )
-        assert total_batches == 3  # three routed sub-entries in the window
+        segments = {}
+        for executor in ("workers", "serial"):
+            graph = ShardedGraphStore(shard_map=shard_map, labels=dict(labels))
+            engine = Engine(graph, executor=executor)
+            root = tmp_path / executor
+            store = SnapshotStore(root, shard_map=shard_map)
+            store.attach(engine)
+            store.log.window_size = 3
+            if executor == "workers" and store.log._worker_pool is None:
+                pytest.skip("worker processes unavailable in this interpreter")
+            for batch in stream:
+                engine.apply(batch)
+            store.log.flush()
+            segments[executor] = {
+                path.name: path.read_bytes()
+                for path in sorted((root / "segments").glob("*.log"))
+            }
+            shutdown_pools()
+        assert segments["workers"] == segments["serial"]
+        assert len(segments["serial"]) == shard_map.count
+        # the last seq is the closing batch's, whoever wrote the frames
+        assert SnapshotStore(tmp_path / "workers").log.last_seq() == len(stream)
 
 
 # ----------------------------------------------------------------------
@@ -334,10 +337,11 @@ class TestErrorContract:
         return engine, store
 
     def test_latched_append_failure_tears_the_window(self, tmp_path):
-        """A pipelined absorb failure (delete of an edge the replica
-        never saw) latches in the worker, surfaces as a failed seal,
-        and everything appended under the window stays invisible to
-        replay — the discard-whole contract."""
+        """A pipelined append that fails inside the worker's own
+        ``DeltaLog.append`` (a float label the record format refuses)
+        latches there, surfaces as a failed seal, and everything
+        appended under the window stays invisible to replay — the
+        discard-whole contract."""
         engine, store = self._pooled_log(tmp_path)
         if store.log._worker_pool is None:
             pytest.skip("worker processes unavailable in this interpreter")
@@ -345,9 +349,9 @@ class TestErrorContract:
         store.log.flush()
         durable = store.log.last_seq()
         # bypass engine validation: the log routes whatever it is given
-        store.log.append(Delta([delete(6, 7)]))  # edge never existed
+        store.log.append(Delta([insert(6, 7, "a", 1.5)]))  # unwritable
         store.log.append(Delta([insert(2, 3, "a", "a")]))
-        with pytest.raises(WorkerPoolError):
+        with pytest.raises(WorkerPoolError, match="SerializationError"):
             store.log.flush()
         # both appends rode the torn window: neither is durable
         assert store.log.last_seq() == durable
@@ -355,7 +359,7 @@ class TestErrorContract:
         pool = store.log._worker_pool
         assert pool is not None and not pool.alive()
         with pytest.raises(WorkerPoolError, match="broken"):
-            pool.append(1, 1, 1, [], Delta([]))
+            pool.append(1, 1, 1, [])
 
     def test_unregistered_message_is_rejected(self, tmp_path):
         engine, store = self._pooled_log(tmp_path)
@@ -363,14 +367,16 @@ class TestErrorContract:
         if pool is None:
             pytest.skip("worker processes unavailable in this interpreter")
         pool._send(0, {"not": "a registered message"})
+        engine.apply(Delta([]))  # an empty batch's frame goes to segment 0
         with pytest.raises(WorkerPoolError, match="unregistered message"):
-            pool.verify(engine.graph)
+            store.log.flush()
 
     def test_broken_pool_reinstalls_fresh_workers(self, tmp_path):
         engine, store = self._pooled_log(tmp_path)
         pool = store.log._worker_pool
         if pool is None:
             pytest.skip("worker processes unavailable in this interpreter")
+        store.save(engine)
         pool.terminate()
         assert not pool.alive()
         replacement = ShardWorkerPool.install(engine, store.log)
@@ -378,21 +384,48 @@ class TestErrorContract:
         assert store.log._worker_pool is replacement
         engine.apply(Delta([insert(0, 1, "a", "a")]))
         store.log.flush()
-        replacement.verify(engine.graph)
+        recovered = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert recovered.graph == engine.graph
 
-    def test_replica_divergence_fails_verification(self, tmp_path):
-        engine, store = self._pooled_log(tmp_path)
+    def test_killed_worker_fails_fast_and_recovers(self, tmp_path):
+        """SIGKILL one worker while a window is open: the next write
+        routed to it raises at once (broken pipe, not the seal timeout)
+        and leaves the graph and its segment untouched, the flush raises
+        too, recovery returns exactly the sealed windows, and install
+        respawns the tier."""
+        engine, store = self._pooled_log(tmp_path, window_size=100)
         pool = store.log._worker_pool
         if pool is None:
             pytest.skip("worker processes unavailable in this interpreter")
-        engine.apply(Delta([insert(0, 1, "a", "a")]))
-        store.log.flush()
-        pool.verify(engine.graph)
-        # an out-of-band mutation never crosses the delta stream, so
-        # the replicas cannot know about it — verify must say so
-        engine.graph.add_node(999, label="d")
-        with pytest.raises(WorkerPoolError, match="diverged"):
-            pool.verify(engine.graph)
+        shard_map = engine.graph.shard_map
+        ones = [n for n in range(8) if shard_map.shard_of(n) == 1]
+        zeros = [n for n in range(8) if shard_map.shard_of(n) == 0]
+        store.save(engine)
+        engine.apply(Delta([insert(ones[0], zeros[0], "a", "a")]))
+        store.log.flush()  # the sealed prefix
+        sealed = engine.graph.copy()
+        # the open window: one sub-entry for each worker
+        engine.apply(Delta([insert(ones[1], zeros[1], "a", "a")]))
+        engine.apply(Delta([insert(zeros[1], ones[1], "a", "a")]))
+        victim = pool._processes[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        before = engine.graph.copy()
+        segment = store.log.segment_paths()[1]
+        segment_bytes = segment.read_bytes()
+        started = time.monotonic()
+        with pytest.raises(WorkerPoolError, match="unreachable"):
+            engine.apply(Delta([insert(ones[0], ones[1], "a", "a")]))
+        with pytest.raises(WorkerPoolError):
+            store.log.flush()
+        assert time.monotonic() - started < 10.0  # nowhere near the timeout
+        assert engine.graph == before  # write-ahead: nothing applied
+        assert segment.read_bytes() == segment_bytes
+        revived = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert revived.graph == sealed
+        replacement = ShardWorkerPool.install(engine, store.log)
+        assert replacement is not None and replacement.alive()
+        assert victim.pid not in [process.pid for process in replacement._processes]
 
 
 # ----------------------------------------------------------------------

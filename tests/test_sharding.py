@@ -40,6 +40,7 @@ from repro.graph.sharding import route_updates, stable_shard_hash
 from repro.iso import ISOIndex, Pattern
 from repro.kws import KWSIndex, KWSQuery
 from repro.persist import PersistFormatError, SnapshotPolicy
+from repro.persist.deltalog import WINDOW_ENV
 from repro.rpq import RPQIndex
 from repro.scc import SCCIndex
 from repro.shardexec import shutdown_pools
@@ -557,6 +558,29 @@ class TestSegmentedDeltaLog:
         with pytest.raises(SchedulerError, match="unknown executor"):
             log.append(Delta([insert(1, 2, "a", "b")]))
         assert not root.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+    def test_invalid_window_size_env_rejected_before_touching_disk(
+        self, tmp_path, monkeypatch, value
+    ):
+        """Regression: a malformed ``REPRO_WINDOW_SIZE`` was silently
+        read as 1, while ``window_size=0`` on the constructor raises.
+        It raises ``ValueError`` naming the variable at the first
+        workers append, before anything is created on disk."""
+        root = tmp_path / "segments"
+        monkeypatch.setenv(WINDOW_ENV, value)
+        log = SegmentedDeltaLog(root, ShardMap(2), executor="workers")
+        with pytest.raises(ValueError, match=WINDOW_ENV):
+            log.append(Delta([insert(1, 2, "a", "b")]))
+        assert not root.exists()
+
+    def test_window_size_env_sets_the_workers_window(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WINDOW_ENV, "2")
+        log = SegmentedDeltaLog(tmp_path / "segments", ShardMap(2), executor="workers")
+        log.append(Delta([insert(1, 2, "a", "b")]))
+        assert log.entries() == []  # window of two still open
+        log.append(Delta([insert(2, 3, "b", "c")]))
+        assert [entry.seq for entry in log.entries()] == [1, 2]  # auto-sealed
 
     def test_segments_directory_is_made_durable_once(self, tmp_path, monkeypatch):
         """Regression: the segments directory was re-``mkdir``ed on every

@@ -6,9 +6,10 @@ dataclasses registered with ``@register_message``.  ``multiprocessing``
 pipes pickle whatever they are handed, so the easy bug is shipping an
 object that merely *happens* to pickle — a closure-captured engine, a
 view holding the coordinator's graph, a dict someone improvised — and
-the protocol silently stops being a protocol: replicas drift, spawn
-cost explodes, and the worker-side allowlist rejects it only at
-runtime, mid-window.
+the protocol silently stops being a protocol: a journal-only worker
+starts receiving coordinator state it has no use for, every batch pays
+to pickle it, and the worker-side allowlist rejects it only at
+runtime, mid-window, tearing the window.
 
 The rule, over ``src/repro/shardexec/``: the payload of every
 ``*.send(payload)`` call (and the message argument of the pool's

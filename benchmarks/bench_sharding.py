@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sharded store + one log segment per shard vs. one DiGraph + one segment.
+"""One log segment per shard vs. one segment, over the same one graph.
 
 The scenario is a **sustained, shard-local, skewed update stream** — the
 regime partitioned graph systems (Layph-style) target: most churn
@@ -9,16 +9,20 @@ concentrates on a hot region (60% of batches hit shard 0's node range,
 write-ahead journal on every apply, periodic incremental snapshots, and
 **background log compaction every few batches**.
 
-That last item is where the one-segment layout loses: each compaction
-firing rewrites the *whole* surviving log window, stalling the apply
-path for a pause proportional to the entire log.  Over a sharded graph
-the log (`SegmentedDeltaLog`) keeps one append file per shard and
-compacts **one shard's segment per firing**, in rotation — the pause is bounded by a segment,
-and the hot shard's churn never forces a rewrite of the cold shards'
-entries.  Appends are a wash in this stream (a shard-local batch costs
-one fsync in both layouts), so the measured speedup is the compaction
-scaling, which is exactly the claim: maintenance cost should track the
-changed region, not the whole store.
+Both configurations hold the graph the same way — one adjacency; a
+``ShardedGraphStore`` is a ``DiGraph`` carrying its ``ShardMap`` — so
+what the gate measures is the **log's rotating per-segment
+compaction**, not a partitioned graph.  With one segment each
+compaction firing rewrites the *whole* surviving log window, stalling
+the apply path for a pause proportional to the entire log.  With a
+4-shard map the log (`SegmentedDeltaLog`) keeps one append file per
+shard and compacts **one shard's segment per firing**, in rotation —
+the pause is bounded by a segment, and the hot shard's churn never
+forces a rewrite of the cold shards' entries.  Appends are a wash in
+this stream (a shard-local batch costs one fsync in both layouts), so
+the measured speedup is the compaction scaling, which is exactly the
+claim: maintenance cost should track the changed region, not the whole
+log.
 
 The run cross-checks every configuration to the identical final graph,
 recovers each store from disk afterwards (`SnapshotStore.load`) and
@@ -26,8 +30,8 @@ compares again, and **asserts the acceptance criterion: >= 1.5x apply
 throughput at 4 shards vs 1 shard under the `serial` executor** (the
 `workers` tier is measured by ``bench_workers.py``).
 
-Views are deliberately absent: this bench isolates the storage + journal
-+ compaction path (view fan-out economics are measured by
+Views are deliberately absent: this bench isolates the journal +
+compaction path (view fan-out economics are measured by
 ``bench_engine_fanout.py`` and ``bench_delta_routing.py``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_sharding.py

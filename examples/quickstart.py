@@ -9,7 +9,7 @@ defining equation Q(G ⊕ ΔG) = Q(G) ⊕ ΔO.
 
 The finale re-runs the same stream through an :class:`~repro.Engine`
 over a **sharded** graph store (``ShardedGraphStore``, 4 hash shards)
-— the drop-in storage layout that partitions mutations, journaling,
+— a ``DiGraph`` carrying the ``ShardMap`` that partitions journaling
 and compaction per shard — and shows the answers are identical.  The
 engine's executor strategy follows ``REPRO_ENGINE_EXECUTOR``
 (``serial`` / ``workers``), so this script doubles as a smoke test for

@@ -2,8 +2,9 @@
 
 A *program* is a named builder that wires a :class:`~repro.dataflow.
 runtime.Dataflow` graph over two input relations that are read-only
-views of the shared :class:`~repro.graph.digraph.DiGraph` (or
-:class:`~repro.graph.sharding.ShardedGraphStore`) — they hold no rows:
+views of the shared :class:`~repro.graph.digraph.DiGraph` (a
+:class:`~repro.graph.sharding.ShardedGraphStore` is one, with a map
+for its log) — they hold no rows:
 
 * ``inputs.nodes`` — rows ``(node, label)``;
 * ``inputs.edges`` — rows ``(source, target, source_label,
@@ -158,8 +159,8 @@ class _EdgeRelation(_GraphRelation):
         )
 
     def adjacency(self, key_columns: tuple, value_column: int):
-        # bound methods of the store, not of a shard: every probe goes
-        # through the current shard layout
+        # bound methods of the live graph: every probe reads its
+        # current adjacency, and nothing is copied
         if (key_columns, value_column) == ((0,), 1):
             return self._graph.out_neighbors
         if (key_columns, value_column) == ((1,), 0):

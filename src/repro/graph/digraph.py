@@ -109,8 +109,11 @@ class DiGraph:
         return cls(edges=edges, labels=labels)
 
     def copy(self) -> "DiGraph":
-        """Return an independent deep copy of the structure (labels shared)."""
-        clone = DiGraph()
+        """Return an independent deep copy of the structure (labels shared).
+
+        The clone has the receiver's class; a subclass copies its own
+        slots after this."""
+        clone = object.__new__(type(self))
         clone._labels = dict(self._labels)
         clone._succ = {node: set(targets) for node, targets in self._succ.items()}
         clone._pred = {node: set(sources) for node, sources in self._pred.items()}
@@ -318,7 +321,7 @@ class DiGraph:
         )
 
     def __repr__(self) -> str:
-        return f"DiGraph(|V|={self.num_nodes}, |E|={self.num_edges})"
+        return f"{type(self).__name__}(|V|={self.num_nodes}, |E|={self.num_edges})"
 
     # ------------------------------------------------------------------
     # Subgraphs

@@ -65,8 +65,8 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: normative spec and docs/PERSISTENCE.md for history).  Version 2
 #: added per-view replay cursors (a fourth ``%section view`` operand)
 #: and incremental ``%graphdiff`` chunks in the graph section; version
-#: 3 added the ``%meta sharding`` layout stamp (shard-partitioned
-#: graphs) and the segmented delta-log directory with its
+#: 3 added the ``%meta sharding`` layout stamp (the shard map the
+#: log routes by) and the segmented delta-log directory with its
 #: ``%batch <seq> <participants>`` framing; version 4 added
 #: group-commit windows in the delta log (``%window <id>`` entry tags
 #: sealed by ``%seal <id> <participants>``), which let per-segment
@@ -458,7 +458,10 @@ def parse_sharding_meta(operands, version: int, source: str, line_number: int):
                 source, line_number, "hash sharding takes no boundaries"
             )
         return ShardMap(count, kind="hash")
-    shard_map = ShardMap(kind="range", boundaries=operands[3:])
+    try:
+        shard_map = ShardMap(kind="range", boundaries=operands[3:])
+    except ValueError as exc:
+        raise PersistFormatError(source, line_number, str(exc)) from None
     if shard_map.count != count:
         raise PersistFormatError(
             source,

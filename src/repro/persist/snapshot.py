@@ -851,14 +851,16 @@ class SnapshotStore:
     def split_shard(self, engine: Engine, parent: int, boundary=None) -> ShardMap:
         """Split one shard of a live session online; returns the new map.
 
-        Grows the engine's :class:`~repro.graph.sharding.ShardMap` by
-        one shard (``graph.shard_map.split(parent, boundary)``), migrates
-        the carved-off sub-graph to the new shard in memory
-        (:meth:`~repro.graph.sharding.ShardedGraphStore.repartition` —
-        cost tracks the moved region, not |G|), re-routes future log
-        appends (:meth:`~repro.persist.deltalog.SegmentedDeltaLog.
+        Grows the engine graph's :class:`~repro.graph.sharding.ShardMap`
+        by one shard (``graph.shard_map.split(parent, boundary)``) and
+        routes every node through the new map before anything is
+        touched, so a range boundary the map or the nodes cannot
+        compare with raises :class:`ValueError` and commits nothing.
+        Nothing moves in memory — the graph keeps its one adjacency and
+        only swaps the map it carries — so the split re-routes future
+        log appends (:meth:`~repro.persist.deltalog.SegmentedDeltaLog.
         rebind_map` — existing segment tails stay where they are; the
-        seq space is global, so replay is layout-agnostic), and writes a
+        seq space is global, so replay is layout-agnostic) and writes a
         full snapshot carrying the ``%meta shard-split`` stamp.
 
         **The snapshot's atomic rename is the commit point.**  Before
@@ -866,9 +868,9 @@ class SnapshotStore:
         is sealed up front and the child's segment file is created
         lazily, on its first append — so a crash at any kill point
         recovers to a complete pre-split or post-split state, never a
-        torn one.  On a non-crash failure the in-memory migration is
-        rolled back before re-raising, so the live engine cannot journal
-        into a child segment that recovery would refuse.
+        torn one.  On a non-crash failure the graph and the log get the
+        old map back before the error propagates, so the live engine
+        cannot journal into a child segment that recovery would refuse.
 
         A resident :class:`~repro.shardexec.pool.ShardWorkerPool`, if
         installed, is respawned against the new layout after the commit
@@ -889,15 +891,25 @@ class SnapshotStore:
         self._bind_layout(engine)
         old_map = graph.shard_map
         new_map = old_map.split(parent, boundary=boundary)
+        # Only the parent shard's nodes meet the new boundary; routing
+        # every node finds one the boundary cannot order against.
+        for node in graph.nodes():
+            try:
+                new_map.shard_of(node)
+            except TypeError:
+                raise ValueError(
+                    f"split boundary {boundary!r} does not order against "
+                    f"node {node!r} of shard {parent}"
+                ) from None
         # Seal the open window first: the split must not share a
         # group-commit window with ordinary batches.
         self.log.flush()
-        graph.repartition(new_map)
+        graph.shard_map = new_map
         try:
             self.log.rebind_map(new_map)
             self.save(engine)
         except BaseException:
-            graph.repartition(old_map)
+            graph.shard_map = old_map
             self.log.rebind_map(old_map)
             raise
         if self.log._worker_pool is not None:

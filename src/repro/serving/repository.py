@@ -809,11 +809,12 @@ class Repository:
 
         Delegates to :meth:`repro.persist.SnapshotStore.split_shard`
         under the write side of the engine lock: readers drain, the
-        split migrates the sub-graph and commits (or rolls back whole),
-        then readers resume.  No generation is published and no view
-        version moves — a split relocates state without changing any
-        answer, so open sessions keep their pins and the cache keeps
-        every entry.  Returns the new shard map."""
+        split swaps the graph's map, re-routes the log and commits (or
+        puts the old map back), then readers resume.  No generation is
+        published and no view version moves — a split changes where
+        future updates are journaled, not the graph or any answer, so
+        open sessions keep their pins and the cache keeps every entry.
+        Returns the new shard map."""
         with self._engine_lock.write():
             with self._meta_lock:
                 self._check_serving_locked()

@@ -96,10 +96,13 @@ class ShardWorkerPool:
         """Wire a worker pool into ``log``'s windowed append path.
 
         Returns the pool, or ``None`` when worker processes cannot be
-        used here — the engine's graph is not sharded, or spawning
-        fails in this interpreter — in which case the log simply keeps
-        its in-process windowed appends (same format, same durability;
-        the ``workers`` strategy stays correct everywhere it runs).
+        used here — the engine's graph carries no
+        :class:`~repro.graph.sharding.ShardMap` (it is not a
+        :class:`~repro.graph.sharding.ShardedGraphStore`), its map is
+        not the log's, or spawning fails in this interpreter — in which
+        case the log simply keeps its in-process windowed appends (same
+        format, same durability; the ``workers`` strategy stays correct
+        everywhere it runs).
         Re-installing over the same log root re-binds the resident
         processes (each re-adopts its segment) instead of re-spawning
         them.

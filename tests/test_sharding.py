@@ -15,11 +15,14 @@ Three layers of coverage:
   sessions (including layout adoption by a map-less store).
 """
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from repro import (
+    DataflowView,
     Delta,
     DiGraph,
     Engine,
@@ -49,6 +52,23 @@ KWS_QUERY = KWSQuery(("a", "b"), bound=2)
 RPQ_QUERY = "a . (b + c)* . c"
 ISO_PATTERN = Pattern.from_edges({0: "a", 1: "b"}, [(0, 1)])
 LABELS = ["a", "b", "c", "d"]
+
+#: sha256 prefixes of the eleven files
+#: ``test_unsplit_store_saves_are_byte_identical_to_the_recorded_files``
+#: writes, as the store wrote them with one ``DiGraph`` per shard.
+UNSPLIT_SAVE_DIGESTS = [
+    "ddeb0cfd51057997",
+    "87b7b42a2923a317",
+    "c89266331f2d677b",
+    "60f7f64a4a6930bb",
+    "a725ae5335b5b178",
+    "a6337b628609f295",
+    "dabb5a0a40dad053",
+    "9c98c80109dcd393",
+    "a84690ddd3007c8d",
+    "3fdb8022670e3eac",
+    "f326d5971f32b258",
+]
 
 
 def four_view_engine(graph) -> Engine:
@@ -151,6 +171,14 @@ class TestShardMap:
             ShardMap(kind="range", boundaries=[5, 1])
         with pytest.raises(ValueError, match="contradicts"):
             ShardMap(4, kind="range", boundaries=[100])  # implies 2
+        with pytest.raises(ValueError, match="do not order"):
+            ShardMap(kind="range", boundaries=[5, "x"])
+        with pytest.raises(ValueError, match="do not order"):
+            ShardMap(kind="range", boundaries=[20]).split(1, boundary="x")
+        with pytest.raises(ValueError, match="do not order"):
+            ShardMap(kind="range", boundaries=[]).split(0, 20).split(1, "x")
+        with pytest.raises(ValueError, match="do not order"):
+            ShardMap(kind="range", splits=[(0, 1, "x"), (1, 2, 5)])
         assert ShardMap(2, kind="range", boundaries=[100]).count == 2
 
     def test_equality(self):
@@ -191,12 +219,20 @@ class TestShardedGraphStore:
         store = ShardedGraphStore(
             shards=3, labels={1: "a", 2: "b"}, edges=[(1, 2), (2, 1)]
         )
+        assert isinstance(store, DiGraph)
         assert store.num_shards == 3
         assert store.shard_of(1) == store.shard_map.shard_of(1)
-        # the edge (1, 2) lives in 1's shard and nowhere else
-        owner = store.shard(store.shard_of(1))
-        assert owner.has_edge(1, 2)
-        assert sum(shard.num_edges for shard in map(store.shard, range(3))) == 2
+        # each node counts at its owner, each edge at its source's shard
+        expected = [[0, 0] for _ in range(3)]
+        for node in (1, 2):
+            expected[store.shard_of(node)][0] += 1
+            expected[store.shard_of(node)][1] += 1  # one out-edge each
+        assert store.shard_sizes() == [tuple(pair) for pair in expected]
+        clone = store.copy()
+        assert isinstance(clone, ShardedGraphStore)
+        assert clone.shard_map == store.shard_map and clone == store
+        clone.add_edge(1, 1)
+        assert not store.has_edge(1, 1)
 
     def test_exceptions_match_digraph(self):
         store = ShardedGraphStore(shards=2, labels={1: "a"}, edges=[])
@@ -290,7 +326,6 @@ class TestShardedGraphStore:
                 assert_same_graph(store, plain)
         assert_same_graph(store, plain)
         assert_same_graph(store.copy(), plain)
-        assert store.to_digraph() == plain
         # round-trip through from_digraph preserves everything
         assert_same_graph(
             ShardedGraphStore.from_digraph(plain, ShardMap(shards)), plain
@@ -299,6 +334,33 @@ class TestShardedGraphStore:
         keep = set(rng.sample(sorted(plain.nodes()), k=len(plain) // 2))
         assert store.subgraph(keep) == plain.subgraph(keep)
         assert store.reverse() == plain.reverse()
+
+    def test_store_retains_what_a_digraph_retains(self):
+        """The layout costs one map, not a second adjacency: a two-shard
+        store holds no more than 1.05x a ``DiGraph`` of the same labels
+        and edges."""
+        rng = random.Random(0x3E3)
+        labels = {node: rng.choice(LABELS) for node in range(4_000)}
+        edges: set = set()
+        while len(edges) < 30_000:
+            edges.add((rng.randrange(4_000), rng.randrange(4_000)))
+        shard_map = ShardMap(kind="range", boundaries=[2_000])
+
+        def retained(build) -> int:
+            tracemalloc.start()
+            try:
+                graph = build()
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert graph.num_edges == len(edges)
+            return current
+
+        plain = retained(lambda: DiGraph(labels=labels, edges=edges))
+        sharded = retained(
+            lambda: ShardedGraphStore.from_labeled_edges(labels, edges, shard_map)
+        )
+        assert sharded <= 1.05 * plain, sharded / plain
 
     def test_shard_sizes_and_cross_shard_edges(self):
         store = ShardedGraphStore(
@@ -797,7 +859,7 @@ class TestShardedSnapshots:
 
     def test_malformed_sharding_meta_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path / "store")
-        for operands in ("hash", "hash 0", "modulo 2", "range 3 9"):
+        for operands in ("hash", "hash 0", "modulo 2", "range 3 9", "range 3 5 x"):
             store.snapshot_path.write_text(
                 f"%repro-snapshot 3\n%meta sharding {operands}\n"
                 "%section graph\nn 1 a\n%end\n",
@@ -919,6 +981,95 @@ class TestShardedSnapshots:
         for entry in log.entries():
             if entry.seq == 2:
                 assert not entry.delta, "torn seq 2 resurrected after retry"
+
+    def test_range_split_refuses_an_unorderable_boundary(self, tmp_path):
+        """A boundary the map cannot compare with its nodes is refused
+        before the split seals, rebinds or saves anything: committing
+        it would make every later write to the parent shard raise
+        ``TypeError``, before and after recovery."""
+        # Shard 1 of the first map is empty, so only the map's own
+        # boundary can refuse "x"; the second map has no boundary, so
+        # only the int nodes of shard 0 can.
+        for root, shard_map, parent, write in [
+            ("bounded", ShardMap(kind="range", boundaries=[20]), 1, (25, 3)),
+            ("unbounded", ShardMap(kind="range"), 0, (4, 11)),
+        ]:
+            engine = four_view_engine(
+                ShardedGraphStore(
+                    shard_map=shard_map,
+                    labels={n: LABELS[n % 4] for n in range(10)},
+                    edges=[(n, n + 1) for n in range(9)],
+                )
+            )
+            store = SnapshotStore(tmp_path / root, shard_map=shard_map)
+            store.log.executor = "serial"
+            store.attach(engine)
+            store.save(engine)
+            engine.apply(Delta([insert(3, 7, "d", "d")]))
+
+            def on_disk():
+                return {
+                    path: path.read_bytes()
+                    for path in (tmp_path / root).rglob("*.*")
+                }
+
+            before = on_disk()
+            with pytest.raises(ValueError, match="order against"):
+                store.split_shard(engine, parent, boundary="x")
+            assert engine.graph.shard_map == store.log.shard_map == shard_map
+            assert on_disk() == before
+            source, target = write  # the parent shard still routes
+            engine.apply(Delta([insert(source, target, "a", "d")]))
+            revived = SnapshotStore(tmp_path / root).load(attach_journal=False)
+            assert revived.graph.shard_map == shard_map
+            assert revived.graph == engine.graph
+
+    def test_unsplit_store_saves_are_byte_identical_to_the_recorded_files(
+        self, tmp_path
+    ):
+        """Two range shards, integer ids, cross-shard inserts that bring
+        new nodes, deletes, one out-of-band relabel (a full graph
+        rewrite) and a mix of incremental and full saves: every file
+        matches the bytes the store wrote when it kept one ``DiGraph``
+        per shard, ghost copies included."""
+        rng = random.Random(0xB17E)
+        shard_map = ShardMap(kind="range", boundaries=[20])
+        labels = {n: rng.choice(LABELS) for n in range(40)}
+        edges: set = set()
+        while len(edges) < 90:
+            source, target = rng.randrange(40), rng.randrange(40)
+            if source != target:
+                edges.add((source, target))
+        graph = ShardedGraphStore(
+            shard_map=shard_map, labels=labels, edges=sorted(edges)
+        )
+        engine = Engine(graph)
+        engine.register("kws", lambda g, m: KWSIndex(g, KWS_QUERY, meter=m))
+        engine.register("rpq", lambda g, m: RPQIndex(g, RPQ_QUERY, meter=m))
+        engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
+        engine.register(
+            "tri", lambda g, m: DataflowView(g, "triangle-count", meter=m)
+        )
+        store = SnapshotStore(tmp_path / "store", shard_map=shard_map)
+        store.log.executor = "serial"
+        store.attach(engine)
+        digests = [hashlib.sha256(store.save(engine).read_bytes()).hexdigest()[:16]]
+        for step in range(10):
+            present = sorted(engine.graph.edges())
+            updates = [delete(*edge) for edge in rng.sample(present, 2)]
+            for _ in range(3):
+                source = rng.randrange(40)
+                target = rng.randrange(50 + 2 * step)  # new nodes too
+                if source != target and not engine.graph.has_edge(source, target):
+                    updates.append(insert(source, target, "a", rng.choice(LABELS)))
+            engine.apply(Delta(updates))
+            if step == 5:
+                engine.graph.set_label(next(engine.graph.nodes_with_label("d")), "e")
+            path = store.save(engine, incremental=step % 4 != 3)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest()[:16])
+        assert digests == UNSPLIT_SAVE_DIGESTS
+        revived = SnapshotStore(tmp_path / "store").load(attach_journal=False)
+        assert revived.graph == engine.graph
 
     def test_autosnapshot_policy_with_rotating_compaction(self, tmp_path):
         engine, store = self.build(tmp_path)

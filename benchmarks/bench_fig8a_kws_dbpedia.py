@@ -5,7 +5,7 @@ down to 2.8x at 20%, stays ahead until ~35%, and consistently beats
 IncKWSn by 1.6-2x.  Reproduced shape: incremental wins at small |ΔG|,
 speedup declines as |ΔG| grows, grouped batch processing beats
 unit-at-a-time (crossovers land at smaller fractions at pure-Python
-scale; see EXPERIMENTS.md E1-KWS-dbp).
+scale; see ``DELTA_FRACTIONS`` in ``benchmarks/harness.py``).
 """
 
 from benchmarks.harness import (

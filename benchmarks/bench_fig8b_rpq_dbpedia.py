@@ -3,7 +3,7 @@
 Paper series (|Q| = 4): IncRPQ beats RPQ_NFA 8.6x at 5% down to 3.2x at
 20%, stays ahead until ~35%, and beats IncRPQn ~2.3x at 15%.  Reproduced
 shape: win at small |ΔG|, declining speedup, grouped batch processing
-beats unit-at-a-time (EXPERIMENTS.md E1-RPQ-dbp).
+beats unit-at-a-time.
 """
 
 from benchmarks.harness import (

@@ -5,8 +5,8 @@ IncSCCn 1.7-2.6x, and beats DynSCC ~2.1x (DynSCC pays dynamic-structure
 maintenance even when the output is stable).  Reproduced shape at
 pure-Python scale: IncSCC wins at 1%, the gap closes quickly because a
 random-pair insertion workload on a hierarchical profile makes the rank
-windows (|AFF|) comparable to |G_c| (EXPERIMENTS.md E1-SCC-dbp discusses
-the cost-meter evidence); IncSCC ≪ IncSCCn ≪ DynSCC throughout.
+windows (|AFF|) comparable to |G_c|; IncSCC ≪ IncSCCn ≪ DynSCC
+throughout.
 """
 
 from benchmarks.harness import (

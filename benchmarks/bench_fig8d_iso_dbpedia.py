@@ -5,7 +5,8 @@ at 25%, and beats IncISOn 2.4-2.6x.  Reproduced shape: win at the
 smallest fraction, declining speedup, anchored batch processing crushes
 the per-update neighborhood extraction of IncISOn.  The dataset uses the
 selectivity-matched relabeling (DBpedia's ~8.7k nodes per label cannot
-coexist with a 495-symbol alphabet at laptop scale; see DESIGN.md).
+coexist with a 495-symbol alphabet at laptop scale; see
+``repro.workloads.datasets.with_selectivity``).
 """
 
 from benchmarks.harness import (

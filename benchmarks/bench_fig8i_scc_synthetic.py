@@ -2,8 +2,8 @@
 
 Paper series: IncSCC beats Tarjan 7.7x at 5% down to 1.7x at 25% on the
 synthetic generator (|E| = 2|V|).  At pure-Python scale the random-pair
-insertion workload produces rank windows comparable to |G_c| (see
-EXPERIMENTS.md E1-SCC-syn), so the win concentrates at the 1% point; the
+insertion workload produces rank windows comparable to |G_c|, so the
+win concentrates at the 1% point; the
 orderings IncSCC < IncSCCn < DynSCC and the declining-speedup shape
 reproduce throughout.
 """
@@ -27,8 +27,8 @@ def test_fig8i_sweep(benchmark, capfd):
     rows = sweep_deltas_scc(DATASET, SCALE, seed=SEED)
     with capfd.disabled():
         print_table("Fig. 8(i)  SCC, synthetic, vary |ΔG|", "|ΔG|/|E|", rows)
-    # The 1% point hovers at parity at this scale (see EXPERIMENTS.md
-    # on rank-window |AFF| for random-pair insertions).
+    # The 1% point hovers at parity at this scale: random-pair
+    # insertions give rank windows (|AFF|) comparable to |G_c|.
     assert_incremental_wins_when_small(rows, slack=1.6)
     assert_speedup_declines(rows)
     assert_batch_beats_unit_variant(rows)

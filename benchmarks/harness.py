@@ -16,8 +16,8 @@ Every figure bench follows the same recipe as Section 6:
 Absolute times are *not* expected to match the paper (authors: Java on an
 EC2 r3.4xlarge against multi-million-node graphs; here: pure Python at
 laptop scale).  The reproduced quantity is the *shape*: who wins, by
-roughly what factor, and where the crossover falls.  EXPERIMENTS.md keys
-every figure to the series these benches print.
+roughly what factor, and where the crossover falls.  Each figure bench's
+docstring states the paper's series and the shape reproduced here.
 
 Tables are written through ``sys.__stdout__`` so they survive pytest's
 output capture and land in ``bench_output.txt``.
@@ -254,7 +254,7 @@ def matching_pattern(graph: DiGraph, shape: tuple[int, int, int], seed: int) -> 
 #: the paper sweeps 5%..40%; we keep its range with a coarser grid, and
 #: prepend a 1% point because pure-Python batch algorithms have far
 #: smaller constants relative to per-update costs than the paper's Java
-#: system, shifting crossovers toward smaller |ΔG| (see EXPERIMENTS.md).
+#: system, shifting crossovers toward smaller |ΔG|.
 DELTA_FRACTIONS = [0.01, 0.05, 0.10, 0.20, 0.40]
 
 

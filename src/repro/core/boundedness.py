@@ -74,12 +74,12 @@ def check_locality(
     seeds = [node for node in delta.touched_nodes() if node in graph]
     allowed = nodes_within(graph, seeds, radius) if seeds else set()
     allowed |= extra_allowed
-    touched_graph_nodes = {node for node in meter.touched if node in graph}
-    escaped = frozenset(touched_graph_nodes - allowed)
+    touched_in_graph = {node for node in meter.touched if node in graph}
+    escaped = frozenset(touched_in_graph - allowed)
     return LocalityReport(
         radius=radius,
         neighborhood_size=len(allowed),
-        touched=len(touched_graph_nodes),
+        touched=len(touched_in_graph),
         escaped=escaped,
     )
 

@@ -271,12 +271,11 @@ def route_updates(delta, shard_map: ShardMap) -> dict[int, list]:
     """Partition a batch's unit updates by owning shard.
 
     Ownership follows the store's rule — an edge belongs to its
-    **source's** shard — so a routed sub-delta mutates exactly one
-    shard's adjacency and appends to exactly one log segment.  Returns
-    ``{shard_index: [updates...]}`` with original update order
-    preserved inside each shard (touched shards only); updates on the
-    same edge always land in the same shard, so per-shard replay and
-    per-segment net-cancellation stay order-safe.
+    **source's** shard — so a routed sub-delta appends to exactly one
+    log segment.  Returns ``{shard_index: [updates...]}`` with original
+    update order preserved inside each shard (touched shards only);
+    updates on the same edge always land in the same shard, so
+    per-segment replay applies them in their original order.
     """
     routed: dict[int, list] = {}
     for update in delta:

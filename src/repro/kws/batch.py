@@ -87,7 +87,8 @@ def verify_kdist(graph: DiGraph, index: KDistIndex) -> None:
 
     Distances must agree exactly; ``next`` pointers must be *valid* (one
     step closer along an existing edge) but may differ from the batch
-    tie-break after incremental updates (see DESIGN.md).
+    tie-break after incremental updates: Q(G) fixes the distances, not
+    which of several equally close next hops a match takes.
     """
     fresh = compute_kdist(graph, index.query)
     for keyword in index.query.keywords:

@@ -97,7 +97,8 @@ def all_matches(index: KDistIndex) -> dict[Node, MatchTree]:
 
 def distance_profile(index: KDistIndex) -> dict[Node, dict[Label, int]]:
     """{root: {keyword: dist}} — the tie-invariant fingerprint of Q(G)
-    used by equivalence tests (see DESIGN.md on tie-breaking freedom)."""
+    used by equivalence tests (ties between equally close next hops may
+    break either way)."""
     return {
         root: {
             keyword: index.get(root, keyword).dist

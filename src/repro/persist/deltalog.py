@@ -194,73 +194,6 @@ class _MergedScan:
     torn_windowed: set[int]
 
 
-def _net_cancel_window(
-    entries: list[LogEntry], after: int, graph_nodes
-) -> list[LogEntry]:
-    """Collapse opposing update runs per edge across the survivor window.
-
-    Operates only on entries with ``seq > after`` (entries at or below
-    the floor retained for lagging views are replayed verbatim).  For
-    each edge, the window's updates alternate insert/delete (any
-    committed sequence was applicable); an even-length run cancels
-    entirely and an odd-length run keeps only its final update — the net
-    effect on the graph is unchanged, every intermediate batch stays
-    individually applicable (no other update touches the edge between
-    cancelled neighbors), and each view's answer after replay still
-    equals Q(final graph) because absorb is confluent.
-
-    Cancelling an *insert* additionally requires both endpoints to
-    predate the window: an insert that introduced a node leaves that
-    node behind in the live graph even after the edge is deleted, so
-    dropping it would lose the node on replay.  ``graph_nodes`` is the
-    witness set — the nodes known to exist at the window start (the
-    compaction floor).
-    """
-    ops: dict[tuple, list[tuple[int, int]]] = {}
-    for entry_index, entry in enumerate(entries):
-        if entry.seq <= after:
-            continue
-        for update_index, update in enumerate(entry.delta):
-            ops.setdefault(update.edge, []).append((entry_index, update_index))
-    pre_window = set(graph_nodes)
-    dropped: set[tuple[int, int]] = set()
-    for edge, positions in ops.items():
-        if len(positions) < 2:
-            continue
-        updates = [entries[ei].delta[ui] for ei, ui in positions]
-        if any(
-            first.kind == second.kind
-            for first, second in zip(updates, updates[1:])
-        ):
-            continue  # non-alternating run: corrupt or exotic — keep all
-        candidates = positions[:-1] if len(positions) % 2 else positions
-        candidate_updates = updates[:-1] if len(positions) % 2 else updates
-        if any(
-            update.is_insert
-            and not (update.source in pre_window and update.target in pre_window)
-            for update in candidate_updates
-        ):
-            continue  # cancelling would lose a window-introduced node
-        dropped.update(candidates)
-    if not dropped:
-        return entries
-    result: list[LogEntry] = []
-    for entry_index, entry in enumerate(entries):
-        if entry.seq <= after:
-            result.append(entry)
-            continue
-        survivors = [
-            update
-            for update_index, update in enumerate(entry.delta)
-            if (entry_index, update_index) not in dropped
-        ]
-        # an emptied entry keeps its frame: the seq stays spoken for
-        result.append(
-            LogEntry(entry.seq, Delta(survivors), entry.participants, entry.window)
-        )
-    return result
-
-
 class DeltaLog:
     """One log file's framing: append, seal, scan and compact.
 
@@ -564,11 +497,13 @@ class DeltaLog:
         *,
         lagging=(),
         label_of=None,
-        graph_nodes=None,
         void_seqs=frozenset(),
     ) -> int:
         """Drop committed entries with ``seq <= after`` (they are covered
-        by a snapshot); returns the number of entries kept.
+        by a snapshot); returns the number of entries kept.  Committed
+        entries above the floor — the survivor window — are copied
+        verbatim: a snapshot is the only thing that makes an entry
+        redundant.  Torn and voided entries keep only their frames.
 
         ``void_seqs``: entries whose seq is in this set are **emptied**
         — their updates are dropped but their ``%batch``/``%commit``
@@ -602,21 +537,6 @@ class DeltaLog:
         below a committed seq would let a fresh process re-allocate that
         seq, and recovery would never apply the reused batch to the
         graph.
-
-        **Net-cancellation** (``graph_nodes``): within the survivor
-        window (``seq > after``), opposing update runs on the same edge
-        collapse to their net effect — an edge inserted in one batch and
-        deleted two batches later vanishes from both.  ``graph_nodes``
-        is the set of nodes known to exist at the window start (for
-        :meth:`repro.persist.SnapshotStore.compact_log`: the nodes of
-        the snapshot's graph section); an insert is only cancelled when
-        both endpoints are in it, because cancelling an insert that
-        introduced a node would lose that node — edge deletion never
-        removes endpoints, so the node survives in the live graph and
-        must survive replay.  Emptied survivor entries keep their
-        ``%batch``/``%commit`` frame: their seqs stay spoken for, so
-        allocation and cursors never regress.  Pass ``graph_nodes=None``
-        (the default) to skip cancellation entirely.
         """
         lagging = list(lagging)
         retained: list[LogEntry] = []
@@ -649,8 +569,6 @@ class DeltaLog:
             if seq > read_from:
                 retained.append(LogEntry(seq, Delta([]), participants))
         retained.sort(key=lambda entry: entry.seq)
-        if graph_nodes is not None:
-            retained = _net_cancel_window(retained, after, graph_nodes)
         # The allocation watermark must never shrink: every seq <= after
         # was committed (whether or not a lagging view retains it), and a
         # previous compaction's floor may sit even higher.  Writing a
@@ -1368,38 +1286,17 @@ class SegmentedDeltaLog:
     # Compaction
     # ------------------------------------------------------------------
 
-    def compact(
-        self,
-        after: int,
-        *,
-        lagging=(),
-        label_of=None,
-        graph_nodes=None,
-    ) -> int:
+    def compact(self, after: int, *, lagging=(), label_of=None) -> int:
         """Compact every segment against the same floor; returns total
         entries kept.  Per-segment semantics are exactly
-        :meth:`DeltaLog.compact` — net-cancellation is segment-local,
-        which is sound because opposing updates on one edge always share
-        a segment."""
-        kept = 0
-        for index in range(len(self._segments)):
-            kept += self.compact_segment(
-                index,
-                after,
-                lagging=lagging,
-                label_of=label_of,
-                graph_nodes=graph_nodes,
-            )
-        return kept
+        :meth:`DeltaLog.compact`."""
+        return sum(
+            self.compact_segment(index, after, lagging=lagging, label_of=label_of)
+            for index in range(len(self._segments))
+        )
 
     def compact_segment(
-        self,
-        index: int,
-        after: int,
-        *,
-        lagging=(),
-        label_of=None,
-        graph_nodes=None,
+        self, index: int, after: int, *, lagging=(), label_of=None
     ) -> int:
         """Compact one segment only; returns entries kept there.
 
@@ -1423,9 +1320,7 @@ class SegmentedDeltaLog:
         segment = self._segments[index]
         if not segment.path.exists():
             return 0
-        return segment.compact(
-            after, lagging=lagging, label_of=label_of, graph_nodes=graph_nodes
-        )
+        return segment.compact(after, lagging=lagging, label_of=label_of)
 
     def _void_torn(self, after: int) -> None:
         """Empty the sub-entries of globally-torn seqs ``<= after``.

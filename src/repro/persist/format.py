@@ -495,12 +495,8 @@ class SnapshotSections:
     """A snapshot file split into sections, its structure validated.
 
     ``load()`` parses these bodies into the graph and each view's state.
-    An incremental save reads them only as its fallback: it carries
-    clean view bodies and the whole graph portion (base records plus any
-    accumulated ``%graphdiff`` chunks) by byte range from the file the
-    store wrote last, and splits the previous file — then copies these
-    lines — only when it has no layout for it (a fresh store, the first
-    save after ``load()``, a file replaced or touched out of band).
+    An incremental save never reads them: it carries clean bodies by
+    the byte ranges it recorded when it wrote the file.
     """
 
     #: Format version of the source file.
@@ -525,26 +521,21 @@ class SnapshotSections:
 
 def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSections:
     """Split a snapshot file's raw lines into sections — the one reader
-    of the snapshot grammar, serving load and the incremental save's
-    fallback carry.
+    of the snapshot grammar, serving load.
 
     Returns a :class:`SnapshotSections` whose bodies are the raw lines
-    **verbatim** (newline-terminated), ready to be copied into a new
-    snapshot file.  ``%meta`` lines are folded into
+    **verbatim** (newline-terminated).  ``%meta`` lines are folded into
     :attr:`SnapshotSections.last_seq` and
     :attr:`SnapshotSections.shard_map`; everything else between a
     ``%section`` line and the next ``%section``/``%end`` lands in the
     matching body.
 
-    Verbatim copy is sound for view sections because view snapshots are
-    canonical (see :mod:`repro.engine.view`): an unchanged view would
-    re-render byte-identical lines.  The graph portion is carried as an
-    opaque replay script — base records plus ordered ``%graphdiff``
-    chunks — which the reader applies in file order.
+    The graph portion is kept as an opaque replay script — base
+    records plus ordered ``%graphdiff`` chunks — which the caller
+    applies in file order.
 
     Every structural rule of ``docs/FORMATS.md`` §4 is enforced here,
-    with file and line, so save and load accept exactly the same files:
-    the header and each construct's version gate, ``%meta`` domains,
+    with file and line: the header and each construct's version gate, ``%meta`` domains,
     the sharding stamps before any section, section operands and unique
     names, ``%config`` first in a view body, no record outside a
     section, nothing after ``%end`` and ``%end`` itself.  Record rows
@@ -653,7 +644,7 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
                     line_number,
                 )
                 result.graphdiff_chunks += 1
-                body.append(raw)  # carried as part of the graph replay script
+                body.append(raw)  # kept as part of the graph replay script
             elif keyword == "packed":
                 _, packed_remaining = parse_packed_operands(
                     operands, result.version, source, line_number
@@ -664,8 +655,7 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
                     result.graph_packed = True
                 else:
                     packed = True
-                # Carried verbatim — compressed bytes are compared and
-                # copied, never re-encoded, on incremental saves.
+                # Kept verbatim: expand_packed_lines decodes it.
                 body.append(raw)
             elif keyword == "config":
                 if view is None:

@@ -146,11 +146,8 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class SaveReport:
-    """What one :meth:`SnapshotStore.save` read, copied and wrote.
+    """What one :meth:`SnapshotStore.save` copied and wrote.
 
-    ``lines_parsed`` counts the previous file's lines read through
-    :func:`~repro.persist.format.split_snapshot_sections` — 0 on a full
-    save and on every incremental save that carried by byte range.
     ``bytes_carried`` counts the section-body bytes copied from the
     previous file.  ``sections_carried`` and ``sections_rendered`` count
     section bodies copied and written fresh; the graph section counts
@@ -160,7 +157,6 @@ class SaveReport:
     afterwards is not included).
     """
 
-    lines_parsed: int = 0
     bytes_carried: int = 0
     sections_carried: int = 0
     sections_rendered: int = 0
@@ -168,9 +164,8 @@ class SaveReport:
 
 
 #: A carryable section body: its ``[start, end)`` byte span in the file
-#: this store wrote last, or its lines as :func:`split_snapshot_sections`
-#: returned them.
-Body = Union[tuple[int, int], list[str]]
+#: this store wrote last.
+Body = tuple[int, int]
 
 #: Bytes one read of a byte-range carry moves (the carry's only buffer).
 CARRY_CHUNK_BYTES = 1 << 16
@@ -212,7 +207,7 @@ class SnapshotPolicy:
     trigger: every N applied batches the store runs a relevance-aware
     :meth:`SnapshotStore.compact_log` — entries covered by the last
     snapshot (respecting per-view replay cursors) are dropped and the
-    survivor window is net-cancelled.  It counts as a trigger for
+    rest is kept as written.  It counts as a trigger for
     validation purposes, so a compaction-only policy is legal.
 
     >>> policy = SnapshotPolicy(every_batches=2)
@@ -390,10 +385,6 @@ class SnapshotStore:
         # span.  While the file on disk still has that identity, an
         # incremental save copies byte ranges instead of re-reading it.
         self._layout: Optional[tuple[tuple[int, int, int, int], _PreviousFile]] = None
-        #: Node set of the on-disk snapshot's graph (the compaction-floor
-        #: state), set by save()/load() wherever they set
-        #: ``_last_saved_seq``, so compact_log() never re-parses the file.
-        self._floor_nodes: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
     # Journaling
@@ -507,11 +498,9 @@ class SnapshotStore:
         while the file on disk keeps that identity the next incremental
         save parses nothing — it copies the spans through a bounded
         buffer.  With no such layout (a fresh store, the first save
-        after :meth:`load`, a file another writer replaced or touched)
-        the save falls back to :func:`split_snapshot_sections` and copies
-        the bodies line by line, recording the layout for the next save;
-        a file that reader refuses is never carried from.  Either way
-        the carried bytes are the same.  The **graph section goes
+        after :meth:`load`, a file another writer replaced, truncated or
+        touched) every section is written fresh, which records the
+        layout for the next save.  The **graph section goes
         incremental too**: when the previous file is this store's own
         current capture and the engine has journaled here uninterrupted,
         the previous graph portion is carried verbatim and a
@@ -524,8 +513,8 @@ class SnapshotStore:
         distinguish the two.  Falls back to a full write per view (and
         per graph) whenever carry provenance cannot be established —
         which is always sound.  Either way the save marks every view
-        clean, and :attr:`last_save_report` counts what it parsed,
-        carried and rendered.
+        clean, and :attr:`last_save_report` counts what it carried and
+        rendered.
         """
         self.last_save_report = None
         started = time.perf_counter()
@@ -542,10 +531,10 @@ class SnapshotStore:
         views: dict[str, tuple[str, int, Body]] = {}  # the new file's layout
         temp = self.snapshot_path.with_suffix(".tmp")
         with ExitStack() as stack:
-            previous, source, lines_parsed = (
+            previous, source = (
                 self._previous_file(stack)
                 if incremental and self._holds_current_capture(engine)
-                else (None, None, 0)
+                else (None, None)
             )
             carried_names: frozenset[str] = frozenset()
             diff_lines: Optional[list[str]] = None  # None: a fresh graph base
@@ -622,10 +611,7 @@ class SnapshotStore:
         )
         self._cursors = {name: cursor for name, (_, cursor, _) in views.items()}
         self._last_saved_seq = last_seq
-        # the file just written captures exactly the current graph
-        self._floor_nodes = frozenset(engine.graph.nodes())
         self.last_save_report = SaveReport(
-            lines_parsed=lines_parsed,
             bytes_carried=bytes_carried,
             sections_carried=sections_carried,
             sections_rendered=1 + len(views) - sections_carried,
@@ -637,52 +623,22 @@ class SnapshotStore:
 
     def _previous_file(
         self, stack: ExitStack
-    ) -> tuple[Optional[_PreviousFile], Optional[BinaryIO], int]:
+    ) -> tuple[Optional[_PreviousFile], Optional[BinaryIO]]:
         """The snapshot on disk as an incremental save may carry from it,
-        the handle its byte spans are copied from, and the number of its
-        lines parsed to get there.
-
-        While the file keeps the identity this store recorded when it
-        wrote it, the recorded layout answers and nothing is parsed.
-        Otherwise :func:`split_snapshot_sections` reads it and its bodies
-        are carried as lines.  No file, or one that reader refuses,
-        carries nothing: every section written fresh heals it."""
+        and the handle its byte spans are copied from — ``(None, None)``
+        unless the file keeps the identity this store recorded when it
+        wrote it.  Nothing is parsed: a file without that identity is
+        healed by writing every section fresh."""
+        if self._layout is None:
+            return None, None
+        identity, layout = self._layout
         try:
             source = stack.enter_context(open(self.snapshot_path, "rb"))
         except FileNotFoundError:
-            return None, None, 0
-        if self._layout is not None:
-            identity, layout = self._layout
-            if _file_identity(os.fstat(source.fileno())) == identity:
-                return layout, source, 0
-        parsed = 0
-
-        def counted(lines):
-            nonlocal parsed
-            for line in lines:
-                parsed += 1
-                yield line
-
-        try:
-            with open(self.snapshot_path, "r", encoding="utf-8") as stream:
-                sections = split_snapshot_sections(
-                    counted(stream), source=str(self.snapshot_path)
-                )
-        except PersistFormatError:
-            return None, None, parsed
-        views: dict[str, tuple[str, int, Body]] = {
-            name: (
-                section.kind,
-                # v1 sections predate cursors
-                sections.last_seq if section.cursor is None else section.cursor,
-                section.body,
-            )
-            for name, section in sections.views.items()
-        }
-        previous = _PreviousFile(
-            sections.last_seq, sections.graphdiff_chunks, sections.graph_lines, views
-        )
-        return previous, None, parsed
+            return None, None
+        if _file_identity(os.fstat(source.fileno())) != identity:
+            return None, None
+        return layout, source
 
     def _write_fresh_body(self, stream, lines) -> None:
         """Write freshly-rendered section body lines, packed into one
@@ -797,17 +753,14 @@ class SnapshotStore:
         incremental save carried forward) keep the entries their
         relevance filter still wants — under the writer's invariant
         that is none of them, but the filter check makes the drop
-        *provable* rather than assumed.  The survivor window above the
-        floor is net-cancelled (insert/delete runs on the same edge
-        collapse when node-safe; see
+        *provable* rather than assumed.  Entries above the floor are
+        copied as written (see
         :meth:`~repro.persist.deltalog.DeltaLog.compact`).
 
         Wired into the batch stream via
         ``SnapshotPolicy(compact_every_batches=N)``; a free no-op
         (returning 0) until this store has saved or loaded a snapshot.
-        Cost is O(|log|): the floor-state node set that makes
-        net-cancellation node-safe is recorded by save()/load() together
-        with the floor itself.
+        Cost is O(|log|).
 
         With ``rotate=True`` only **one** segment is rewritten per call,
         in round-robin shard order — the bounded-pause mode the
@@ -831,17 +784,10 @@ class SnapshotStore:
             index = self._compact_rotation % self.log.num_segments
             self._compact_rotation = index + 1
             return self.log.compact_segment(
-                index,
-                floor,
-                lagging=lagging,
-                label_of=engine.graph.label,
-                graph_nodes=self._floor_nodes,
+                index, floor, lagging=lagging, label_of=engine.graph.label
             )
         return self.log.compact(
-            after=floor,
-            lagging=lagging,
-            label_of=engine.graph.label,
-            graph_nodes=self._floor_nodes,
+            after=floor, lagging=lagging, label_of=engine.graph.label
         )
 
     # ------------------------------------------------------------------
@@ -961,10 +907,8 @@ class SnapshotStore:
         log whose map contradicts it is refused.
 
         The file is read by
-        :func:`~repro.persist.format.split_snapshot_sections`, the same
-        reader an incremental save falls back to when it has no byte
-        layout for the file, so save and load accept exactly the same
-        files; a malformed one raises
+        :func:`~repro.persist.format.split_snapshot_sections`; a
+        malformed one raises
         :class:`~repro.persist.format.PersistFormatError` naming file
         and line.
 
@@ -1035,8 +979,6 @@ class SnapshotStore:
         # so they start clean; replaying the tail re-dirties the views it
         # actually touches, keeping incremental saves minimal after load.
         engine.mark_views_clean()
-        # pre-replay graph == the file's graph == the compaction floor
-        self._floor_nodes = frozenset(graph.nodes())
         restore_seconds = time.perf_counter() - phase_started
         replay_from = min([last_seq] + list(cursors.values()))
         entries_replayed = entries_delivered = 0
@@ -1089,13 +1031,10 @@ class SnapshotStore:
 
 
 def _carry_body(stream, body: Body, source: Optional[BinaryIO]) -> None:
-    """Copy a carried section body into ``stream``: lines as they are,
-    a byte span of ``source`` one :data:`CARRY_CHUNK_BYTES` read at a
-    time (never the whole body at once).  Both go through the text
-    layer's ``write``, like every rendered line."""
-    if isinstance(body, list):
-        stream.writelines(body)
-        return
+    """Copy a carried section body — a byte span of ``source`` — into
+    ``stream`` one :data:`CARRY_CHUNK_BYTES` read at a time (never the
+    whole body at once), through the text layer's ``write`` like every
+    rendered line."""
     assert source is not None  # spans come only with the file they index
     start, end = body
     source.seek(start)

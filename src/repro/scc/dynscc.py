@@ -7,7 +7,7 @@ deletions", applied one unit update at a time.
 
 We reproduce the *behavioural profile* the paper measures rather than the
 exact data structures of [26]/[32] (both are research systems in their own
-right; see DESIGN.md substitutions):
+right):
 
 * every unit update eagerly maintains its dynamic structures — a
   reachability-oriented search per insertion that is not pruned by

@@ -24,7 +24,7 @@ topological ranks, and repairs all of them under updates:
   a time because the single-edge search/realloc procedure is only sound
   when every other G_c edge already satisfies the rank invariant; the
   grouped intra/deletion phases are where the batch savings shown in the
-  paper's ablation arise (see DESIGN.md).
+  paper's ablation arise.
 
 Tarjan's ``num``/``lowlink`` are not kept: every restricted Tarjan run
 recomputes them from scratch, and nothing between runs reads them.  The

@@ -93,7 +93,7 @@ def classify_scc_stream(index: SCCIndex, delta: Delta) -> tuple[int, int]:
     return bounded, risky
 
 
-def topological_insert_stream(graph_nodes: list, edges: list) -> tuple[list, Delta]:
+def topological_insert_stream(nodes: list, edges: list) -> tuple[list, Delta]:
     """Build a rank-respecting insert-only load plan for a DAG.
 
     Returns ``(node_order, stream)``: register the nodes into an empty
@@ -103,13 +103,13 @@ def topological_insert_stream(graph_nodes: list, edges: list) -> tuple[list, Del
     (condition 2 above).  This is the natural way to bulk-load a
     DAG-shaped provenance/build/dependency graph incrementally.
 
-    ``edges`` must be acyclic over ``graph_nodes``; raises ``ValueError``
+    ``edges`` must be acyclic over ``nodes``; raises ``ValueError``
     otherwise.
     """
     from graphlib import CycleError, TopologicalSorter
 
     sorter = TopologicalSorter()
-    for node in graph_nodes:
+    for node in nodes:
         sorter.add(node)
     for source, target in edges:
         sorter.add(source, target)  # source depends on target: sinks first

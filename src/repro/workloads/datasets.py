@@ -1,5 +1,5 @@
 """Dataset profiles standing in for the paper's evaluation graphs
-(Section 6, "Graphs"; see DESIGN.md substitution table).
+(Section 6, "Graphs").
 
 The paper evaluates on
 
@@ -143,7 +143,7 @@ def with_selectivity(graph: DiGraph, nodes_per_label: int, seed: int = 0) -> DiG
     nodes over 495 labels give ≈ 8.7k nodes per label, which a laptop-scale
     graph can only mirror by shrinking the alphabet.  The ISO benches use
     this view so VF2 does paper-shaped work instead of dying instantly on
-    near-unique labels (see DESIGN.md substitutions).
+    near-unique labels.
     """
     import random as _random
 

@@ -468,9 +468,7 @@ class TestTornSegmentedCompact:
                 log.append(batch)
 
         def operation():
-            open_segmented(root).compact(
-                after=2, graph_nodes=set(range(40))
-            )
+            open_segmented(root).compact(after=2)
 
         def recover(completed):
             log = open_segmented(root)

@@ -820,18 +820,24 @@ class TestCompactionEquivalence:
             )
         assert snapshots[False] == snapshots[True]
 
-    def test_net_cancellation_preserves_recovery(self, tmp_path):
+    def test_compaction_copies_the_uncovered_tail_verbatim(self, tmp_path):
+        """No snapshot covers the tail, so compaction keeps every entry
+        of it as written — opposing runs on one edge included."""
         engine = four_view_engine(sample_graph())
         store = SnapshotStore(tmp_path / "store")
         store.attach(engine)
         store.save(engine)
         engine.apply(Delta([insert(1, 4)]))
-        engine.apply(Delta([delete(1, 4)]))   # cancels with the insert
+        engine.apply(Delta([delete(1, 4)]))
         engine.apply(Delta([insert(2, 99, "b", "c")]))
-        engine.apply(Delta([delete(2, 99)]))  # NOT cancellable: 99 is new
-        store.compact_log(engine)
+        engine.apply(Delta([delete(2, 99)]))
+        tail = [(entry.seq, list(entry.delta)) for entry in store.log.entries()]
+        assert store.compact_log(engine) == 4
+        assert [
+            (entry.seq, list(entry.delta)) for entry in store.log.entries()
+        ] == tail
         sizes = [len(entry.delta) for entry in store.log.entries()]
-        assert sizes == [0, 0, 1, 1]  # frames kept, seqs preserved
+        assert sizes == [1, 1, 1, 1]
         recovered = store.load(attach_journal=False)
         assert recovered.graph.has_node(99)
         assert_sessions_equal(recovered, engine)

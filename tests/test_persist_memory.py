@@ -8,9 +8,9 @@ chunk and the buffer, nothing per graph line.
 
 ``test_soak_keeps_saves_parse_free_and_flat`` is the persist soak: it
 drives ``REPRO_SOAK_BATCHES`` batches (default 320) under
-``SnapshotPolicy(every_batches=64)`` and checks that no save after the
-first parses a line and that the memory the persistence layer holds
-stays flat from save to save.  The nightly workflow runs it with 20 000
+``SnapshotPolicy(every_batches=64)`` and checks that no save calls
+``split_snapshot_sections`` on the file it carries from and that the
+memory the persistence layer holds stays flat from save to save.  The nightly workflow runs it with 20 000
 batches.  It prints the process's VmRSS growth without asserting it.
 """
 
@@ -20,15 +20,17 @@ import random
 import tracemalloc
 from collections import deque
 
+import repro.persist.snapshot as snapshot_module
 from repro import Delta, DiGraph, Engine, SnapshotPolicy, SnapshotStore, delete, insert
 from repro.dataflow import DataflowView
 
 # Measured on a 5 000-node / 20 000-edge graph with one dirty
 # edge-label-count view (CPython 3.11): an incremental save that carries
-# by byte range peaks 33 bytes per edge above the live heap, 26 of them
-# the floor-node set it rebuilds for log compaction; re-reading the
-# previous file through split_snapshot_sections peaked at 119.
-SAVE_PEAK_BYTES_PER_EDGE = 50
+# by byte range peaks 10.6 bytes per edge above the live heap, 3.3 of
+# them the 64 KiB carry buffer.  Rebuilding a node set of the graph on
+# every save (as log compaction once needed) peaked at 33.4; re-reading
+# the previous file through split_snapshot_sections peaked at 119.
+SAVE_PEAK_BYTES_PER_EDGE = 16
 
 SOAK_BATCHES = int(os.environ.get("REPRO_SOAK_BATCHES", "320"))
 SOAK_SAVE_EVERY = 64
@@ -77,7 +79,6 @@ def test_incremental_save_peak_stays_under_its_bytes_per_edge(tmp_path):
     finally:
         tracemalloc.stop()
     report = store.last_save_report
-    assert report.lines_parsed == 0
     assert (report.sections_carried, report.sections_rendered) == (1, 1)
     per_edge = (peak - before) / graph.num_edges
     assert per_edge < SAVE_PEAK_BYTES_PER_EDGE, per_edge
@@ -101,16 +102,23 @@ def persist_traced_bytes() -> int:
     return sum(stat.size for stat in snapshot.statistics("filename"))
 
 
-def test_soak_keeps_saves_parse_free_and_flat(tmp_path):
+def test_soak_keeps_saves_parse_free_and_flat(tmp_path, monkeypatch):
     nodes = 2_000
     engine = one_view_engine(random_graph(nodes, 8_000, seed=1))
     store = SnapshotStore(tmp_path)
     store.save(engine)  # the one full save; every later save carries
     policy = SnapshotPolicy(every_batches=SOAK_SAVE_EVERY, compact_every_batches=512)
     store.attach(engine, policy=policy)
+    splits = []  # one entry per split_snapshot_sections call
+    split = snapshot_module.split_snapshot_sections
+
+    def counted(*args, **kwargs):
+        splits.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(snapshot_module, "split_snapshot_sections", counted)
     rng = random.Random(2)
     inserted: deque = deque()  # the stream's own edges, oldest first
-    lines_parsed = []  # per save (kept as small ints: nothing to trace)
     traced = []
     rss_before = vm_rss_kb()
     tracemalloc.start()
@@ -126,19 +134,20 @@ def test_soak_keeps_saves_parse_free_and_flat(tmp_path):
                 updates.append(delete(*inserted.popleft()))
             saves = policy.saves
             engine.apply(Delta(updates))
-            if policy.saves > saves:
-                lines_parsed.append(store.last_save_report.lines_parsed)
-                if len(lines_parsed) in (2, SOAK_BATCHES // SOAK_SAVE_EVERY):
-                    traced.append(persist_traced_bytes())
+            if policy.saves > saves and policy.saves in (
+                2,
+                SOAK_BATCHES // SOAK_SAVE_EVERY,
+            ):
+                traced.append(persist_traced_bytes())
     finally:
         tracemalloc.stop()
     print(
-        f"\n{SOAK_BATCHES} batches, {len(lines_parsed)} saves: VmRSS grew "
+        f"\n{SOAK_BATCHES} batches, {policy.saves} saves: VmRSS grew "
         f"{(vm_rss_kb() - rss_before) / 1024:.1f} MB"
     )
-    assert len(lines_parsed) == SOAK_BATCHES // SOAK_SAVE_EVERY
-    # the store wrote the file it carries from: not a line is re-read
-    assert lines_parsed == [0] * len(lines_parsed)
+    assert policy.saves == SOAK_BATCHES // SOAK_SAVE_EVERY
+    # the store wrote the file it carries from: no save re-reads it
+    assert splits == []
     assert len(traced) == 2 and abs(traced[1] - traced[0]) < SOAK_FLAT_BYTES, traced
     revived = SnapshotStore(tmp_path).load(attach_journal=False)
     assert revived.graph == engine.graph

@@ -709,7 +709,7 @@ class TestSegmentedDeltaLog:
         log = segmented(tmp_path)
         for k in range(5):
             log.append(Delta([insert(k, k + 50, "a", "b")]))
-        kept = log.compact(after=3, graph_nodes=set(range(200)))
+        kept = log.compact(after=3)
         assert kept == len(log.entries())
         assert [entry.seq for entry in log.entries()] == [4, 5]
         assert log.last_seq() == 5
@@ -941,7 +941,7 @@ class TestShardedSnapshots:
         assert [e.seq for e in log.entries()] == [1, 3]  # 2 is torn
         # floor moves past seq 2, with a broadcast lagging view that
         # conservatively retains every below-floor entry it might want
-        log.compact(after=3, lagging=[(0, None)], graph_nodes={a, b})
+        log.compact(after=3, lagging=[(0, None)])
         for entry in log.entries():
             if entry.seq == 2:
                 assert not entry.delta, "torn seq 2 resurrected with content"
@@ -973,11 +973,11 @@ class TestShardedSnapshots:
             raise OSError("no space left on device")
         victim.compact = failing_compact
         with pytest.raises(OSError):
-            log.compact_segment(0, 3, graph_nodes={a, b})
+            log.compact_segment(0, 3)
         victim.compact = original
 
         # the retry must re-void; seq 2 never resurrects with content
-        log.compact(after=3, lagging=[(0, None)], graph_nodes={a, b})
+        log.compact(after=3, lagging=[(0, None)])
         for entry in log.entries():
             if entry.seq == 2:
                 assert not entry.delta, "torn seq 2 resurrected after retry"

@@ -4,18 +4,14 @@ Every save records the identity of the file it wrote and each section
 body's byte span.  While the snapshot on disk keeps that identity, the
 next incremental save parses nothing: it copies spans.  Without such a
 layout — the first save after ``load()``, a file another writer replaced,
-truncated or touched — it falls back to ``split_snapshot_sections`` and a
-line copy.  These tests pin both halves:
+truncated or touched — it writes every section fresh, as a full save
+would.  These tests pin both halves:
 
-* **Parse counts** — over a policy-driven stream the reader runs once
-  after ``load()`` and never again, and ``SaveReport.lines_parsed`` says
-  so save by save.
-* **Same bytes either way** — a range carry and a split carry write
-  identical files, plaintext and zlib, through ``%graphdiff`` chunks and
-  a consolidation.
-* **Fallbacks stay correct** — after an out-of-band writer, a
-  truncation or a crashed save, the next incremental save recovers to
-  the session a full save would.
+* **No save re-reads its file** — over a policy-driven stream after
+  ``load()``, no save calls ``split_snapshot_sections``.
+* **Fallbacks are full saves** — a touched, replaced or truncated file
+  gives ``sections_carried == 0``, and the store recovers the session a
+  full save would.
 * **Crash coverage** — carried bytes go through the text layer's
   ``write``, so crashsim meters every byte of an incremental save.
 """
@@ -91,15 +87,15 @@ def assert_recovers_like_a_full_save(root, engine: Engine, tmp_path) -> None:
     )
 
 
-def journaling_store(root, codec=None, **kwargs):
+def journaling_store(root, codec=None):
     engine = build_engine()
-    store = SnapshotStore(root, codec=codec, **kwargs)
+    store = SnapshotStore(root, codec=codec)
     store.attach(engine)
     store.save(engine)
     return engine, store
 
 
-def test_split_runs_once_after_load_and_never_again(tmp_path, monkeypatch):
+def test_no_save_after_load_splits_the_file(tmp_path, monkeypatch):
     SnapshotStore(tmp_path).save(build_engine())
     engine = build_engine()  # unjournaled twin of the recovered session
     store = SnapshotStore(tmp_path)
@@ -107,41 +103,17 @@ def test_split_runs_once_after_load_and_never_again(tmp_path, monkeypatch):
     calls = count_splits(monkeypatch)
     policy = SnapshotPolicy(every_batches=2)
     store.attach(revived, policy=policy)
-    parsed = []
+    carried = []
     for batch in STREAM:
         engine.apply(batch)
         saves = policy.saves
         revived.apply(batch)
         if policy.saves > saves:
-            parsed.append(store.last_save_report.lines_parsed)
-    assert len(calls) == 1  # the first save after load(); none after it
-    assert parsed[0] > 0 and parsed[1:] == [0] * (len(STREAM) // 2 - 1)
+            carried.append(store.last_save_report.sections_carried)
+    assert calls == []
+    # the first save after load() has no layout and writes every section
+    assert carried[0] == 0 and all(carried[1:]), carried
     assert_recovers_like_a_full_save(tmp_path, engine, tmp_path / "check")
-
-
-def run_stream(root, codec, touch: bool):
-    """Save after every batch of STREAM; with ``touch`` an out-of-band
-    ``utime`` changes the file's identity first, forcing the split."""
-    engine, store = journaling_store(root, codec=codec, graphdiff_limit=3)
-    files, parsed = [], []
-    for batch in STREAM:
-        engine.apply(batch)
-        if touch:
-            os.utime(store.snapshot_path, ns=(1, 1))
-        store.save(engine, incremental=True)
-        files.append(store.snapshot_path.read_bytes())
-        parsed.append(store.last_save_report.lines_parsed)
-    return engine, files, parsed
-
-
-@pytest.mark.parametrize("codec", [None, "zlib"])
-def test_range_carry_and_split_carry_write_the_same_bytes(tmp_path, codec):
-    engine, by_range, parsed_range = run_stream(tmp_path / "range", codec, False)
-    _, by_split, parsed_split = run_stream(tmp_path / "split", codec, True)
-    assert by_range == by_split
-    assert parsed_range == [0] * len(STREAM)
-    assert all(parsed > 0 for parsed in parsed_split)
-    assert_recovers_like_a_full_save(tmp_path / "range", engine, tmp_path)
 
 
 def test_a_zlib_store_carries_packed_bytes_verbatim(tmp_path):
@@ -151,7 +123,6 @@ def test_a_zlib_store_carries_packed_bytes_verbatim(tmp_path):
     engine.mark_views_dirty(["scc"])
     store.save(engine, incremental=True)
     report = store.last_save_report
-    assert report.lines_parsed == 0
     assert (report.sections_carried, report.sections_rendered) == (3, 1)
     with open(store.snapshot_path, encoding="utf-8") as stream:
         after = split_snapshot_sections(stream)
@@ -165,27 +136,32 @@ def test_a_zlib_store_carries_packed_bytes_verbatim(tmp_path):
     )
 
 
-def test_a_file_another_store_wrote_is_split_and_carried(tmp_path):
-    engine, store = journaling_store(tmp_path)
+@pytest.mark.parametrize("how", ["touched", "replaced", "truncated"])
+@pytest.mark.parametrize("codec", [None, "zlib"])
+def test_a_file_this_store_did_not_write_is_written_fresh(
+    tmp_path, monkeypatch, codec, how
+):
+    root = tmp_path / "store"
+    engine, store = journaling_store(root, codec=codec)
     engine.apply(STREAM[0])
-    other = SnapshotStore(tmp_path)
-    other.save(other.load(attach_journal=False))  # same state, new file
+    store.save(engine, incremental=True)
+    assert store.last_save_report.sections_carried > 0  # the layout holds
     engine.apply(STREAM[1])
+    path = store.snapshot_path
+    if how == "touched":
+        os.utime(path, ns=(1, 1))
+    elif how == "replaced":
+        other = SnapshotStore(root)
+        other.save(other.load(attach_journal=False))  # same state, new file
+    else:
+        os.truncate(path, path.stat().st_size // 2)
+    calls = count_splits(monkeypatch)
     store.save(engine, incremental=True)
     report = store.last_save_report
-    assert report.lines_parsed > 0 and report.sections_carried > 0
-    assert_recovers_like_a_full_save(tmp_path, engine, tmp_path / "check")
-
-
-def test_a_truncated_file_is_split_refused_and_rewritten(tmp_path):
-    engine, store = journaling_store(tmp_path)
-    engine.apply(STREAM[0])
-    os.truncate(store.snapshot_path, store.snapshot_path.stat().st_size // 2)
-    store.save(engine, incremental=True)
-    report = store.last_save_report
-    assert report.lines_parsed > 0
+    assert calls == []
     assert (report.sections_carried, report.bytes_carried) == (0, 0)
-    assert_recovers_like_a_full_save(tmp_path, engine, tmp_path / "check")
+    assert report.sections_rendered == 1 + len(engine.names())
+    assert_recovers_like_a_full_save(root, engine, tmp_path)
 
 
 def test_a_crashed_save_leaves_the_old_layout_in_force(tmp_path):
@@ -199,7 +175,7 @@ def test_a_crashed_save_leaves_the_old_layout_in_force(tmp_path):
     assert store.last_save_report is None
     store.save(engine, incremental=True)  # the file on disk is unchanged
     twin_store.save(twin, incremental=True)
-    assert store.last_save_report.lines_parsed == 0
+    assert store.last_save_report.sections_carried > 0  # still carried
     assert store.snapshot_path.read_bytes() == twin_store.snapshot_path.read_bytes()
     assert_recovers_like_a_full_save(tmp_path / "crashed", engine, tmp_path)
 
@@ -215,6 +191,6 @@ def test_crashsim_meters_every_byte_of_a_range_carry(tmp_path):
     with injector.armed(fuel=None):
         store.save(engine, incremental=True)
     report = store.last_save_report
-    assert report.lines_parsed == 0 and report.bytes_carried > 0
+    assert report.bytes_carried > 0
     written = store.snapshot_path.read_text(encoding="utf-8")
     assert injector.consumed == len(written) + 1

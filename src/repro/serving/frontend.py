@@ -38,12 +38,12 @@ bounds shed load at different depths (event loop vs. session pool) but
 present one retry contract.
 
 **Encode once.**  A cached answer is immutable, so its encoded form is
-too: the first wire read of a ``(view, query, version)`` builds the
-reply payload (:func:`jsonable`, then ``json.dumps``), the repository
-keeps the bytes beside the frozen answer until the entry is evicted,
-and every later read of it — one-shot or through any session whose
-generation resolves to that version — splices the same bytes into its
-reply envelope.
+too: the first wire read of a ``(view, query, version)`` to finish
+encoding stores the reply payload (:func:`jsonable`, then
+``json.dumps``), the repository keeps the bytes beside the frozen
+answer until the entry is evicted, and every later read of it —
+one-shot or through any session whose generation resolves to that
+version — splices the same bytes into its reply envelope.
 
 The event loop never blocks on the engine: repository calls (which may
 wait on the engine's read/write lock) run on the default thread-pool
@@ -62,6 +62,9 @@ from typing import Any, NamedTuple, Optional, Union
 
 from repro.core.delta import Update, delete, insert
 from repro.serving.repository import (
+    ATOMS,
+    ROWS,
+    SCALARS,
     Repository,
     RepositoryPoisonedError,
     ServingError,
@@ -69,6 +72,7 @@ from repro.serving.repository import (
     SessionExpiredError,
     SessionLimitError,
     UnknownQueryError,
+    flat_shape,
 )
 
 __all__ = ["ServingFrontend", "jsonable"]
@@ -94,21 +98,38 @@ def jsonable(value: Any) -> Any:
     :func:`repro.serving.repository.freeze_answer`); JSON has neither,
     so sets become sorted lists and tuples become lists.  Elements sort
     in their natural order; a set whose elements do not compare (mixed
-    types) sorts by ``repr``, which is total.
+    types) sorts by ``repr``, which is total.  A scalar returns after one
+    type lookup, and a container of scalars or of scalar rows is copied
+    and sorted by ``list()``/``sorted()`` with no call per element; every
+    other shape recurses.
 
     >>> jsonable(frozenset({frozenset({2, 1}), frozenset({10})}))
     [[1, 2], [10]]
     >>> jsonable(frozenset({"b", 1}))
     ['b', 1]
     """
+    if type(value) in ATOMS:
+        return value
     if isinstance(value, (set, frozenset)):
-        items = [jsonable(item) for item in value]
+        shape = flat_shape(value)
+        if shape == ROWS:
+            try:
+                # a tuple sorts exactly as the list it becomes, only faster
+                return list(map(list, sorted(value)))
+            except TypeError:
+                return sorted(map(list, value), key=repr)
+        items = value if shape == SCALARS else list(map(jsonable, value))
         try:
             return sorted(items)
         except TypeError:
             return sorted(items, key=repr)
     if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
+        shape = flat_shape(value)
+        if shape == SCALARS:
+            return list(value)
+        if shape == ROWS:
+            return list(map(list, value))
+        return list(map(jsonable, value))
     if isinstance(value, dict):
         return {str(key): jsonable(item) for key, item in value.items()}
     return value

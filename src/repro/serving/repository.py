@@ -82,6 +82,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
 from repro.core.delta import Delta, Update
@@ -159,21 +160,55 @@ class UnknownQueryError(ServingError):
     """The named view or query is not registered with the repository."""
 
 
+#: The exact scalar types an answer's elements usually are.  A subclass
+#: (an ``IntEnum``, a ``str`` subclass) is not one of them and takes the
+#: general path, which passes it through all the same.
+ATOMS = frozenset({int, str, float, bool, type(None)})
+
+#: :func:`flat_shape` results: every element a scalar, or every element
+#: an exact tuple of scalars (a row, as ``rpq.matches`` pairs are).
+SCALARS = "scalars"
+ROWS = "rows"
+
+
+def flat_shape(items: Iterable[Any]) -> Optional[str]:
+    """:data:`SCALARS`, :data:`ROWS` or ``None`` for a container's
+    elements, decided by C builtins with no Python frame per element.
+
+    A flat container is already deeply immutable once copied into a
+    tuple or frozenset, and its JSON form is its elements as they are,
+    so :func:`freeze_answer` and the wire encoder copy it in bulk."""
+    kinds = set(map(type, items))
+    if kinds <= ATOMS:
+        return SCALARS
+    if kinds == {tuple} and set(map(type, chain.from_iterable(items))) <= ATOMS:
+        return ROWS
+    return None
+
+
 def freeze_answer(value: Any) -> Any:
     """Recursively convert a query result into an immutable value.
 
     Sets become frozensets, lists/tuples become tuples, dicts become
     sorted item tuples; scalars pass through.  Cached answers are
     shared between sessions and across threads, so they must not be
-    mutable aliases of live view state.
+    mutable aliases of live view state.  A scalar returns after one type
+    lookup, and a container of scalars or of scalar rows is copied whole
+    by ``frozenset()``/``tuple()``; every other shape recurses.
 
     >>> freeze_answer({1: [2, 3]})
     ((1, (2, 3)),)
     """
+    if type(value) in ATOMS:
+        return value
     if isinstance(value, (set, frozenset)):
-        return frozenset(freeze_answer(item) for item in value)
+        if flat_shape(value):
+            return frozenset(value)
+        return frozenset(map(freeze_answer, value))
     if isinstance(value, (list, tuple)):
-        return tuple(freeze_answer(item) for item in value)
+        if flat_shape(value):
+            return tuple(value)
+        return tuple(map(freeze_answer, value))
     if isinstance(value, Mapping):
         return tuple(
             sorted(
@@ -266,9 +301,10 @@ class CacheStats:
     (each one retires the view's current-version keys from future
     reads); ``evicted`` counts entries dropped because no retained
     generation can reach them any more; ``encodes`` counts reply
-    payloads built for wire reads (one per entry, however many reads
-    it serves); ``entries`` and ``wire_bytes`` are gauges: the resident
-    entry count and the payload bytes held beside them."""
+    payloads stored for wire reads (one per entry, however many reads
+    it serves, and however many of them raced to encode it);
+    ``entries`` and ``wire_bytes`` are gauges: the resident entry count
+    and the payload bytes held beside them."""
 
     hits: int = 0
     misses: int = 0
@@ -622,9 +658,10 @@ class Repository:
         With ``encode`` (the wire front end's reply encoder; one per
         repository, because its output is kept per entry, not per
         encoder) the result is ``(generation, payload)``: the
-        generation the read resolved at and ``encode(answer)``, built
-        by the first such read of a ``(view, query, version)`` and kept
-        beside the frozen answer until the entry is evicted."""
+        generation the read resolved at and ``encode(answer)``, stored
+        by the first such read of a ``(view, query, version)`` to finish
+        encoding and kept beside the frozen answer until the entry is
+        evicted; every read of the entry returns that one bytes object."""
         return self._read(view, query, None, encode)
 
     def _read(
@@ -647,11 +684,15 @@ class Repository:
             return entry.answer
         payload = entry.wire
         if payload is None:
-            # outside every lock: a slow encode delays nobody else
+            # outside every lock: a slow encode delays nobody else; of
+            # readers racing to encode one entry, the first to store wins
             payload = encode(entry.answer)
             with self._meta_lock:
-                entry.wire = payload
-                self._count_locked(encodes=1)
+                if entry.wire is None:
+                    entry.wire = payload
+                    self._count_locked(encodes=1)
+                else:
+                    payload = entry.wire
         return generation, payload
 
     def _check_session_locked(self, session: ReadSession) -> None:

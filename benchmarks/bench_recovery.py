@@ -227,7 +227,7 @@ def run_point(profile: str, scale: float, root: Path) -> tuple:
     assert answers(rebuilt) == expected, "cold rebuild diverged"
 
     snapshot_kb = store.snapshot_path.stat().st_size / 1024
-    log_kb = store.log.path.stat().st_size / 1024
+    log_kb = sum(path.stat().st_size for path in store.log.segment_paths()) / 1024
     return (
         final_graph,
         cursor_report,
@@ -253,11 +253,13 @@ def main() -> None:
     emit(header)
     emit("-" * len(header))
     slower_points = 0
+    splits = []
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
         for position, (profile, scale) in enumerate(POINTS):
             graph, cursor, full, rebuild_s, snap_kb, log_kb = run_point(
                 profile, scale, Path(tmp) / f"store-{position}"
             )
+            splits.append((f"{profile} x{scale}", cursor))
             if cursor.replay_seconds >= full.replay_seconds:
                 slower_points += 1
             total = cursor.restore_seconds + cursor.replay_seconds
@@ -272,6 +274,19 @@ def main() -> None:
                 f"{snap_kb:>7.1f} | {log_kb:>6.1f}"
             )
     emit()
+    views = list(splits[0][1].view_seconds)
+    header = f"{'workload':>14} | {'restore (ms)':>12} | {'parse':>7} | " + " | ".join(
+        f"{name:>7}" for name in views
+    )
+    emit(header)
+    emit("-" * len(header))
+    for workload, report in splits:
+        emit(
+            f"{workload:>14} | {report.restore_seconds * 1e3:>12.1f} | "
+            f"{report.parse_seconds * 1e3:>7.1f} | "
+            + " | ".join(f"{report.view_seconds[name] * 1e3:>7.1f}" for name in views)
+        )
+    emit()
     emit("restore       = parse snapshot, rebuild graph + views (shared by both")
     emit("                replay modes; SnapshotStore.last_load_report.restore_seconds);")
     emit("cursor replay = each log entry past each view's replay cursor, routed")
@@ -280,7 +295,10 @@ def main() -> None:
     emit("                (SnapshotStore.load(routed=False), the pre-cursor path);")
     emit("rebuild       = from-scratch index construction on the final graph")
     emit("                (KWS BFS + RPQ_NFA + Tarjan + VF2, |G|-sized work);")
-    emit("vs rebuild    = rebuild / (restore + cursor replay).")
+    emit("vs rebuild    = rebuild / (restore + cursor replay);")
+    emit("parse         = read and split the file, parse every body, build the")
+    emit("                graph (LoadReport.parse_seconds); one column per view:")
+    emit("                its class's restore (LoadReport.view_seconds).")
     if slower_points:
         emit()
         emit(

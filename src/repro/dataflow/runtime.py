@@ -473,6 +473,17 @@ def _columns(positions: tuple) -> Callable:
     return itemgetter(*positions)
 
 
+def _row_of(positions: tuple) -> Callable:
+    """``seq -> row``: the tuple of the given positions, a 1-tuple for
+    one position."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda seq: (seq[position],)
+    if not positions:
+        return lambda seq: ()
+    return itemgetter(*positions)
+
+
 class _Arrangement:
     """One index of a multijoin over a relation's ``key columns → value
     column`` projection; ``index`` nets folded rows as ``key → {value:
@@ -557,10 +568,15 @@ class _OverlayBucket:
     __rand__ = __and__
 
 
+#: The bucket of a key the store has no values for.
+_NO_VALUES: frozenset = frozenset()
+
+
 class _StoreArrangement(_Arrangement):
     """An index the store of a :class:`BackedVar` already keeps: buckets
     are the store's own live value sets (each value counts 1), fetched
-    through ``neighbors``.
+    through ``neighbors`` (``neighbors(key, default)``, like
+    ``dict.get``).
 
     The store is *ahead* of the delta query — it holds the whole batch
     before the node sees its first row — so ``index`` is not the
@@ -587,7 +603,7 @@ class _StoreArrangement(_Arrangement):
     def get(self, key):
         if key == self._last_key:
             return self._last
-        bucket = self.neighbors(key)
+        bucket = self.neighbors(key, _NO_VALUES)
         if self.index:
             owed = self.index.get(key)
             if owed:
@@ -673,11 +689,12 @@ class _MultiJoinNode(Node):
             ]
             for parent, positions in occupied.items()
         }
-        #: per atom position: its single-seed plan (the first evaluation)
+        #: per atom position: its single-seed plan for the first
+        #: evaluation, which reads the stores directly (nothing is owed)
         self._scans = {
-            position: self._plans[parent.id][index]
-            for parent, positions in occupied.items()
-            for index, position in enumerate(positions)
+            position: self._compile((position,), scan=True)
+            for positions in occupied.values()
+            for position in positions
         }
         #: per parent: the arrangements its rows are folded into
         self._maintained = {
@@ -714,14 +731,23 @@ class _MultiJoinNode(Node):
             )
         return arrangement
 
-    def _compile(self, seeds: tuple) -> tuple:
+    def _compile(self, seeds: tuple, scan: bool = False) -> tuple:
         """Plan for one set of seed positions: ``(binds, equalities,
-        power, steps)`` — slot ← row column, row-column pairs that must
-        agree for the row to fill every seed, the seed count (the
-        exponent of the row's change), and one step per variable left to
-        probe, each ``(slot, known, [(bucket-of-key, key-of-slots)],
-        finals)`` (a *final* probe fully binds its atom and therefore
-        contributes the atom's count)."""
+        power, steps, row_of)`` — slot ← row column, row-column pairs
+        that must agree for the row to fill every seed, the seed count
+        (the exponent of the row's change), one step per variable left
+        to probe, and the output row of the slots (what a plan with no
+        step emits).
+
+        A step is ``(slot, known, probes, last, row_of)``: ``known`` when
+        the seeds bind the slot already, ``last`` for the final step,
+        which emits ``row_of(slots)`` per value instead of going deeper.
+        A probe is ``(bucket-of-key, key-of-slots, final)``, ``final``
+        ``None`` for a store's bucket (its values count 1, so it only
+        narrows the candidates) and otherwise whether the probe fully
+        binds its atom and so multiplies in the atom's count.  A ``scan``
+        plan reads a store's buckets straight from the store: the first
+        evaluation owes nothing."""
         bound: dict = {}
         equalities = []
         for position in seeds:
@@ -749,84 +775,113 @@ class _MultiJoinNode(Node):
             for index in range(first, len(slots)):
                 key_columns = tuple(sorted(columns[:index]))
                 arrangement = self._arrange(relation, key_columns, columns[index])
+                store = isinstance(arrangement, _StoreArrangement)
                 probes.setdefault(slots[columns[index]], []).append(
                     (
-                        (
-                            arrangement.get,
-                            _columns(tuple(slots[c] for c in key_columns)),
-                        ),
-                        index == len(slots) - 1,
+                        arrangement.neighbors if store and scan else arrangement.get,
+                        _columns(tuple(slots[c] for c in key_columns)),
+                        None if store else index == len(slots) - 1,
                     )
                 )
+        row_of = _row_of(self._project)
+        probed = [slot for slot in order if slot in probes]
         steps = [
-            (slot, slot in bound, *zip(*probes[slot]))
-            for slot in order
-            if slot in probes
+            (slot, slot in bound, tuple(probes[slot]), slot == probed[-1], row_of)
+            for slot in probed
         ]
-        return tuple(bound.items()), tuple(equalities), len(seeds), steps
+        return tuple(bound.items()), tuple(equalities), len(seeds), steps, row_of
 
-    def _extend(self, steps, depth, slots, weight, out) -> None:
-        if depth == len(steps):
-            row = tuple(slots[slot] for slot in self._project)
-            out[row] = out.get(row, 0) + weight
-            return
-        slot, known, probes, finals = steps[depth]
+    def _extend(self, steps, depth, slots, weight, out) -> int:
+        """Extend the bound ``slots`` by step ``depth`` and the ones
+        after it, adding each completed row to ``out``; returns the
+        bucket entries enumerated (the metered work)."""
+        slot, known, probes, last, row_of = steps[depth]
         buckets = []
-        smallest, fewest = None, 0
-        for bucket_of, key_of in probes:
+        smallest: Any = None
+        fewest, smallest_final = 0, None
+        for bucket_of, key_of, final in probes:
             bucket = bucket_of(key_of(slots))
             size = 0 if bucket is None else len(bucket)
             if not size:
-                return
+                return 0
             if smallest is None or size < fewest:
-                smallest, fewest = bucket, size
-            buckets.append(bucket)
-        if known:
-            smallest, fewest = None, 1
-            candidates = frozenset((slots[slot],))
-        elif isinstance(smallest, dict):
-            candidates = smallest.keys()
-        else:
-            candidates = smallest
-        self._traverse(fewest)
+                smallest, fewest, smallest_final = bucket, size, final
+            buckets.append((bucket, final))
         # A dict bucket states each value's count (read where the count
         # multiplies in, or to test a value it did not propose); a
         # store's bucket counts every value once, so intersecting is all.
         counted = []
-        for bucket, final in zip(buckets, finals):
-            if isinstance(bucket, dict):
-                if final or bucket is not smallest:
+        if known:
+            fewest = 1
+            value = slots[slot]
+            for bucket, final in buckets:
+                if final is not None:
                     counted.append((bucket.get, final))
-            elif bucket is not smallest:
-                candidates = candidates & bucket
-        for value in candidates:
-            product = weight
-            for count_of, final in counted:
-                count = count_of(value)
-                if not count:
-                    break
-                if final:
-                    product *= count
-            else:
+                elif value not in bucket:
+                    return fewest
+            candidates: Any = (value,)
+        else:
+            candidates = smallest if smallest_final is None else smallest.keys()
+            for bucket, final in buckets:
+                if final is None:
+                    if bucket is not smallest:
+                        candidates = candidates & bucket
+                elif final or bucket is not smallest:
+                    counted.append((bucket.get, final))
+        if counted:
+            for value in candidates:
+                product = weight
+                for count_of, final in counted:
+                    count = count_of(value)
+                    if not count:
+                        break
+                    if final:
+                        product *= count
+                else:
+                    slots[slot] = value
+                    if last:
+                        row = row_of(slots)
+                        out[row] = out.get(row, 0) + product
+                    else:
+                        fewest += self._extend(steps, depth + 1, slots, product, out)
+        elif last:
+            for value in candidates:
                 slots[slot] = value
-                self._extend(steps, depth + 1, slots, product, out)
+                row = row_of(slots)
+                out[row] = out.get(row, 0) + weight
+        else:
+            for value in candidates:
+                slots[slot] = value
+                fewest += self._extend(steps, depth + 1, slots, weight, out)
+        return fewest
 
     def _drive(self, plans, rows, maintained, out) -> None:
         """Take ``rows`` one at a time: run every plan the row fills
         every seed of (bind its columns, extend over the other atoms),
-        then fold the row into ``maintained``."""
+        then fold the row into ``maintained``.  The work is metered
+        once, for all rows."""
         slots = [None] * self._width
-        for row, change in rows.items():
-            for binds, equalities, power, steps in plans:
-                for left, right in equalities:
-                    if row[left] != row[right]:
-                        break
-                else:
-                    for slot, column in binds:
-                        slots[slot] = row[column]
-                    self._extend(steps, 0, slots, change**power, out)
-            for arrangement in maintained:
-                arrangement.fold(row, change)
+        traversed = 0
+        try:
+            for row, change in rows.items():
+                for binds, equalities, power, steps, row_of in plans:
+                    for left, right in equalities:
+                        if row[left] != row[right]:
+                            break
+                    else:
+                        for slot, column in binds:
+                            slots[slot] = row[column]
+                        if steps:
+                            traversed += self._extend(
+                                steps, 0, slots, change**power, out
+                            )
+                        else:
+                            bound = row_of(slots)
+                            out[bound] = out.get(bound, 0) + change**power
+                for arrangement in maintained:
+                    arrangement.fold(row, change)
+        finally:
+            self._traverse(traversed)
 
     def _recompute(self):
         out: Multiset = {}

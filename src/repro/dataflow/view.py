@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterator, Optional
 
 from repro.core.cost import CostMeter, NULL_METER
@@ -108,7 +108,9 @@ class _GraphRelation(Mapping):
         return repeat(1, len(self))
 
     def adjacency(self, key_columns: tuple, value_column: int):
-        """The graph's own index of that shape, or ``None``."""
+        """The graph's own index of that shape — a ``(key, default)``
+        lookup of a key's live value set, like ``dict.get`` — or
+        ``None``."""
         return None
 
 
@@ -139,15 +141,19 @@ class _EdgeRelation(_GraphRelation):
         return self._graph.num_edges
 
     def __iter__(self) -> Iterator[tuple]:
-        # the order of graph.edges(), one source-label lookup per source
+        # the order of graph.edges(), each source's rows zipped whole:
+        # a Python frame per source, none per edge
         graph = self._graph
-        label = graph.label
-        for source in graph.nodes():
-            targets = graph.out_neighbors(source)
-            if targets:
-                source_label = label(source)
-                for target in targets:
-                    yield (source, target, source_label, label(target))
+        label = graph.labels.__getitem__
+        successors = graph.neighbor_lookup()
+
+        def rows(source) -> Iterator[tuple]:
+            targets = successors(source)
+            return zip(
+                repeat(source), targets, repeat(label(source)), map(label, targets)
+            )
+
+        return chain.from_iterable(map(rows, graph.nodes()))
 
     def __contains__(self, row) -> bool:
         graph = self._graph
@@ -159,12 +165,12 @@ class _EdgeRelation(_GraphRelation):
         )
 
     def adjacency(self, key_columns: tuple, value_column: int):
-        # bound methods of the live graph: every probe reads its
-        # current adjacency, and nothing is copied
+        # lookups into the live graph: every probe reads its current
+        # adjacency, and nothing is copied
         if (key_columns, value_column) == ((0,), 1):
-            return self._graph.out_neighbors
+            return self._graph.neighbor_lookup()
         if (key_columns, value_column) == ((1,), 0):
-            return self._graph.in_neighbors
+            return self._graph.neighbor_lookup(inbound=True)
         return None
 
 

@@ -12,7 +12,10 @@ hashable value; the paper draws them from a finite alphabet of strings.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Hashable, Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator
+from itertools import chain, islice, repeat
+from operator import contains, itemgetter
 from typing import Optional
 
 Node = Hashable
@@ -23,6 +26,10 @@ DEFAULT_LABEL: Label = ""
 
 #: What the no-copy neighbor accessors answer for a node not in the graph.
 NO_NEIGHBORS: frozenset = frozenset()
+
+#: Edges :meth:`DiGraph.add_edges` checks and inserts per step: enough to
+#: keep the per-edge work in C, few enough to bound what it holds.
+EDGE_CHUNK = 8192
 
 
 class GraphError(Exception):
@@ -92,8 +99,7 @@ class DiGraph:
             for node, label in labels.items():
                 self.add_node(node, label=label)
         if edges:
-            for source, target in edges:
-                self.add_edge(source, target)
+            self.add_edges(edges)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -216,6 +222,62 @@ class DiGraph:
         self._pred[target].add(source)
         self._num_edges += 1
 
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        """Insert every edge of ``edges`` in order, with what one
+        :meth:`add_edge` per edge does: missing endpoints created with
+        the default label in order of first mention, and
+        :class:`DuplicateEdgeError` for the first edge already present
+        (earlier edges inserted).
+
+        The work is C-level per edge, a chunk of :data:`EDGE_CHUNK`
+        edges at a time: each adjacency set receives its members in the
+        same order as edge-at-a-time insertion would give them, so every
+        set is laid out, and iterates, exactly alike.  From a chunk it
+        cannot take whole — a duplicate, a pair that does not unpack or
+        hash — on, edges go one at a time, so the error is the one
+        :meth:`add_edge` raises where it raises it.
+
+        >>> g = DiGraph(labels={1: "a"})
+        >>> g.add_edges([(1, 2), (2, 3), (1, 3)])
+        >>> sorted(g.successors(1)), g.label(3), g.num_edges
+        ([2, 3], '', 3)
+        """
+        remaining = iter(edges)
+        while True:
+            chunk = list(islice(remaining, EDGE_CHUNK))
+            if not chunk:
+                return
+            if not self._add_edge_chunk(chunk):
+                for source, target in chain(chunk, remaining):
+                    self.add_edge(source, target)
+                return
+
+    def _add_edge_chunk(self, chunk: list) -> bool:
+        """Insert ``chunk`` whole and return ``True``, or change nothing
+        and return ``False`` when an edge in it would raise."""
+        succ, pred = self._succ, self._pred
+        try:
+            pairs = list(map(tuple, chunk))
+            if not (set(map(len, pairs)) == {2} and len(set(pairs)) == len(pairs)):
+                return False
+        except TypeError:  # an unpackable or unhashable pair
+            return False
+        sources = list(map(itemgetter(0), pairs))
+        targets = list(map(itemgetter(1), pairs))
+        if self._num_edges and any(
+            map(contains, map(succ.get, sources, repeat(NO_NEIGHBORS)), targets)
+        ):
+            return False
+        known = succ.__contains__
+        if not (all(map(known, sources)) and all(map(known, targets))):
+            for node in dict.fromkeys(chain.from_iterable(pairs)):  # first mention
+                if node not in succ:
+                    self.add_node(node)
+        deque(map(set.add, map(succ.__getitem__, sources), targets), maxlen=0)
+        deque(map(set.add, map(pred.__getitem__, targets), sources), maxlen=0)
+        self._num_edges += len(pairs)
+        return True
+
     def remove_edge(self, source: Node, target: Node) -> None:
         """Delete edge ``(source, target)``; endpoints remain."""
         if source not in self._succ or target not in self._succ[source]:
@@ -273,6 +335,17 @@ class DiGraph:
         """The live predecessor set of ``node``; the contract of
         :meth:`out_neighbors`."""
         return self._pred.get(node, NO_NEIGHBORS)
+
+    def neighbor_lookup(
+        self, inbound: bool = False
+    ) -> Callable[[Node], Optional[Collection[Node]]]:
+        """The lookup behind :meth:`out_neighbors` (:meth:`in_neighbors`
+        with ``inbound=True``) as one C-level call, ``dict.get``-like: a
+        node's live successor (predecessor) set, or the default given as
+        second argument (``None``) for a node not in the graph.  The
+        lookup stays live across updates; the sets it returns keep
+        :meth:`out_neighbors`' contract."""
+        return (self._pred if inbound else self._succ).get
 
     def out_degree(self, node: Node) -> int:
         """Number of out-edges of ``node``."""

@@ -21,11 +21,40 @@ would otherwise reload as ``1``.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
-__all__ = ["SerializationError", "format_token", "parse_bare_token", "tokenize"]
+__all__ = [
+    "SerializationError",
+    "TokenMemo",
+    "format_token",
+    "parse_bare_token",
+    "tokenize",
+]
 
 _NEEDS_QUOTING = re.compile(r'[\s"\\#]')
+
+#: ``int()``'s base-10 grammar, whole: surrounding whitespace, one sign,
+#: then decimal digits of any script with single ``_`` between them.
+#: ``\d`` tests exactly the characters ``int()`` reads as decimal digits;
+#: its whitespace is ``\s`` less the ASCII separators ``\x1c``-``\x1f``.
+_INT_GRAMMAR = re.compile(
+    r"[^\S\x1c-\x1f]*[+-]?(\d+(?:_\d+)*)[^\S\x1c-\x1f]*"
+)
+
+#: Below this many digits ``int()`` applies no digit limit (CPython's
+#: ``_PY_LONG_MAX_STR_DIGITS_THRESHOLD``; the limit cannot be set lower).
+_INT_LIMIT_THRESHOLD = 640
+
+#: A quoted token with only the escapes :data:`_UNESCAPES` knows.
+_QUOTED = r'"(?:[^"\\]|\\[\\"nrt])*"'
+#: One token of a line: quoted, or a bare run of non-space, non-quote
+#: characters.
+_TOKEN = re.compile(_QUOTED + r'|[^\s"]+')
+#: A line :func:`tokenize` accepts: tokens apart, a bare one never
+#: running into a quote.
+_TOKENIZABLE = re.compile(r'(?:\s*(?:' + _QUOTED + r'|[^\s"]+(?![^\s])))*\s*')
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -69,27 +98,73 @@ def _format_str(value: str) -> str:
 
 
 def _reads_back_as_int(token: str) -> bool:
-    """Exactly mirrors :func:`parse_bare_token`'s int branch — including
-    forms like ``1_000`` that ``int()`` accepts but a digit regex misses."""
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+    """Would ``int(token)`` succeed?  Decided by :data:`_INT_GRAMMAR` plus
+    ``int()``'s digit limit, without raising — including forms like
+    ``1_000`` that ``int()`` accepts but a digit regex misses."""
+    if token.isdecimal():  # the common case, decided without the regex
+        digits = token
+    else:
+        match = _INT_GRAMMAR.fullmatch(token)
+        if match is None:
+            return False
+        digits = match.group(1)
+    if len(digits) <= _INT_LIMIT_THRESHOLD:
+        return True
+    # interpreters older than the limit (3.10.7) have none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return not limit or len(digits) - digits.count("_") <= limit
 
 
 def parse_bare_token(token: str):
     """Bare integers round-trip as ints; everything else stays a string."""
-    # int() can only succeed when the token starts with a decimal digit
-    # or a sign; checking first avoids the (slow) exception path for the
-    # common string-token case in bulk parsing.
+    if token.isdecimal() and len(token) <= _INT_LIMIT_THRESHOLD:
+        return int(token)  # the common int token: digits only
+    # Only a token that starts with a digit or a sign is tested against
+    # int()'s grammar; the common string token returns at once.
     first = token[:1]
-    if first.isdigit() or first in "+-":
-        try:
-            return int(token)
-        except ValueError:
-            return token
+    if (first.isdigit() or first in "+-") and _reads_back_as_int(token):
+        return int(token)
     return token
+
+
+class TokenMemo(dict):
+    """Token text → parsed value, each distinct text parsed once.
+
+    A key is a token as it stands in a line: bare, or quoted with its
+    quotes (a bare token never holds ``"``, so the two cannot collide).
+    Reading a key the memo lacks parses and keeps it, so
+    ``map(memo.__getitem__, tokens)`` parses a run of tokens with no
+    Python frame for a token seen before, and every occurrence of one
+    text shares one value object.
+
+    >>> memo = TokenMemo()
+    >>> [memo[token] for token in ("7", '"7"', "a", '"a b\\\\n"')]
+    [7, '7', 'a', 'a b\\n']
+    >>> memo["7"] is memo["7"]
+    True
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, token: str):
+        if token[:1] == '"':
+            value = _ESCAPE.sub(_unescape, token[1:-1])
+        else:
+            value = parse_bare_token(token)
+        self[token] = value
+        return value
+
+    def row(self, line: str) -> tuple:
+        """Parse one stripped record line, quoted tokens included — the
+        result of ``tuple(tokenize(line))``, and its ``ValueError`` on
+        bad quoting."""
+        if _TOKENIZABLE.fullmatch(line) is None:
+            return tuple(tokenize(line))  # raises the precise error
+        return tuple(map(self.__getitem__, _TOKEN.findall(line)))
+
+
+def _unescape(match) -> str:
+    return _UNESCAPES[match.group(1)]
 
 
 def tokenize(line: str) -> list:

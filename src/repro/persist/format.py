@@ -24,11 +24,16 @@ structure.
 from __future__ import annotations
 
 import base64
+import io
+import re
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache, partial
+from itertools import accumulate, chain
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from repro.graph.io_tokens import format_token, tokenize
+from repro.graph.io_tokens import TokenMemo, format_token, tokenize
 from repro.graph.sharding import SHARD_KINDS, ShardMap
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "SNAPSHOT_CODECS",
     "SNAPSHOT_MAGIC",
     "SUPPORTED_VERSIONS",
+    "BodyRows",
     "PersistFormatError",
     "SnapshotSections",
     "ViewSection",
@@ -46,10 +52,13 @@ __all__ = [
     "is_directive",
     "parse_codec_meta",
     "parse_directive",
+    "parse_body",
+    "parse_columns",
     "parse_packed_operands",
     "parse_record",
     "parse_shard_split_meta",
     "parse_sharding_meta",
+    "records_before_directives",
     "render_codec_meta",
     "render_directive",
     "render_record",
@@ -255,8 +264,10 @@ def decode_packed_payload(
     codec: str, payload_lines, source: str, line_number: int
 ) -> list[str]:
     """Decode a ``%packed`` block's payload lines back into the original
-    body lines (newline-terminated).  ``line_number`` is the directive's,
-    used to anchor error context."""
+    body lines (newline-terminated, cut at ``"\\n"`` alone as a file's
+    lines are, so a quoted token holding a form feed or a line
+    separator stays whole).  ``line_number`` is the directive's, used to
+    anchor error context."""
     functions = _codec_functions(codec)
     if functions is None:
         raise PersistFormatError(
@@ -276,7 +287,7 @@ def decode_packed_payload(
         raise PersistFormatError(
             source, line_number, f"undecodable %packed payload: {exc}"
         ) from None
-    return text.splitlines(keepends=True)
+    return _lines_of(text)
 
 
 def parse_packed_operands(
@@ -520,12 +531,13 @@ class SnapshotSections:
 
 
 def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSections:
-    """Split a snapshot file's raw lines into sections — the one reader
-    of the snapshot grammar, serving load.
+    """Split a snapshot file into sections — the one reader of the
+    snapshot grammar, serving load.
 
-    Returns a :class:`SnapshotSections` whose bodies are the raw lines
-    **verbatim** (newline-terminated).  ``%meta`` lines are folded into
-    :attr:`SnapshotSections.last_seq` and
+    ``lines`` is the file's text, a text stream to read it from, or its
+    raw lines.  Returns a :class:`SnapshotSections` whose bodies are the
+    raw lines **verbatim** (newline-terminated).  ``%meta`` lines are
+    folded into :attr:`SnapshotSections.last_seq` and
     :attr:`SnapshotSections.shard_map`; everything else between a
     ``%section`` line and the next ``%section``/``%end`` lands in the
     matching body.
@@ -539,47 +551,63 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
     the sharding stamps before any section, section operands and unique
     names, ``%config`` first in a view body, no record outside a
     section, nothing after ``%end`` and ``%end`` itself.  Record rows
-    and ``%packed`` payloads are left to the caller that parses them.
+    and ``%packed`` payloads are left to the caller that parses them
+    (:func:`parse_body`, :func:`expand_packed_lines`).
+
+    The file is walked directive by directive: a regex search finds the
+    next ``%`` line in the text, and the records between two directives
+    move into their body as one slice, so the cost is per directive and
+    per body, not per line.
 
     >>> text = (
     ...     "%repro-snapshot 2\\n%meta last-seq 3\\n%section graph\\n"
     ...     "n 1 a\\n%section view watch kws 3\\n%config 2 a\\na 1 0\\n%end\\n"
     ... )
-    >>> sections = split_snapshot_sections(text.splitlines(keepends=True))
+    >>> sections = split_snapshot_sections(text)
     >>> sections.last_seq, sections.graph_lines
     (3, ['n 1 a\\n'])
     >>> watch = sections.views["watch"]
     >>> watch.kind, watch.cursor, watch.body, watch.line_number
     ('kws', 3, ['%config 2 a\\n', 'a 1 0\\n'], 5)
     """
+    # A newline before the first line makes every line follow one, so
+    # each search below starts with a literal "\n" (which the regex
+    # engine skips to) and a line's number is the newlines before it.
+    text = "\n" + _text_of(lines)
     result = SnapshotSections()
     body: Optional[list[str]] = None  # the open section's body
     view: Optional[tuple] = None  # (name, kind, cursor, line) while open
     packed = versioned = sectioned = ended = False
-    packed_remaining = line_number = 0
-    for line_number, raw in enumerate(lines, start=1):
-        if packed_remaining:
-            # Base64 payload of a %packed block: counted lines carried
-            # verbatim (checked before blank/comment skipping so the
-            # payload is never reinterpreted).
-            packed_remaining -= 1
-            body.append(raw if raw.endswith("\n") else raw + "\n")
-            continue
+    length = len(text)
+    #: the newline ending the last line read, and that line's number
+    position = line_number = 0
+    while position + 1 < length:
+        match = _DIRECTIVE_LINE.search(text, position)
+        stop = length if match is None else match.start()
+        content = _CONTENT_LINE.search(text, position, stop)
+        if content is not None:  # records between two directives
+            reason = None
+            if ended:
+                reason = "content after %end"
+            elif body is None:
+                reason = "record outside any section"
+            elif not body and view is not None:
+                reason = "a view body must open with %config"
+            if reason is not None:
+                first = line_number + text.count("\n", position, content.start())
+                raise PersistFormatError(source, first + 1, reason)
+            assert body is not None
+            body.extend(_kept_lines(text, position, stop))
+        if match is None:
+            break
+        line_number += text.count("\n", position, stop) + 1
+        raw = match.group(1)
+        position = match.end()  # the directive's newline
         stripped = raw.strip()
-        if not stripped or stripped[0] == "#":
-            continue  # reader-skipped lines are not part of any body
-        if not raw.endswith("\n"):
-            raw = raw + "\n"
+        raw += "\n"
         try:
             if ended:
                 raise ValueError("content after %end")
-            if not is_directive(stripped):
-                if body is None:
-                    raise ValueError("record outside any section")
-                if not body and view is not None:
-                    raise ValueError("a view body must open with %config")
-                body.append(raw)
-                continue
             keyword, operands = parse_directive(stripped)
             if not versioned:
                 if keyword != SNAPSHOT_MAGIC:
@@ -646,7 +674,7 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
                 result.graphdiff_chunks += 1
                 body.append(raw)  # kept as part of the graph replay script
             elif keyword == "packed":
-                _, packed_remaining = parse_packed_operands(
+                _, count = parse_packed_operands(
                     operands, result.version, source, line_number
                 )
                 if body is None:
@@ -655,8 +683,23 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
                     result.graph_packed = True
                 else:
                     packed = True
-                # Kept verbatim: expand_packed_lines decodes it.
+                # Kept verbatim, with its base64 payload: the next
+                # ``count`` lines whatever they hold (expand_packed_lines
+                # decodes them).
+                end = position
+                for _ in range(count):
+                    if end + 1 >= length:
+                        raise PersistFormatError(
+                            source,
+                            _line_count(text),
+                            "truncated %packed block (payload cut short)",
+                        )
+                    newline = text.find("\n", end + 1)
+                    end = length if newline < 0 else newline
                 body.append(raw)
+                body.extend(_terminated(_lines_of(text[position + 1 : end + 1])))
+                line_number += count
+                position = end
             elif keyword == "config":
                 if view is None:
                     raise ValueError("%config outside a view section")
@@ -672,20 +715,204 @@ def split_snapshot_sections(lines, source: str = "<snapshot>") -> SnapshotSectio
             raise
         except ValueError as exc:  # structural rules and directive quoting
             raise PersistFormatError(source, line_number, str(exc)) from None
-    if packed_remaining:
-        raise PersistFormatError(
-            source, line_number, "truncated %packed block (payload cut short)"
-        )
     if not versioned:
         raise PersistFormatError(source, 0, f"missing %{SNAPSHOT_MAGIC} header")
     if not ended:
         raise PersistFormatError(
             source,
-            line_number,
+            _line_count(text),
             "truncated snapshot (no %end); the file was not written by an "
             "atomic save",
         )
     return result
+
+
+#: A directive line, after the newline that ends the line before it:
+#: nothing but whitespace before its ``%``.
+_DIRECTIVE_LINE = re.compile(r"\n([^\S\n]*%[^\n]*)")
+#: A line readers keep: its first non-space character is not ``#``.
+_CONTENT_LINE = re.compile(r"\n[^\S\n]*[^\s#]")
+#: A line readers skip: blank, or a ``#`` comment.
+_SKIPPED_LINE = re.compile(r"\n[^\S\n]*[#\n]")
+
+
+def _text_of(lines) -> str:
+    """The whole text of ``lines``: a string, a text stream, or raw
+    lines (each a line of its own, newline-terminated or not)."""
+    if isinstance(lines, str):
+        return lines
+    read = getattr(lines, "read", None)
+    if read is not None:
+        return read()
+    return "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+
+
+def _line_count(text: str) -> int:
+    """How many lines follow ``text``'s leading newline, an unterminated
+    last one included."""
+    return text.count("\n") - text.endswith("\n")
+
+
+def _lines_of(text: str) -> list[str]:
+    """``text`` cut after each ``"\\n"`` and nowhere else (a file's lines
+    end there; ``str.splitlines`` also cuts at ``"\\r"``, ``"\\x0c"``,
+    ``"\\u2028"`` and others, which a quoted token may hold)."""
+    lines = text.splitlines(keepends=True)
+    if len(lines) == text.count("\n") + (not text.endswith("\n") and bool(text)):
+        return lines
+    return io.StringIO(text, newline="\n").readlines()
+
+
+def _terminated(lines: list[str]) -> list[str]:
+    """``lines`` with a newline put on an unterminated last one."""
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"
+    return lines
+
+
+def _kept_lines(text: str, position: int, stop: int) -> list[str]:
+    """The lines between the newline at ``position`` and ``stop`` that a
+    reader keeps: blank and ``#`` lines dropped."""
+    lines = _terminated(_lines_of(text[position + 1 : stop + 1]))
+    if _SKIPPED_LINE.search(text, position, stop + 1) is None:
+        return lines
+    return [line for line in lines if line.strip() and line.lstrip()[0] != "#"]
+
+
+class BodyRows(NamedTuple):
+    """A section body as :func:`parse_body` parsed it."""
+
+    #: Every record row, in body order.
+    records: list
+    #: ``(index, line)`` per ``%`` directive line: how many records
+    #: precede it, and the stripped line.
+    directives: list
+    #: ``(index, error)`` for the first line that does not tokenize, or
+    #: ``None``.  Parsing stops there: ``records`` and ``directives``
+    #: hold what precedes it.
+    error: Optional[tuple]
+
+
+#: The newline before a body line that is not a plain record: one that
+#: opens with ``%`` or ``#`` or holds only whitespace.
+_SPECIAL_LINE = re.compile(r"\n(?=[^\S\n]*(?:[%#\n]|\Z))")
+_QUOTE = re.compile('"')
+#: The newline before a directive line.
+_DIRECTIVE_START = re.compile(r"\n(?=[^\S\n]*%)")
+
+
+@lru_cache(maxsize=None)
+def _rows_of_width(width: int) -> re.Pattern:
+    """Lines of exactly ``width`` whitespace-separated tokens each."""
+    space, token = r"[^\S\n]", r"\S+"
+    row = f"{space}*{token}" + f"{space}+{token}" * (width - 1) + f"{space}*\n"
+    return re.compile(f"(?:{row})*")
+
+
+def records_before_directives(lines) -> int:
+    """How many of a body's ``lines`` precede its first ``%`` line.
+
+    >>> records_before_directives(["e 1 2\\n", "%graphdiff 1\\n", "+ 2 1\\n"])
+    1
+    """
+    match = _DIRECTIVE_START.search("\n" + "".join(lines))
+    if match is None:
+        return len(lines)
+    return bisect_right(list(accumulate(map(len, lines))), match.start())
+
+
+def parse_columns(lines, tokens: TokenMemo, width: int) -> Optional[list[list]]:
+    """:func:`parse_body`'s records transposed, for a body of records
+    that each hold exactly ``width`` tokens — ``width`` lists, the i-th
+    holding every row's i-th value — or ``None`` for any other body
+    (which :func:`parse_body` then reads).
+
+    The text goes :data:`_CHUNK_LINES` lines at a time.  A chunk of
+    plain records is checked by one regex match, split once and each
+    token looked up in ``tokens``, with no tuple built per row; any
+    other chunk is read by :func:`parse_body`.
+
+    >>> parse_columns(["e 1 2\\n", 'n 2 "a b"\\n'], TokenMemo(), 3)
+    [['e', 'n'], [1, 2], [2, 'a b']]
+    >>> parse_columns(["e 1 2\\n", "e 2\\n"], TokenMemo(), 3) is None
+    True
+    """
+    rows = _rows_of_width(width)
+    values: list = []
+    for start in range(0, len(lines), _CHUNK_LINES):  # bounds the text held
+        chunk = lines[start : start + _CHUNK_LINES]
+        text = "".join(chunk)
+        if (
+            text.count("\n") == len(chunk)
+            and text.endswith("\n")
+            and '"' not in text
+            and _SPECIAL_LINE.search("\n" + text, 0, len(text)) is None
+            and rows.fullmatch(text) is not None
+        ):
+            values.extend(map(tokens.__getitem__, text.split()))
+            continue
+        records, directives, error = parse_body(chunk, tokens)
+        if directives or error is not None or set(map(len, records)) != {width}:
+            return None
+        values.extend(chain.from_iterable(records))
+    return [values[column::width] for column in range(width)]
+
+
+#: Lines :func:`parse_columns` joins and splits at a time.
+_CHUNK_LINES = 4096
+
+
+def parse_body(lines, tokens: TokenMemo) -> BodyRows:
+    """Parse a section body in one pass: each record line into the row
+    :func:`parse_record` gives for it, blank and ``#`` lines skipped,
+    ``%`` lines set aside in place.  ``lines`` are a body's lines as
+    :func:`split_snapshot_sections` or :func:`expand_packed_lines`
+    return them.
+
+    A run of plain lines — no quote, and neither a directive, a comment
+    nor blank — is parsed whole by C-level maps: split, then each token
+    looked up in ``tokens``, which parses a distinct token text once.
+    Only the other lines are taken one at a time.
+
+    >>> lines = ["%config 1\\n", "e 1 2\\n", "\\n", 'n 2 "a b"\\n']
+    >>> rows = parse_body(lines, TokenMemo())
+    >>> rows.records, rows.directives, rows.error
+    ([('e', 1, 2), ('n', 2, 'a b')], [(0, '%config 1')], None)
+    """
+    records: list = []
+    directives: list = []
+    split_row = partial(map, tokens.__getitem__)
+    text = "".join(lines)
+    count = len(lines)
+    special: Iterable[int]
+    if text.count("\n") == count - (not text.endswith("\n")):
+        # one line per newline: regex searches over the text find the
+        # lines that are more than a plain record
+        ends = list(accumulate(map(len, lines)))
+        starts = [match.start() for match in _SPECIAL_LINE.finditer("\n" + text)]
+        starts.extend(match.start() for match in _QUOTE.finditer(text))
+        special = sorted({bisect_right(ends, start) for start in starts})
+    else:  # lines cut at other breaks (a decoded payload): one by one
+        special = range(count)
+    start = 0
+    for index in chain(special, (count,)):
+        if index > start:
+            plain = map(str.split, lines[start:index])
+            records.extend(map(tuple, map(split_row, plain)))
+        if index >= count:
+            break
+        start = index + 1
+        line = lines[index].strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "%":
+            directives.append((len(records), line))
+            continue
+        try:
+            records.append(tokens.row(line))
+        except ValueError as exc:
+            return BodyRows(records, directives, (len(records), exc))
+    return BodyRows(records, directives, None)
 
 
 def _close_view(result, view, body, packed, source) -> None:

@@ -10,9 +10,10 @@ lossless :mod:`repro.graph.io` records) plus every registered view's
 :meth:`~repro.engine.view.IncrementalView.snapshot`, stamped with the
 seq of the newest committed log entry.  :meth:`SnapshotStore.load`
 rebuilds the graph, restores each view through its class's ``restore``
-(no from-scratch recomputation), then replays the delta-log *tail*
-(entries newer than the stamp) through the engine's ordinary ``absorb``
-fan-out — recovery is itself an incremental computation.
+(the paper's four indexes from their records; a dataflow view by
+re-running its program over the graph), then replays the delta-log
+*tail* (entries newer than the stamp) through the engine's ordinary
+``absorb`` fan-out — replay is itself an incremental computation.
 
 The on-disk format is a documented contract — see ``docs/PERSISTENCE.md``.
 
@@ -52,6 +53,7 @@ from repro.dataflow import DataflowView
 from repro.engine.session import Engine, EngineError
 from repro.engine.view import ViewSnapshot
 from repro.graph.digraph import DiGraph
+from repro.graph.io_tokens import TokenMemo
 from repro.graph.io import (
     apply_graph_record,
     graph_record_lines,
@@ -71,8 +73,10 @@ from repro.persist.format import (
     available_codecs,
     encode_packed_block,
     expand_packed_lines,
+    parse_body,
+    parse_columns,
     parse_directive,
-    parse_record,
+    records_before_directives,
     render_codec_meta,
     render_directive,
     render_record,
@@ -127,7 +131,11 @@ class LoadReport:
 
     ``restore_seconds`` covers parsing the snapshot and rebuilding graph
     + views; ``replay_seconds`` covers driving the log tail through the
-    engine.  ``entries_replayed`` counts log entries applied to the
+    engine.  Within ``restore_seconds``, ``parse_seconds`` is reading
+    and splitting the file, parsing every section body and building
+    the graph, and ``view_seconds`` maps each view name to its class's
+    ``restore`` call (for a ``dataflow`` view, re-deriving its state
+    from the graph).  ``entries_replayed`` counts log entries applied to the
     graph (past the snapshot's ``last-seq``), ``entries_delivered``
     counts lagging-window entries routed to cursor-lagging views only.
 
@@ -139,6 +147,8 @@ class LoadReport:
 
     restore_seconds: float = 0.0
     replay_seconds: float = 0.0
+    parse_seconds: float = 0.0
+    view_seconds: dict[str, float] = field(default_factory=dict)
     entries_replayed: int = 0
     entries_delivered: int = 0
     completed: bool = False
@@ -942,7 +952,10 @@ class SnapshotStore:
         and splits it; the graph is then replayed from the graph lines
         (switching to diff records at each ``%graphdiff``) and each view
         restored from its body.  Only a body that holds a ``%packed``
-        block goes through :func:`expand_packed_lines`."""
+        block goes through :func:`expand_packed_lines`.  Every body is
+        parsed by :func:`~repro.persist.format.parse_body` through one
+        :class:`~repro.graph.io_tokens.TokenMemo`, so a token text that
+        recurs across the file is parsed once."""
         phase_started = time.perf_counter()
         source = str(self.snapshot_path)
         if not self.snapshot_path.exists():
@@ -953,11 +966,14 @@ class SnapshotStore:
             sections = split_snapshot_sections(stream, source=source)
         shard_map = sections.shard_map
         graph = DiGraph() if shard_map is None else ShardedGraphStore(shard_map)
-        _replay_graph_section(graph, sections, source)
+        tokens = TokenMemo()
+        _replay_graph_section(graph, sections, source, tokens)
         self.log.bind_map(shard_map or ShardMap(1))
         last_seq = sections.last_seq
         engine = Engine(graph)
         cursors: dict[str, int] = {}
+        view_seconds: dict[str, float] = {}
+        parse_seconds = time.perf_counter() - phase_started
         for name, section in sections.views.items():
             view_class = VIEW_KINDS.get(section.kind)
             if view_class is None:
@@ -967,8 +983,12 @@ class SnapshotStore:
                     f"unknown view kind {section.kind!r}; register it via "
                     "repro.persist.register_view_kind",
                 )
-            state = _view_snapshot(section, source)
+            started = time.perf_counter()
+            state = _view_snapshot(section, source, tokens)
+            restoring = time.perf_counter()
+            parse_seconds += restoring - started
             view = view_class.restore(graph, state, meter=CostMeter())
+            view_seconds[name] = time.perf_counter() - restoring
             engine.attach(name, view)
             # v1 sections predate cursors: they were serialized by the
             # save that stamped last-seq.  A cursor can never outrun the
@@ -1018,6 +1038,8 @@ class SnapshotStore:
         self.last_load_report = LoadReport(
             restore_seconds=restore_seconds,
             replay_seconds=time.perf_counter() - phase_started,
+            parse_seconds=parse_seconds,
+            view_seconds=view_seconds,
             entries_replayed=entries_replayed,
             entries_delivered=entries_delivered,
             completed=True,
@@ -1049,57 +1071,80 @@ def _carry_body(stream, body: Body, source: Optional[BinaryIO]) -> None:
 
 
 def _replay_graph_section(
-    graph: DiGraph, sections: SnapshotSections, source: str
+    graph: DiGraph, sections: SnapshotSections, source: str, tokens: TokenMemo
 ) -> None:
     """Replay the graph section into ``graph``: base ``n``/``e``
     records, then each ``%graphdiff`` chunk's records in file order."""
     lines = sections.graph_lines
     if sections.graph_packed:
         lines = expand_packed_lines(lines, source, sections.graph_line_number)
-    apply_record = apply_graph_record
-    for raw in lines:
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue  # only a decoded %packed payload can still hold these
-        try:
-            if line[0] != "%":
-                apply_record(graph, parse_record(line))
-            elif parse_directive(line)[0] == "graphdiff":
-                apply_record = _apply_graphdiff_record
-            else:
+    try:
+        base = records_before_directives(lines)
+        columns = parse_columns(lines[:base], tokens, 3) if base else None
+        if columns is not None and _apply_base_columns(graph, *columns):
+            lines = lines[base:]
+        # the rest record by record: the diff chunks, and a base a save
+        # does not write (which raises its first error where it stands)
+        records, directives, error = parse_body(lines, tokens)
+        stops = [index for index, _ in directives] + [len(records)]
+        for record in records[: stops[0]]:
+            apply_graph_record(graph, record)
+        for (index, line), stop in zip(directives, stops[1:]):
+            if parse_directive(line)[0] != "graphdiff":
                 raise ValueError(f"unexpected directive {line!r}")
-        except (ValueError, KeyError) as exc:
-            raise PersistFormatError(
-                source, sections.graph_line_number, f"graph section: {exc}"
-            ) from None
+            for record in records[index:stop]:
+                _apply_graphdiff_record(graph, record)
+        if error is not None:
+            raise error[1]
+    except (ValueError, KeyError) as exc:
+        raise PersistFormatError(
+            source, sections.graph_line_number, f"graph section: {exc}"
+        ) from None
 
 
-def _view_snapshot(section: ViewSection, source: str) -> ViewSnapshot:
+def _apply_base_columns(
+    graph: DiGraph, tags: list, first: list, second: list
+) -> bool:
+    """Replay base records given as columns if they are what a save
+    writes — ``n`` records, then ``e`` records — and report whether they
+    were: ``n`` records one by one, the ``e`` records in one
+    :meth:`~repro.graph.digraph.DiGraph.add_edges`."""
+    nodes = tags.index("e") if "e" in tags else len(tags)
+    if tags.count("n") != nodes or tags.count("e") != len(tags) - nodes:
+        return False
+    add_node = graph.add_node
+    for node, label in zip(first[:nodes], second[:nodes]):
+        add_node(node, label)
+    graph.add_edges(zip(first[nodes:], second[nodes:]))
+    return True
+
+
+def _view_snapshot(
+    section: ViewSection, source: str, tokens: TokenMemo
+) -> ViewSnapshot:
     """Parse one view section's body — ``%config``, then record rows —
     into the :class:`ViewSnapshot` its class restores from."""
     lines = section.body
     if section.packed:
         lines = expand_packed_lines(lines, source, section.line_number)
+    records, directives, error = parse_body(lines, tokens)
     config: Optional[tuple] = None
-    records: list[tuple] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue  # only a decoded %packed payload can still hold these
-        try:
-            if line[0] == "%":
-                keyword, operands = parse_directive(line)
-                if keyword != "config" or config is not None:
-                    raise ValueError(f"unexpected directive {line!r}")
-                config = tuple(operands)
-            elif config is None:
-                raise ValueError("a view body must open with %config")
-            else:
-                records.append(parse_record(line))
-        except ValueError as exc:
-            raise PersistFormatError(
-                source, section.line_number, f"view section: {exc}"
-            ) from None
+    try:
+        for index, line in directives:
+            if index and config is None:
+                break  # a record came first
+            keyword, operands = parse_directive(line)
+            if keyword != "config" or config is not None:
+                raise ValueError(f"unexpected directive {line!r}")
+            config = tuple(operands)
+        if config is None and (records or error is not None):
+            raise ValueError("a view body must open with %config")
+        if error is not None:
+            raise error[1]
+    except ValueError as exc:
+        raise PersistFormatError(
+            source, section.line_number, f"view section: {exc}"
+        ) from None
     if config is None:
         raise PersistFormatError(
             source, section.line_number, "view section is missing %config"

@@ -6,6 +6,9 @@ incremental save copies the carried bodies by byte range through one
 save-time peak is then the dirty views' rendering, the ``%graphdiff``
 chunk and the buffer, nothing per graph line.
 
+``test_load_peak_stays_under_its_bytes_per_edge`` bounds what a load
+holds at its peak beyond the state it restores.
+
 ``test_soak_keeps_saves_parse_free_and_flat`` is the persist soak: it
 drives ``REPRO_SOAK_BATCHES`` batches (default 320) under
 ``SnapshotPolicy(every_batches=64)`` and checks that no save calls
@@ -23,6 +26,8 @@ from collections import deque
 import repro.persist.snapshot as snapshot_module
 from repro import Delta, DiGraph, Engine, SnapshotPolicy, SnapshotStore, delete, insert
 from repro.dataflow import DataflowView
+from repro.kws import KWSIndex, KWSQuery
+from repro.scc import SCCIndex
 
 # Measured on a 5 000-node / 20 000-edge graph with one dirty
 # edge-label-count view (CPython 3.11): an incremental save that carries
@@ -31,6 +36,14 @@ from repro.dataflow import DataflowView
 # every save (as log compaction once needed) peaked at 33.4; re-reading
 # the previous file through split_snapshot_sections peaked at 119.
 SAVE_PEAK_BYTES_PER_EDGE = 16
+
+# Measured loading a 5 000-node / 20 000-edge store with scc, kws and
+# triangle-count views (CPython 3.11): reading every body into lines and
+# parsing a record at a time peaked 605 bytes per edge above the live
+# heap and retained 447; loading in bulk (one token memo, the graph's
+# edges inserted in chunks) peaks 547 and retains 365.  The bound is the
+# line-at-a-time reader's peak: a faster load must not cost memory.
+LOAD_PEAK_BYTES_PER_EDGE = 605
 
 SOAK_BATCHES = int(os.environ.get("REPRO_SOAK_BATCHES", "320"))
 SOAK_SAVE_EVERY = 64
@@ -82,6 +95,28 @@ def test_incremental_save_peak_stays_under_its_bytes_per_edge(tmp_path):
     assert (report.sections_carried, report.sections_rendered) == (1, 1)
     per_edge = (peak - before) / graph.num_edges
     assert per_edge < SAVE_PEAK_BYTES_PER_EDGE, per_edge
+
+
+def test_load_peak_stays_under_its_bytes_per_edge(tmp_path):
+    graph = random_graph(5_000, 20_000, seed=0)
+    engine = Engine(graph)
+    engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
+    engine.register("kws", lambda g, m: KWSIndex(g, KWSQuery(("a", "b"), 2), meter=m))
+    engine.register("tri", lambda g, m: DataflowView(g, "triangle-count", meter=m))
+    SnapshotStore(tmp_path).save(engine)
+    store = SnapshotStore(tmp_path)
+    store.load(attach_journal=False)  # imports and caches warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        revived = store.load(attach_journal=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert revived.graph == graph
+    per_edge = (peak - before) / graph.num_edges
+    assert per_edge < LOAD_PEAK_BYTES_PER_EDGE, per_edge
 
 
 def vm_rss_kb() -> int:

@@ -305,12 +305,14 @@ class BackedVar(Var):
     a *set* (every present row has count 1) offering ``len``,
     iteration, ``in``, ``get``, ``items`` and ``values``, plus
     ``adjacency(key_columns, value_column)`` — the store's own ``key →
-    values`` index of that shape as a no-copy ``key -> collection``
-    callable, or ``None`` when it keeps none (what lets ``multijoin``
-    probe the store instead of arranging a copy).  The node holds no
-    rows.  :meth:`update` announces rows the store has *already* gained
-    (``+1``) or lost (``-1``); stabilize checks every announced row
-    against the store and pushes the batch to the children.
+    values`` index of that shape as a no-copy one-argument callable
+    giving a key's live collection of values, empty or ``None`` for a
+    key without any (``dict.get`` qualifies), or ``None`` when it keeps
+    none (what lets ``multijoin`` probe the store instead of arranging a
+    copy).  The node holds no rows.  :meth:`update` announces rows the
+    store has *already* gained (``+1``) or lost (``-1``); stabilize
+    checks every announced row against the store and pushes the batch
+    to the children.
     """
 
     def __init__(self, flow: "Dataflow", relation, name: str = "") -> None:
@@ -575,8 +577,8 @@ _NO_VALUES: frozenset = frozenset()
 class _StoreArrangement(_Arrangement):
     """An index the store of a :class:`BackedVar` already keeps: buckets
     are the store's own live value sets (each value counts 1), fetched
-    through ``neighbors`` (``neighbors(key, default)``, like
-    ``dict.get``).
+    through ``neighbors`` (``neighbors(key)``, an empty collection or
+    ``None`` for a key without values).
 
     The store is *ahead* of the delta query — it holds the whole batch
     before the node sees its first row — so ``index`` is not the
@@ -603,7 +605,9 @@ class _StoreArrangement(_Arrangement):
     def get(self, key):
         if key == self._last_key:
             return self._last
-        bucket = self.neighbors(key, _NO_VALUES)
+        bucket = self.neighbors(key)
+        if bucket is None:
+            bucket = _NO_VALUES
         if self.index:
             owed = self.index.get(key)
             if owed:

@@ -108,9 +108,8 @@ class _GraphRelation(Mapping):
         return repeat(1, len(self))
 
     def adjacency(self, key_columns: tuple, value_column: int):
-        """The graph's own index of that shape — a ``(key, default)``
-        lookup of a key's live value set, like ``dict.get`` — or
-        ``None``."""
+        """The graph's own index of that shape — a lookup of a key's
+        live value set, ``None`` for a key without one — or ``None``."""
         return None
 
 

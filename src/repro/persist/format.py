@@ -29,7 +29,7 @@ import re
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, chain
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -53,12 +53,10 @@ __all__ = [
     "parse_codec_meta",
     "parse_directive",
     "parse_body",
-    "parse_columns",
     "parse_packed_operands",
     "parse_record",
     "parse_shard_split_meta",
     "parse_sharding_meta",
-    "records_before_directives",
     "render_codec_meta",
     "render_directive",
     "render_record",
@@ -757,9 +755,6 @@ def _lines_of(text: str) -> list[str]:
     """``text`` cut after each ``"\\n"`` and nowhere else (a file's lines
     end there; ``str.splitlines`` also cuts at ``"\\r"``, ``"\\x0c"``,
     ``"\\u2028"`` and others, which a quoted token may hold)."""
-    lines = text.splitlines(keepends=True)
-    if len(lines) == text.count("\n") + (not text.endswith("\n") and bool(text)):
-        return lines
     return io.StringIO(text, newline="\n").readlines()
 
 
@@ -797,69 +792,6 @@ class BodyRows(NamedTuple):
 #: opens with ``%`` or ``#`` or holds only whitespace.
 _SPECIAL_LINE = re.compile(r"\n(?=[^\S\n]*(?:[%#\n]|\Z))")
 _QUOTE = re.compile('"')
-#: The newline before a directive line.
-_DIRECTIVE_START = re.compile(r"\n(?=[^\S\n]*%)")
-
-
-@lru_cache(maxsize=None)
-def _rows_of_width(width: int) -> re.Pattern:
-    """Lines of exactly ``width`` whitespace-separated tokens each."""
-    space, token = r"[^\S\n]", r"\S+"
-    row = f"{space}*{token}" + f"{space}+{token}" * (width - 1) + f"{space}*\n"
-    return re.compile(f"(?:{row})*")
-
-
-def records_before_directives(lines) -> int:
-    """How many of a body's ``lines`` precede its first ``%`` line.
-
-    >>> records_before_directives(["e 1 2\\n", "%graphdiff 1\\n", "+ 2 1\\n"])
-    1
-    """
-    match = _DIRECTIVE_START.search("\n" + "".join(lines))
-    if match is None:
-        return len(lines)
-    return bisect_right(list(accumulate(map(len, lines))), match.start())
-
-
-def parse_columns(lines, tokens: TokenMemo, width: int) -> Optional[list[list]]:
-    """:func:`parse_body`'s records transposed, for a body of records
-    that each hold exactly ``width`` tokens — ``width`` lists, the i-th
-    holding every row's i-th value — or ``None`` for any other body
-    (which :func:`parse_body` then reads).
-
-    The text goes :data:`_CHUNK_LINES` lines at a time.  A chunk of
-    plain records is checked by one regex match, split once and each
-    token looked up in ``tokens``, with no tuple built per row; any
-    other chunk is read by :func:`parse_body`.
-
-    >>> parse_columns(["e 1 2\\n", 'n 2 "a b"\\n'], TokenMemo(), 3)
-    [['e', 'n'], [1, 2], [2, 'a b']]
-    >>> parse_columns(["e 1 2\\n", "e 2\\n"], TokenMemo(), 3) is None
-    True
-    """
-    rows = _rows_of_width(width)
-    values: list = []
-    for start in range(0, len(lines), _CHUNK_LINES):  # bounds the text held
-        chunk = lines[start : start + _CHUNK_LINES]
-        text = "".join(chunk)
-        if (
-            text.count("\n") == len(chunk)
-            and text.endswith("\n")
-            and '"' not in text
-            and _SPECIAL_LINE.search("\n" + text, 0, len(text)) is None
-            and rows.fullmatch(text) is not None
-        ):
-            values.extend(map(tokens.__getitem__, text.split()))
-            continue
-        records, directives, error = parse_body(chunk, tokens)
-        if directives or error is not None or set(map(len, records)) != {width}:
-            return None
-        values.extend(chain.from_iterable(records))
-    return [values[column::width] for column in range(width)]
-
-
-#: Lines :func:`parse_columns` joins and splits at a time.
-_CHUNK_LINES = 4096
 
 
 def parse_body(lines, tokens: TokenMemo) -> BodyRows:

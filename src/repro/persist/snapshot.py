@@ -44,6 +44,7 @@ import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, Optional, Union
 
@@ -74,9 +75,7 @@ from repro.persist.format import (
     encode_packed_block,
     expand_packed_lines,
     parse_body,
-    parse_columns,
     parse_directive,
-    records_before_directives,
     render_codec_meta,
     render_directive,
     render_record,
@@ -1079,16 +1078,9 @@ def _replay_graph_section(
     if sections.graph_packed:
         lines = expand_packed_lines(lines, source, sections.graph_line_number)
     try:
-        base = records_before_directives(lines)
-        columns = parse_columns(lines[:base], tokens, 3) if base else None
-        if columns is not None and _apply_base_columns(graph, *columns):
-            lines = lines[base:]
-        # the rest record by record: the diff chunks, and a base a save
-        # does not write (which raises its first error where it stands)
         records, directives, error = parse_body(lines, tokens)
         stops = [index for index, _ in directives] + [len(records)]
-        for record in records[: stops[0]]:
-            apply_graph_record(graph, record)
+        _replay_base(graph, records[: stops[0]])
         for (index, line), stop in zip(directives, stops[1:]):
             if parse_directive(line)[0] != "graphdiff":
                 raise ValueError(f"unexpected directive {line!r}")
@@ -1102,21 +1094,22 @@ def _replay_graph_section(
         ) from None
 
 
-def _apply_base_columns(
-    graph: DiGraph, tags: list, first: list, second: list
-) -> bool:
-    """Replay base records given as columns if they are what a save
-    writes — ``n`` records, then ``e`` records — and report whether they
-    were: ``n`` records one by one, the ``e`` records in one
-    :meth:`~repro.graph.digraph.DiGraph.add_edges`."""
-    nodes = tags.index("e") if "e" in tags else len(tags)
-    if tags.count("n") != nodes or tags.count("e") != len(tags) - nodes:
-        return False
-    add_node = graph.add_node
-    for node, label in zip(first[:nodes], second[:nodes]):
-        add_node(node, label)
-    graph.add_edges(zip(first[nodes:], second[nodes:]))
-    return True
+def _replay_base(graph: DiGraph, records: list) -> None:
+    """Replay the base records: as a save writes them — ``n`` records,
+    then ``e`` records — the ``n`` records one by one and the ``e``
+    records in one :meth:`~repro.graph.digraph.DiGraph.add_edges`;
+    in any other order record by record, so the first error is the one
+    the record raises."""
+    tags = list(map(itemgetter(0), records))
+    nodes = tags.count("n")
+    edges = records[nodes:]
+    if tags[nodes:].count("e") == len(edges) and set(map(len, edges)) <= {3}:
+        for record in records[:nodes]:
+            apply_graph_record(graph, record)
+        graph.add_edges(map(itemgetter(1, 2), edges))
+    else:
+        for record in records:
+            apply_graph_record(graph, record)
 
 
 def _view_snapshot(

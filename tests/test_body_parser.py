@@ -493,7 +493,7 @@ def test_a_saved_shape_graph_body_replays_like_the_per_line_reader(
 ):
     """Bodies of ``n``/``e`` records — in a save's order (every ``n``
     first) or not, duplicates, quoted ids and labels — plus a
-    ``%graphdiff`` chunk: the shapes the bulk column path takes."""
+    ``%graphdiff`` chunk: the shapes the bulk edge path takes."""
     if nodes_first:
         records = sorted(records, key=lambda record: record[0] != "n")
     lines = [render_record(record) for record in records]

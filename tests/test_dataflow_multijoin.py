@@ -561,3 +561,41 @@ def test_triangle_count_meters_the_same_work_on_a_fixed_stream():
         135, 126, 138, 150, 138, 147, 135, 153, 129, 132,
         114, 156, 153, 123, 123, 150, 126, 123, 144, 93,
     ]  # fmt: skip
+
+
+def test_a_store_lookup_that_answers_empty_for_a_missing_key(monkeypatch):
+    """A store's adjacency may be any one-argument lookup: one that gives
+    an empty collection for a key without values (the graph's
+    ``out_neighbors``) serves the first evaluation and the delta ones
+    alike, with the same values and metered work as ``dict.get``."""
+    from repro.dataflow import view as view_module
+
+    def bound_methods(self, key_columns, value_column):
+        if (key_columns, value_column) == ((0,), 1):
+            return self._graph.out_neighbors
+        if (key_columns, value_column) == ((1,), 0):
+            return self._graph.in_neighbors
+        return None
+
+    def run():
+        rng = random.Random(3)
+        graph = DiGraph(labels={node: "a" for node in range(40)})
+        while graph.num_edges < 160:
+            edge = (rng.randrange(40), rng.randrange(40))
+            if not graph.has_edge(*edge):
+                graph.add_edge(*edge)
+        meter = CostMeter()
+        engine = Engine(graph)
+        engine.attach("tri", DataflowView(graph, "triangle-count", meter=meter))
+        values = [engine["tri"].value()]
+        for _ in range(20):
+            edge = (rng.randrange(45), rng.randrange(45))  # new nodes too
+            engine.apply(
+                Delta([delete(*edge) if graph.has_edge(*edge) else insert(*edge)])
+            )
+            values.append(engine["tri"].value())
+        return values, meter.edges_traversed
+
+    expected = run()
+    monkeypatch.setattr(view_module._EdgeRelation, "adjacency", bound_methods)
+    assert run() == expected

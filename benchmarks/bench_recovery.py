@@ -195,6 +195,7 @@ def run_point(profile: str, scale: float, root: Path) -> tuple:
     for delta in deltas[: ROUNDS - TAIL_ROUNDS]:
         engine.apply(delta)
     store.save(engine)
+    save_report = store.last_save_report
     for delta in deltas[ROUNDS - TAIL_ROUNDS:]:
         engine.apply(delta)
     expected = answers(engine)
@@ -232,6 +233,7 @@ def run_point(profile: str, scale: float, root: Path) -> tuple:
         final_graph,
         cursor_report,
         full_report,
+        save_report,
         rebuild_seconds,
         snapshot_kb,
         log_kb,
@@ -256,10 +258,10 @@ def main() -> None:
     splits = []
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
         for position, (profile, scale) in enumerate(POINTS):
-            graph, cursor, full, rebuild_s, snap_kb, log_kb = run_point(
+            graph, cursor, full, save, rebuild_s, snap_kb, log_kb = run_point(
                 profile, scale, Path(tmp) / f"store-{position}"
             )
-            splits.append((f"{profile} x{scale}", cursor))
+            splits.append((f"{profile} x{scale}", cursor, save))
             if cursor.replay_seconds >= full.replay_seconds:
                 slower_points += 1
             total = cursor.restore_seconds + cursor.replay_seconds
@@ -275,16 +277,21 @@ def main() -> None:
             )
     emit()
     views = list(splits[0][1].view_seconds)
-    header = f"{'workload':>14} | {'restore (ms)':>12} | {'parse':>7} | " + " | ".join(
-        f"{name:>7}" for name in views
+    header = (
+        f"{'workload':>14} | {'restore (ms)':>12} | {'parse':>7} | "
+        + " | ".join(f"{name:>7}" for name in views)
+        + f" | {'save (ms)':>9} | "
+        + " | ".join(f"{name:>7}" for name in views)
     )
     emit(header)
     emit("-" * len(header))
-    for workload, report in splits:
+    for workload, report, save in splits:
         emit(
             f"{workload:>14} | {report.restore_seconds * 1e3:>12.1f} | "
             f"{report.parse_seconds * 1e3:>7.1f} | "
             + " | ".join(f"{report.view_seconds[name] * 1e3:>7.1f}" for name in views)
+            + f" | {save.seconds * 1e3:>9.1f} | "
+            + " | ".join(f"{save.view_seconds[name] * 1e3:>7.1f}" for name in views)
         )
     emit()
     emit("restore       = parse snapshot, rebuild graph + views (shared by both")
@@ -298,7 +305,10 @@ def main() -> None:
     emit("vs rebuild    = rebuild / (restore + cursor replay);")
     emit("parse         = read and split the file, parse every body, build the")
     emit("                graph (LoadReport.parse_seconds); one column per view:")
-    emit("                its class's restore (LoadReport.view_seconds).")
+    emit("                its class's restore (LoadReport.view_seconds);")
+    emit("save          = the full save before the tail (SaveReport.seconds); one")
+    emit("                column per view: its snapshot() plus rendering and")
+    emit("                writing its body (SaveReport.view_seconds).")
     if slower_points:
         emit()
         emit(

@@ -21,17 +21,19 @@ rather than coming back as something else.
 
 The format is deliberately trivial — it exists so examples can persist and
 reload scenario graphs and so failures in randomized tests can be dumped
-for inspection.  The record-level helpers (:func:`graph_record_lines`,
-:func:`apply_graph_record`, :func:`update_to_line`,
-:func:`update_from_fields`) are shared with :mod:`repro.persist`, whose
-sectioned snapshot/delta-log files embed exactly these records — one
-quoting discipline, one parser, everywhere state touches disk.
+for inspection.  The record-level helpers (:func:`graph_record_rows`,
+:func:`apply_graph_record`, :func:`update_to_row`,
+:func:`update_to_line`, :func:`update_from_fields`) are shared with
+:mod:`repro.persist`, whose sectioned snapshot/delta-log files embed
+exactly these records — one quoting discipline, one parser, everywhere
+state touches disk.
 """
 
 from __future__ import annotations
 
 import io
 from collections.abc import Iterator
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -46,11 +48,13 @@ __all__ = [
     "SerializationError",
     "apply_graph_record",
     "graph_record_lines",
+    "graph_record_rows",
     "graph_to_string",
     "read_delta",
     "read_graph",
     "update_from_fields",
     "update_to_line",
+    "update_to_row",
     "write_delta",
     "write_graph",
 ]
@@ -67,10 +71,17 @@ class FormatError(ValueError):
 def graph_record_lines(graph: DiGraph) -> Iterator[str]:
     """Yield one terminated record line per node and edge of ``graph``
     (nodes first, then edges) — the body :func:`write_graph` wraps."""
-    for node in graph.nodes():
-        yield f"n {format_token(node)} {format_token(graph.label(node))}\n"
-    for source, target in graph.edges():
-        yield f"e {format_token(source)} {format_token(target)}\n"
+    for row in graph_record_rows(graph):
+        yield " ".join(map(format_token, row)) + "\n"
+
+
+def graph_record_rows(graph: DiGraph) -> Iterator[tuple]:
+    """The records of :func:`graph_record_lines` as rows of tokens —
+    ``("n", node, label)`` then ``("e", source, target)`` — built by
+    C-level maps, for a renderer that formats rows in bulk."""
+    labels = graph.labels
+    nodes = zip(repeat("n"), graph.nodes(), map(labels.__getitem__, graph.nodes()))
+    return chain(nodes, map(("e",).__add__, graph.edges()))
 
 
 def apply_graph_record(graph: DiGraph, fields: list) -> None:
@@ -95,13 +106,20 @@ def apply_graph_record(graph: DiGraph, fields: list) -> None:
 
 def update_to_line(update: Update) -> str:
     """Render one unit update as a terminated ``+``/``-`` record line."""
+    return " ".join(map(format_token, update_to_row(update))) + "\n"
+
+
+def update_to_row(update: Update) -> tuple:
+    """The tokens of one unit update's ``+``/``-`` record, as one row."""
     if update.is_insert:
         return (
-            f"+ {format_token(update.source)} {format_token(update.target)} "
-            f"{format_token(update.source_label)} "
-            f"{format_token(update.target_label)}\n"
+            "+",
+            update.source,
+            update.target,
+            update.source_label,
+            update.target_label,
         )
-    return f"- {format_token(update.source)} {format_token(update.target)}\n"
+    return ("-", update.source, update.target)
 
 
 def update_from_fields(fields: list) -> Update:

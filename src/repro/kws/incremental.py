@@ -36,7 +36,13 @@ from repro.engine.relevance import KeywordRelevance
 from repro.engine.view import ViewSnapshot
 from repro.graph.digraph import DiGraph, Label, Node
 from repro.kws.batch import compute_kdist
-from repro.kws.kdist import KDistEntry, KDistIndex, KWSQuery, node_order
+from repro.kws.kdist import (
+    KDistEntry,
+    KDistIndex,
+    KWSQuery,
+    node_order,
+    sorted_nodes,
+)
 from repro.kws.matches import MatchTree, all_matches, distance_profile, match_at
 
 _INF = float("inf")
@@ -315,7 +321,7 @@ class KWSIndex:
         records = []
         for keyword in self.query.keywords:
             entries = self.kdist.entries(keyword)
-            for node in sorted(entries, key=node_order):
+            for node in sorted_nodes(entries):
                 entry = entries[node]
                 if entry.next is None:
                     records.append((keyword, node, entry.dist))

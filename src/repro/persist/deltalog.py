@@ -193,6 +193,33 @@ class _MergedScan:
     #: Seqs with a sub-entry in a window that is not admitted.
     torn_windowed: set[int]
 
+    def entries(self, after: float) -> list[LogEntry]:
+        """:meth:`SegmentedDeltaLog.entries` for ``after`` no lower than
+        the ``after`` this merge materialized bodies past."""
+        result: list[LogEntry] = []
+        for seq in sorted(self.parts):
+            participants, holders = self.parts[seq]
+            if seq <= after or (len(holders) < participants and seq > self.floor):
+                continue  # covered, or a torn cross-segment append
+            updates = [
+                update
+                for index in holders  # ascending: segments scan in order
+                for update in self.scans[index].bodies[seq]
+            ]
+            result.append(LogEntry(seq, Delta(updates), participants))
+        return result
+
+    def last_seq(self) -> int:
+        """:meth:`SegmentedDeltaLog.last_seq` of the merged segments."""
+        return max(
+            [self.floor]
+            + [
+                seq
+                for seq, (participants, holders) in self.parts.items()
+                if len(holders) == participants
+            ]
+        )
+
 
 class DeltaLog:
     """One log file's framing: append, seal, scan and compact.
@@ -1154,19 +1181,7 @@ class SegmentedDeltaLog:
         fresh, higher ids) seal and admit independently of any torn
         debris below them.
         """
-        merged = self._merge(after)
-        result: list[LogEntry] = []
-        for seq in sorted(merged.parts):
-            participants, holders = merged.parts[seq]
-            if seq <= after or (len(holders) < participants and seq > merged.floor):
-                continue  # covered, or a torn cross-segment append
-            updates = [
-                update
-                for index in holders  # ascending: segments scan in order
-                for update in merged.scans[index].bodies[seq]
-            ]
-            result.append(LogEntry(seq, Delta(updates), participants))
-        return result
+        return self._merge(after).entries(after)
 
     def last_seq(self) -> int:
         """Seq of the newest *globally durable* committed entry, or the
@@ -1177,20 +1192,19 @@ class SegmentedDeltaLog:
         any, is globally admitted — the same :meth:`_merge` that
         :meth:`entries` reads, without materializing any :class:`Delta`.
         """
-        merged = self._merge()
-        return max(
-            [merged.floor]
-            + [
-                seq
-                for seq, (participants, holders) in merged.parts.items()
-                if len(holders) == participants
-            ]
-        )
+        return self._merge().last_seq()
+
+    def tail(self, after: float = math.inf) -> tuple[int, list[LogEntry]]:
+        """``(last_seq(), entries(after))`` from one :meth:`_merge` —
+        one scan per segment where the two calls make two.  With the
+        default ``after`` the entries are ``[]`` and no body is parsed."""
+        merged = self._merge(after)
+        return merged.last_seq(), merged.entries(after)
 
     def _merge(self, after: float = math.inf) -> _MergedScan:
         """Aggregate one :meth:`DeltaLog._scan` per segment under the
         cross-segment rules — the one pass behind :meth:`entries`,
-        :meth:`last_seq` and :meth:`_void_torn`.
+        :meth:`last_seq`, :meth:`tail` and :meth:`_void_torn`.
 
         * All of a window's seals must declare the same participant
           count, and windows are admitted by :meth:`_admit_windows`

@@ -30,8 +30,8 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain
-from typing import Callable, Iterable, NamedTuple, Optional
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.graph.io_tokens import TokenMemo, format_token, tokenize
 from repro.graph.sharding import SHARD_KINDS, ShardMap
@@ -60,6 +60,7 @@ __all__ = [
     "render_codec_meta",
     "render_directive",
     "render_record",
+    "render_records",
     "render_shard_split_meta",
     "render_sharding_meta",
     "split_snapshot_sections",
@@ -98,6 +99,11 @@ SNAPSHOT_CODECS = ("zlib", "zstd")
 #: Column width of base64 payload lines inside a ``%packed`` block.
 PACKED_WRAP = 76
 
+#: Rows :func:`render_records` renders into one chunk of text.  A fresh
+#: section body is built and written a chunk at a time, so it is never
+#: held whole.
+RENDER_CHUNK_ROWS = 1024
+
 
 class PersistFormatError(ValueError):
     """Malformed snapshot or delta-log text."""
@@ -111,6 +117,78 @@ class PersistFormatError(ValueError):
 def render_record(values) -> str:
     """Render one row of int/str values as a terminated record line."""
     return " ".join(format_token(value) for value in values) + "\n"
+
+
+#: The types :func:`render_records` formats with ``%s``: exactly ``int``
+#: and ``str`` (``bool`` and every other subclass go through
+#: :func:`render_record`, to be refused or quoted as it decides).
+_PLAIN_TYPES = frozenset({int, str})
+
+#: Anything :func:`format_token` may quote, found in the distinct ``str``
+#: tokens of a chunk written one per line: a whitespace (other than the
+#: newlines between them), quote, backslash or ``#`` character, or a
+#: token that is empty, opens with ``%`` or has the shape of ``int()``'s
+#: grammar.  A chunk it finds nothing in is written bare; one it finds
+#: anything in has each distinct ``str`` formatted by
+#: :func:`format_token`, which also decides the cases it cannot (a digit
+#: run too long for ``int()`` is written bare after all).
+_MAY_QUOTE = re.compile(
+    r'[^\S\n]|["\\#]|^(?:%|[+-]?\d+(?:_\d+)*$|$)', re.MULTILINE
+)
+
+
+class _RowFormats(dict):
+    """Row length → the ``%`` template of one record line of that many
+    tokens (``"%s %s\\n"`` for two)."""
+
+    __slots__ = ()
+
+    def __missing__(self, length: int) -> str:
+        template = self[length] = " ".join(["%s"] * length) + "\n"
+        return template
+
+
+_ROW_FORMATS = _RowFormats()
+
+
+def render_records(rows) -> Iterator[str]:
+    """Render rows of int/str values as the text of their record lines,
+    :data:`RENDER_CHUNK_ROWS` rows per yielded chunk.  The chunks joined
+    are ``"".join(map(render_record, rows))``, byte for byte.
+
+    A chunk whose tokens are all exact ``int`` or ``str`` is rendered by
+    one ``%`` format of all its tokens; when one regex search over its
+    distinct strings finds one that may need quoting, each distinct
+    string is first replaced by :func:`format_token`'s text for it.  Any
+    other chunk goes through :func:`render_record` row by row, so the
+    :class:`~repro.graph.io_tokens.SerializationError` for other values
+    is :func:`format_token`'s own.
+
+    >>> list(render_records([("n", 1, "a"), ("e", 1, 2)]))
+    ['n 1 a\\ne 1 2\\n']
+    >>> list(render_records([("n", 1, "a b"), ("n", 2, "7")]))
+    ['n 1 "a b"\\nn 2 "7"\\n']
+    """
+    rows = iter(rows)
+    while chunk := list(islice(rows, RENDER_CHUNK_ROWS)):
+        yield _render_chunk(chunk)
+
+
+def _render_chunk(rows: list) -> str:
+    tokens = tuple(chain.from_iterable(rows))
+    # the type of every token, not of the distinct values: True == 1,
+    # so a set of values may keep 1 and hide True
+    kinds = set(map(type, tokens))
+    if not kinds <= _PLAIN_TYPES:
+        return "".join(map(render_record, rows))
+    if str in kinds:
+        words = [token for token in set(tokens) if type(token) is str]
+        lines = "\n".join(words)
+        # more newlines than separators: a word holds one
+        if lines.count("\n") >= len(words) or _MAY_QUOTE.search(lines):
+            text = dict(zip(words, map(format_token, words)))
+            tokens = tuple(map(text.get, tokens, tokens))
+    return "".join(map(_ROW_FORMATS.__getitem__, map(len, rows))) % tokens
 
 
 def parse_record(line: str) -> tuple:

@@ -38,6 +38,7 @@ Example — snapshot a session, lose the process, recover::
 from __future__ import annotations
 
 import codecs
+import math
 import os
 import time
 import weakref
@@ -57,14 +58,14 @@ from repro.graph.digraph import DiGraph
 from repro.graph.io_tokens import TokenMemo
 from repro.graph.io import (
     apply_graph_record,
-    graph_record_lines,
+    graph_record_rows,
     update_from_fields,
-    update_to_line,
+    update_to_row,
 )
 from repro.graph.sharding import ShardedGraphStore, ShardMap
 from repro.iso.incremental import ISOIndex
 from repro.kws.incremental import KWSIndex
-from repro.persist.deltalog import SegmentedDeltaLog, fsync_directory
+from repro.persist.deltalog import LogEntry, SegmentedDeltaLog, fsync_directory
 from repro.persist.format import (
     FORMAT_VERSION,
     SNAPSHOT_MAGIC,
@@ -78,7 +79,7 @@ from repro.persist.format import (
     parse_directive,
     render_codec_meta,
     render_directive,
-    render_record,
+    render_records,
     render_shard_split_meta,
     render_sharding_meta,
     split_snapshot_sections,
@@ -163,13 +164,16 @@ class SaveReport:
     once, as carried when its previous body was copied (a fresh
     ``%graphdiff`` chunk may follow it).  ``seconds`` is the wall time
     from entry to the durable rename (a ``compact=True`` compaction
-    afterwards is not included).
+    afterwards is not included).  Within it, ``view_seconds`` maps each
+    freshly rendered view's name to its ``snapshot()`` call plus the
+    rendering and writing of its body.
     """
 
     bytes_carried: int = 0
     sections_carried: int = 0
     sections_rendered: int = 0
     seconds: float = 0.0
+    view_seconds: dict[str, float] = field(default_factory=dict)
 
 
 #: A carryable section body: its ``[start, end)`` byte span in the file
@@ -535,9 +539,9 @@ class SnapshotStore:
         # while the graph includes them would resurrect-or-lose them on
         # recovery).
         self.log.flush()
-        last_seq = self.log.last_seq()
         bytes_carried = sections_carried = 0
         views: dict[str, tuple[str, int, Body]] = {}  # the new file's layout
+        view_seconds: dict[str, float] = {}
         temp = self.snapshot_path.with_suffix(".tmp")
         with ExitStack() as stack:
             previous, source = (
@@ -546,12 +550,18 @@ class SnapshotStore:
                 else (None, None)
             )
             carried_names: frozenset[str] = frozenset()
-            diff_lines: Optional[list[str]] = None  # None: a fresh graph base
+            carry_from: Optional[int] = None  # the stamp a graph diff starts at
             if previous is not None:
                 carried_names = frozenset(previous.views) - engine.dirty_views()
-                diff_lines = self._plan_graph_carry(
-                    engine, previous.graphdiff_chunks, previous.last_seq, last_seq
-                )
+                if self._may_carry_graph(engine, previous.graphdiff_chunks):
+                    carry_from = previous.last_seq
+            # one read of the log: the stamp, and the tail a diff needs
+            last_seq, tail = self.log.tail(
+                math.inf if carry_from is None else carry_from
+            )
+            diff_rows: Optional[list[tuple]] = None  # None: a fresh graph base
+            if carry_from is not None:
+                diff_rows = self._plan_graph_carry(engine, carry_from, last_seq, tail)
             stream = stack.enter_context(open(temp, "w", encoding="utf-8"))
             stream.write(render_directive(SNAPSHOT_MAGIC, FORMAT_VERSION))
             stream.write(render_directive("meta", "last-seq", last_seq))
@@ -566,8 +576,10 @@ class SnapshotStore:
                 stream.write(render_shard_split_meta(engine.graph.shard_map))
             stream.write(render_directive("section", "graph"))
             start = stream.tell()
-            if diff_lines is None:
-                self._write_fresh_body(stream, graph_record_lines(engine.graph))
+            if diff_rows is None:
+                self._write_fresh_body(
+                    stream, render_records(graph_record_rows(engine.graph))
+                )
                 graphdiff_chunks = 0
             else:
                 assert previous is not None  # a diff plan implies a carry
@@ -575,9 +587,9 @@ class SnapshotStore:
                 bytes_carried += stream.tell() - start
                 sections_carried += 1
                 graphdiff_chunks = previous.graphdiff_chunks
-                if diff_lines:
+                if diff_rows:
                     stream.write(render_directive("graphdiff", last_seq))
-                    self._write_fresh_body(stream, diff_lines)
+                    self._write_fresh_body(stream, render_records(diff_rows))
                     graphdiff_chunks += 1
             graph = (start, stream.tell())
             for name in engine.names():
@@ -592,6 +604,7 @@ class SnapshotStore:
                     bytes_carried += stream.tell() - start
                     sections_carried += 1
                 else:
+                    mark = time.perf_counter()
                     state = engine.view(name).snapshot()  # materializes lazy views
                     kind, cursor = state.kind, last_seq
                     stream.write(
@@ -602,9 +615,10 @@ class SnapshotStore:
                         stream,
                         chain(
                             (render_directive("config", *state.config),),
-                            map(render_record, state.records),
+                            render_records(state.records),
                         ),
                     )
+                    view_seconds[name] = time.perf_counter() - mark
                 views[name] = (kind, cursor, (start, stream.tell()))
             stream.write(render_directive("end"))
             stream.flush()
@@ -625,6 +639,7 @@ class SnapshotStore:
             sections_carried=sections_carried,
             sections_rendered=1 + len(views) - sections_carried,
             seconds=time.perf_counter() - started,
+            view_seconds=view_seconds,
         )
         if compact:                 # the log below it is compacted
             self.compact_log(engine)
@@ -649,40 +664,55 @@ class SnapshotStore:
             return None, None
         return layout, source
 
-    def _write_fresh_body(self, stream, lines) -> None:
-        """Write freshly-rendered section body lines, packed into one
-        ``%packed`` block when the store has a codec.  ``lines`` may be a
-        lazy iterable: a plaintext store streams it line by line, so a
-        view's rendered body is never held whole; a codec store collects
-        it to compress.  Carried bodies never pass through here —
+    def _write_fresh_body(self, stream, text) -> None:
+        """Write a freshly rendered section body, packed into one
+        ``%packed`` block when the store has a codec.  ``text`` is an
+        iterable of strings, each one or more whole lines: a body comes
+        as :func:`~repro.persist.format.render_records` chunks of about
+        a thousand rows, each rendered by one ``%`` format when its
+        tokens are ints and strs and row by row otherwise, in the same
+        bytes either way.  A plaintext store writes each chunk as it
+        comes, so a body is never held whole; a codec store collects it
+        to compress.  Carried bodies never pass through here —
         incremental saves copy them unchanged (compressed bytes are
         copied, never re-encoded)."""
         if self.codec is None:
-            for line in lines:
-                stream.write(line)
+            stream.writelines(text)
             return
-        body = list(lines)
+        body = list(text)
         if body:
             stream.writelines(encode_packed_block(body, self.codec))
+
+    def _may_carry_graph(self, engine: Engine, graphdiff_chunks: int) -> bool:
+        """May the graph section of the previous file, which holds
+        ``graphdiff_chunks`` chunks, be carried forward with a diff?
+
+        Not past :attr:`graphdiff_limit` chunks (consolidate: rewrite a
+        fresh full base), and only when the diff can be derived from
+        this store's own log tail, which covers the window exactly when
+        the engine journaled into this log, uninterrupted, since the
+        previous capture (``journal_epoch`` tripwire); the provenance
+        check in :meth:`save` already established that the previous
+        file captures this engine's state."""
+        return (
+            graphdiff_chunks < self.graphdiff_limit
+            and engine.journal is self.log
+            and self._journal_uninterrupted(engine)
+        )
 
     def _plan_graph_carry(
         self,
         engine: Engine,
-        graphdiff_chunks: int,
         previous_seq: int,
         last_seq: int,
-    ) -> Optional[list[str]]:
-        """Can the graph section be carried forward with a diff chunk?
+        tail: list[LogEntry],
+    ) -> Optional[list[tuple]]:
+        """The ``%graphdiff`` chunk that carries the graph section from
+        the previous file, stamped ``previous_seq``, to ``last_seq``.
 
-        ``graphdiff_chunks`` and ``previous_seq`` describe the previous
-        file.  Returns the new chunk's records (empty when the tail is:
-        the previous body is carried alone), or ``None`` to force a full
-        rewrite.  The diff is derived from this store's own
-        log tail ``(previous_seq, last_seq]``, which covers the
-        window exactly when the engine journaled into this log,
-        uninterrupted, since the previous capture (``journal_epoch``
-        tripwire); the provenance check in :meth:`save` already
-        established that the previous file captures this engine's state.
+        ``tail`` is the log's entries past ``previous_seq``.  Returns the
+        chunk's records (empty when the tail is: the previous body is
+        carried alone), or ``None`` to force a full rewrite.
 
         The chunk opens with one ``n <node> <label>`` record per node the
         tail touched (idempotent re-declarations for pre-existing nodes;
@@ -691,15 +721,8 @@ class SnapshotStore:
         later deleted, which the net delta alone would lose), followed by
         the tail's net-normalized ``+``/``-`` update records.
         """
-        if graphdiff_chunks >= self.graphdiff_limit:
-            return None  # consolidate: rewrite a fresh full base
-        if engine.journal is not self.log or not self._journal_uninterrupted(
-            engine
-        ):
-            return None
         if previous_seq > last_seq:
             return None  # foreign file: its stamp outruns our log
-        tail = self.log.entries(after=previous_seq)
         if not tail:
             return []
         try:
@@ -709,16 +732,15 @@ class SnapshotStore:
         touched = set()
         for entry in tail:
             touched.update(entry.delta.touched_nodes())
-        diff_lines = []
-        graph = engine.graph
+        labels = engine.graph.labels
         try:
-            for node in sorted(touched, key=repr):
-                diff_lines.append(render_record(("n", node, graph.label(node))))
+            diff_rows = [
+                ("n", node, labels[node]) for node in sorted(touched, key=repr)
+            ]
         except KeyError:
             return None  # a touched node left the graph out-of-band
-        for update in net:
-            diff_lines.append(update_to_line(update))
-        return diff_lines
+        diff_rows.extend(map(update_to_row, net))
+        return diff_rows
 
     def _note_capture(self, engine: Engine) -> None:
         self._captured = (

@@ -36,7 +36,7 @@ from repro.core.delta import Delta
 from repro.engine.relevance import AlphabetRelevance
 from repro.engine.view import ViewSnapshot
 from repro.graph.digraph import DiGraph, Node
-from repro.kws.kdist import node_order
+from repro.kws.kdist import node_order, sorted_nodes
 from repro.rpq.batch import compile_query, rpq_nfa
 from repro.rpq.markings import BOOTSTRAP, MarkEntry, Markings, ProductNode
 from repro.rpq.nfa import NFA, State
@@ -439,9 +439,9 @@ class RPQIndex:
         the number of entries rather than in Σ|cpre|.
         """
         records = []
-        for source in sorted(self.markings.sources(), key=node_order):
+        for source in sorted_nodes(self.markings.sources()):
             marks = self.markings.get(source)
-            for node in sorted(marks.by_node, key=node_order):
+            for node in sorted_nodes(marks.by_node):
                 states = marks.by_node[node]
                 for state in sorted(states):
                     records.append((source, node, state, int(states[state].dist)))

@@ -55,7 +55,7 @@ from repro.core.delta import Delta, Update
 from repro.engine.relevance import SubscribeAll
 from repro.engine.view import ViewSnapshot
 from repro.graph.digraph import DiGraph, Edge, Node
-from repro.kws.kdist import node_order
+from repro.kws.kdist import sorted_nodes
 from repro.scc.condensation import CompId, Condensation
 from repro.scc.tarjan import EdgeKind, TarjanResult, tarjan_scc
 
@@ -507,14 +507,12 @@ class SCCIndex:
         a component after an in-place intra-component insertion.
         """
         records = []
-        for comp_id in sorted(self.cond.members):
-            records.append(
-                (
-                    comp_id,
-                    repr(self.cond.rank[comp_id]),
-                    *sorted(self.cond.members[comp_id], key=node_order),
-                )
-            )
+        members, rank = self.cond.members, self.cond.rank
+        for comp_id in sorted(members):
+            nodes = members[comp_id]
+            if len(nodes) > 1:
+                nodes = sorted_nodes(nodes)
+            records.append((comp_id, repr(rank[comp_id]), *nodes))
         return ViewSnapshot(
             kind="scc", config=(self.cond._next_id,), records=tuple(records)
         )

@@ -6,6 +6,9 @@ incremental save copies the carried bodies by byte range through one
 save-time peak is then the dirty views' rendering, the ``%graphdiff``
 chunk and the buffer, nothing per graph line.
 
+``test_rendering_a_dirty_view_peaks_under_its_bytes_per_edge`` bounds
+the peak of a save whose dirty view renders thousands of rows: a body
+is rendered a chunk at a time, never whole.
 ``test_load_peak_stays_under_its_bytes_per_edge`` bounds what a load
 holds at its peak beyond the state it restores.
 
@@ -44,6 +47,14 @@ SAVE_PEAK_BYTES_PER_EDGE = 16
 # edges inserted in chunks) peaks 547 and retains 365.  The bound is the
 # line-at-a-time reader's peak: a faster load must not cost memory.
 LOAD_PEAK_BYTES_PER_EDGE = 605
+
+# Measured on the same graph with one dirty kws view of 9 602 rows
+# (CPython 3.11): an incremental save that rendered the body a line at
+# a time, its nodes sorted by node_order keys, peaked 64.0 bytes per edge
+# above the live heap.  Rendering it in chunks of 1 024 rows peaks 48.5;
+# rendering it as one chunk peaked 89.6.  The bound is the line-at-a-time
+# peak: a save that renders a body whole fails it.
+RENDER_PEAK_BYTES_PER_EDGE = 64
 
 SOAK_BATCHES = int(os.environ.get("REPRO_SOAK_BATCHES", "320"))
 SOAK_SAVE_EVERY = 64
@@ -95,6 +106,34 @@ def test_incremental_save_peak_stays_under_its_bytes_per_edge(tmp_path):
     assert (report.sections_carried, report.sections_rendered) == (1, 1)
     per_edge = (peak - before) / graph.num_edges
     assert per_edge < SAVE_PEAK_BYTES_PER_EDGE, per_edge
+
+
+def test_rendering_a_dirty_view_peaks_under_its_bytes_per_edge(tmp_path):
+    graph = random_graph(5_000, 20_000, seed=0)
+    engine = Engine(graph)
+    engine.register("kws", lambda g, m: KWSIndex(g, KWSQuery(("a", "b"), 2), meter=m))
+    store = SnapshotStore(tmp_path)
+    store.attach(engine)
+    store.save(engine)
+    engine.apply(Delta([insert(5_000, 0, "a", "a"), insert(5_001, 1, "b", "b")]))
+    store.save(engine, incremental=True)
+    engine.apply(Delta([insert(5_002, 2, "a", "a"), insert(5_003, 3, "b", "b")]))
+    assert engine.dirty_views() == frozenset({"kws"})
+    rows = len(engine.view("kws").snapshot().records)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store.save(engine, incremental=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = store.last_save_report
+    assert (report.sections_carried, report.sections_rendered) == (1, 1)
+    per_edge = (peak - before) / graph.num_edges
+    print(f"\n{rows} kws rows: save peak {per_edge:.1f} bytes per edge")
+    assert rows > 5_000
+    assert per_edge < RENDER_PEAK_BYTES_PER_EDGE, per_edge
 
 
 def test_load_peak_stays_under_its_bytes_per_edge(tmp_path):

@@ -14,15 +14,28 @@ would.  These tests pin both halves:
   full save would.
 * **Crash coverage** — carried bytes go through the text layer's
   ``write``, so crashsim meters every byte of an incremental save.
+* **One log read** — the ``last-seq`` stamp and the ``%graphdiff`` tail
+  come from one scan per log segment.
 """
 
 import os
 
 import pytest
 
+import repro.persist.deltalog as deltalog_module
 import repro.persist.snapshot as snapshot_module
 from crashsim import CrashInjector, SimulatedCrash
-from repro import Delta, DiGraph, Engine, SnapshotPolicy, SnapshotStore, delete, insert
+from repro import (
+    Delta,
+    DiGraph,
+    Engine,
+    ShardedGraphStore,
+    ShardMap,
+    SnapshotPolicy,
+    SnapshotStore,
+    delete,
+    insert,
+)
 from repro.dataflow import DataflowView
 from repro.kws import KWSIndex, KWSQuery
 from repro.persist.format import split_snapshot_sections
@@ -194,3 +207,36 @@ def test_crashsim_meters_every_byte_of_a_range_carry(tmp_path):
     assert report.bytes_carried > 0
     written = store.snapshot_path.read_text(encoding="utf-8")
     assert injector.consumed == len(written) + 1
+
+
+def test_an_incremental_save_scans_each_segment_once(tmp_path, monkeypatch):
+    """The stamp and the ``%graphdiff`` tail come from one merge of the
+    segments: one ``DeltaLog._scan`` per segment, not one per read."""
+    shard_map = ShardMap(kind="range", boundaries=[3])
+    base = build_engine().graph
+    graph = ShardedGraphStore.from_labeled_edges(
+        dict(base.labels), list(base.edges()), shard_map
+    )
+    engine = Engine(graph)
+    engine.register("kws", lambda g, m: KWSIndex(g, KWSQuery(("a", "b"), 2), meter=m))
+    engine.register("scc", lambda g, m: SCCIndex(g, meter=m))
+    store = SnapshotStore(tmp_path, shard_map=shard_map)
+    store.attach(engine)
+    store.save(engine)
+    for batch in STREAM[:4]:
+        engine.apply(batch)
+    assert store.log.num_segments == 2
+    scans = []
+    scan = deltalog_module.DeltaLog._scan
+
+    def counted(self, *args, **kwargs):
+        scans.append(self.path.name)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(deltalog_module.DeltaLog, "_scan", counted)
+    store.save(engine, incremental=True)
+    assert sorted(scans) == ["segment-000.log", "segment-001.log"]
+    assert store.last_save_report.sections_carried > 0
+    assert "%graphdiff" in store.snapshot_path.read_text(encoding="utf-8")
+    monkeypatch.undo()
+    assert_recovers_like_a_full_save(tmp_path, engine, tmp_path / "check")

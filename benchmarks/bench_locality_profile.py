@@ -21,7 +21,7 @@ SCALES = [0.5, 1.0, 2.0, 4.0]
 UPDATES = 6
 
 
-def test_locality_profile(benchmark, capfd):
+def test_locality_profile(capfd):
     with capfd.disabled():
         emit()
         emit("== Theorem 3 profile: touched nodes vs |G| (fixed small ΔG) ==")
@@ -71,13 +71,3 @@ def test_locality_profile(benchmark, capfd):
     # Touched share shrinks as |G| grows: locality, operationally.
     assert kws_shares[-1] < kws_shares[0]
     assert iso_shares[-1] <= iso_shares[0] + 0.01
-
-    graph = by_name("synthetic", scale=1.0, seed=SEED)
-    bound = 2
-    query = KWSQuery((graph.label(next(iter(graph.nodes()))),), bound)
-    delta = random_delta(graph, UPDATES, seed=SEED + 2)
-    benchmark.pedantic(
-        lambda index: index.apply(delta),
-        setup=lambda: ((KWSIndex(graph.copy(), query),), {}),
-        rounds=3,
-    )

@@ -62,7 +62,7 @@ TAIL_ROUNDS = 5  # rounds applied after the snapshot (the replayed tail)
 BATCH_SIZE = 40
 
 #: (dataset profile, scale) sweep points — the Section 6 shapes at
-#: laptop scale, matching the fig8 benches.
+#: laptop scale, matching the Fig. 8 panels of ``bench_fig8.py``.
 POINTS = [("dbpedia", 0.5), ("dbpedia", 1.0), ("livej", 1.0)]
 
 

@@ -28,7 +28,7 @@ def _print_series(capfd, name, points):
             emit(f"    {point.n:>5} | {point.changed:>9} | {point.cost:>13,}")
 
 
-def test_unboundedness_witnesses(benchmark, capfd):
+def test_unboundedness_witnesses(capfd):
     with capfd.disabled():
         emit()
         emit("== Theorem 1 witnesses: |CHANGED| flat, work grows with n ==")
@@ -53,5 +53,3 @@ def test_unboundedness_witnesses(benchmark, capfd):
     assert ssrp[-1].cost > 3 * ssrp[0].cost
     with capfd.disabled():
         emit()
-
-    benchmark.pedantic(lambda: measure_rpq_witness([16]), rounds=3)

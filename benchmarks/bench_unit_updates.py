@@ -7,8 +7,6 @@ every incremental algorithm beats recomputation by a wide margin on unit
 updates — the regime where the affected area is genuinely tiny.
 """
 
-import time
-
 from benchmarks.harness import emit, matching_pattern, timed
 from repro.graph.updates import unit_delete_workload, unit_insert_workload
 from repro.iso import ISOIndex, vf2_matches
@@ -31,7 +29,7 @@ def _report(capfd, name, inc_seconds, batch_seconds, extra=""):
         )
 
 
-def test_unit_updates(benchmark, capfd):
+def test_unit_updates(capfd):
     with capfd.disabled():
         emit()
         emit("== Exp-1(5)  unit updates (one insert / one delete at a time) ==")
@@ -99,8 +97,3 @@ def test_unit_updates(benchmark, capfd):
     batch = sum(timed(lambda: vf2_matches(iso_graph, pattern)) for _ in range(2 * UNITS))
     _report(capfd, "ISO", inc, batch)
     assert inc < batch
-
-    benchmark.pedantic(
-        lambda: (index.apply(inserts[0]), index.apply(inserts[0].inverted())),
-        rounds=3,
-    )

@@ -1,48 +1,37 @@
 """Shared machinery for regenerating the paper's evaluation figures.
 
-Every figure bench follows the same recipe as Section 6:
-
-1. build the dataset profile and the workload (graph, query, ΔG),
-2. time the **incremental** algorithm (index prebuilt — the paper's
-   setting assumes Q(G) and auxiliaries exist, "we use a batch algorithm
-   T to compute Q(G) once, and then employ incremental T∆"),
-3. time the **unit-at-a-time** variant (IncKWSn / IncRPQn / IncSCCn /
-   IncISOn),
-4. time the **batch** recomputation on G ⊕ ΔG (BLINKS / RPQ_NFA / Tarjan
-   (+DynSCC) / VF2),
-5. cross-check that all maintained answers agree with the recomputation,
-6. print a paper-style series table.
+Every Fig. 8 point (:func:`point`) follows the recipe of Section 6: time
+the **incremental** algorithm on a prebuilt index (the paper's setting:
+"we use a batch algorithm T to compute Q(G) once, and then employ
+incremental T∆"), the **unit-at-a-time** variant (IncKWSn / IncRPQn /
+IncSCCn / IncISOn; for SCC also DynSCC) and the **batch** recomputation
+on G ⊕ ΔG (BLINKS / RPQ_NFA / Tarjan / VF2); cross-check every answer
+against batch; then count the work of Inc, Inc-n and batch in a
+separate, untimed pass with fresh meters.
 
 Absolute times are *not* expected to match the paper (authors: Java on an
 EC2 r3.4xlarge against multi-million-node graphs; here: pure Python at
 laptop scale).  The reproduced quantity is the *shape*: who wins, by
-roughly what factor, and where the crossover falls.  Each figure bench's
-docstring states the paper's series and the shape reproduced here.
-
-Tables are written through ``sys.__stdout__`` so they survive pytest's
-output capture and land in ``bench_output.txt``.
+roughly what factor, and where the crossover falls.  Tables go to
+``sys.stdout``; pytest callers print them under ``capfd.disabled()``.
 """
 
 from __future__ import annotations
 
-import sys
+import gc
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter, methodcaller
+from typing import Any, Callable
 
+from repro.core.cost import NULL_METER, CostMeter
 from repro.core.delta import Delta
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import random_delta
 from repro.iso import ISOIndex, Pattern, inc_iso_n, vf2_matches
-from repro.kws import (
-    KWSIndex,
-    KWSQuery,
-    compute_kdist,
-    distance_profile,
-    inc_kws_n,
-)
+from repro.kws import KWSIndex, compute_kdist, distance_profile, inc_kws_n
 from repro.rpq import RPQIndex, inc_rpq_n, rpq_nfa
 from repro.scc import Condensation, DynSCC, SCCIndex, inc_scc_n, tarjan_scc
-from repro.workloads import by_name
 
 
 @dataclass
@@ -54,38 +43,35 @@ class SweepRow:
     unit_seconds: float
     batch_seconds: float
     extras: dict[str, float] = field(default_factory=dict)
+    #: metered work (``CostMeter.total()``) of ``inc``, ``unit`` and ``batch``
+    work: dict[str, int] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
         return self.batch_seconds / max(self.inc_seconds, 1e-9)
 
+    def milliseconds(self) -> dict[str, float]:
+        """Inc, Inc-n, batch and the extras, in ms."""
+        seconds = {"inc": self.inc_seconds, "unit": self.unit_seconds}
+        seconds.update(batch=self.batch_seconds, **self.extras)
+        return {key: round(value * 1e3, 3) for key, value in seconds.items()}
+
 
 def emit(text: str = "") -> None:
     """Print a table line (callers disable pytest capture via capfd)."""
-    print(text, file=sys.stdout, flush=True)
+    print(text, flush=True)
 
 
 def print_table(title: str, x_label: str, rows: list[SweepRow]) -> None:
-    extra_keys = sorted({key for row in rows for key in row.extras})
-    header = (
-        f"{x_label:>12} | {'Inc (ms)':>9} | {'Inc-n (ms)':>10} | "
-        f"{'Batch (ms)':>10} | {'speedup':>7}"
-    )
-    for key in extra_keys:
-        header += f" | {key:>10}"
-    emit()
-    emit(f"== {title} ==")
-    emit(header)
-    emit("-" * len(header))
+    """Per row: ms (inc, unit, batch, extras), speedup, metered work."""
+    header = [x_label, *(f"{key} ms" for key in rows[0].milliseconds()), "speedup"]
+    header += [f"{key} work" for key in rows[0].work]
+    emit(f"\n== {title} ==\n" + " | ".join(f"{cell:>10}" for cell in header))
     for row in rows:
-        line = (
-            f"{row.label:>12} | {row.inc_seconds * 1e3:9.1f} | "
-            f"{row.unit_seconds * 1e3:10.1f} | "
-            f"{row.batch_seconds * 1e3:10.1f} | {row.speedup:7.2f}"
-        )
-        for key in extra_keys:
-            line += f" | {row.extras.get(key, float('nan')) * 1e3:10.1f}"
-        emit(line)
+        cells = [f"{ms:10.1f}" for ms in row.milliseconds().values()]
+        cells.append(f"{row.speedup:10.2f}")
+        cells += [f"{work:10d}" for work in row.work.values()]
+        emit(" | ".join([f"{row.label:>10}", *cells]))
     emit()
 
 
@@ -93,8 +79,6 @@ def timed(callable_) -> float:
     """Wall-clock one call with the garbage collector paused (GC pauses
     otherwise land randomly inside measurements and distort single-shot
     millisecond-scale points)."""
-    import gc
-
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -107,100 +91,104 @@ def timed(callable_) -> float:
 
 
 # ----------------------------------------------------------------------
-# Per-class measurement points
+# One measurement point, driven by a per-class spec
 # ----------------------------------------------------------------------
 
 
-def kws_point(graph: DiGraph, query: KWSQuery, delta: Delta, label: str) -> SweepRow:
-    inc_index = KWSIndex(graph.copy(), query)
+@dataclass(frozen=True)
+class QueryClass:
+    """What :func:`point` needs of one query class: ``index(graph, query,
+    meter)`` builds Inc and Inc-n, ``unit(index, delta)`` is Inc-n,
+    ``batch(graph, query, meter)`` recomputes on G ⊕ ΔG, ``answer`` reads
+    a maintained answer and ``expected`` the batch result's (untimed);
+    ``rival`` is a dynamic comparator timed after Inc-n."""
+
+    index: Callable[[DiGraph, Any, CostMeter], Any]
+    unit: Callable[[Any, Delta], object]
+    batch: Callable[[DiGraph, Any, CostMeter], Any]
+    answer: Callable[[Any], Any]
+    expected: Callable[[Any], Any] = lambda result: result
+    rival: type | None = None
+
+
+def _scc_batch(graph: DiGraph, _query: None, meter: CostMeter) -> set:
+    # Equal footing with the other query classes: recomputation must
+    # rebuild the full maintained state (SCC(G) plus the contracted
+    # graph with ranks), just as compute_kdist/rpq_nfa/vf2 rebuild
+    # kdist/markings/match sets.  Only Tarjan is metered.
+    result = tarjan_scc(graph, meter=meter)
+    Condensation.from_tarjan(graph, result)
+    return result.partition()
+
+
+MATCHES = attrgetter("matches")
+CLASSES = {
+    "kws": QueryClass(
+        KWSIndex, inc_kws_n, compute_kdist, methodcaller("profile"), distance_profile
+    ),
+    "rpq": QueryClass(RPQIndex, inc_rpq_n, rpq_nfa, MATCHES, MATCHES),
+    "scc": QueryClass(
+        lambda graph, _query, meter: SCCIndex(graph, meter),
+        inc_scc_n,
+        _scc_batch,
+        methodcaller("components"),
+        rival=DynSCC,
+    ),
+    "iso": QueryClass(ISOIndex, inc_iso_n, vf2_matches, MATCHES),
+}
+
+
+def point(algo: str, graph: DiGraph, query, delta: Delta, label: str) -> SweepRow:
+    """Time Inc, Inc-n, the rival (if any) and batch on one workload, in
+    that order, check every answer against batch, then meter the work."""
+    spec = CLASSES[algo]
+    inc_index = spec.index(graph.copy(), query, NULL_METER)
     inc_seconds = timed(lambda: inc_index.apply(delta))
 
-    unit_index = KWSIndex(graph.copy(), query)
-    unit_seconds = timed(lambda: inc_kws_n(unit_index, delta))
+    unit_index = spec.index(graph.copy(), query, NULL_METER)
+    unit_seconds = timed(lambda: spec.unit(unit_index, delta))
+
+    maintained = {f"Inc{algo.upper()}": inc_index, f"Inc{algo.upper()}n": unit_index}
+    extras = {}
+    if spec.rival is not None:
+        rival = spec.rival(graph.copy())
+        extras[spec.rival.__name__] = timed(lambda: rival.apply(delta))
+        maintained[spec.rival.__name__] = rival
 
     patched = delta.applied(graph)
-    fresh: dict = {}
+    fresh = []
+    batch_seconds = timed(lambda: fresh.append(spec.batch(patched, query, NULL_METER)))
+    expected = spec.expected(fresh[0])
+    for name, index in maintained.items():
+        assert spec.answer(index) == expected, f"{label}: {name} diverged"
 
-    def run_batch() -> None:
-        fresh["index"] = compute_kdist(patched, query)
-
-    batch_seconds = timed(run_batch)
-    expected = distance_profile(fresh["index"])
-    assert inc_index.profile() == expected, f"{label}: IncKWS diverged"
-    assert unit_index.profile() == expected, f"{label}: IncKWSn diverged"
-    return SweepRow(label, inc_seconds, unit_seconds, batch_seconds)
-
-
-def rpq_point(graph: DiGraph, query, delta: Delta, label: str) -> SweepRow:
-    inc_index = RPQIndex(graph.copy(), query)
-    inc_seconds = timed(lambda: inc_index.apply(delta))
-
-    unit_index = RPQIndex(graph.copy(), query)
-    unit_seconds = timed(lambda: inc_rpq_n(unit_index, delta))
-
-    patched = delta.applied(graph)
-    fresh: dict = {}
-
-    def run_batch() -> None:
-        fresh["result"] = rpq_nfa(patched, query)
-
-    batch_seconds = timed(run_batch)
-    expected = fresh["result"].matches
-    assert inc_index.matches == expected, f"{label}: IncRPQ diverged"
-    assert unit_index.matches == expected, f"{label}: IncRPQn diverged"
-    return SweepRow(label, inc_seconds, unit_seconds, batch_seconds)
+    work = {}
+    runs = {"inc": lambda index, updates: index.apply(updates), "unit": spec.unit}
+    for key, run in runs.items():
+        meter = CostMeter()
+        index = spec.index(graph.copy(), query, meter)
+        meter.reset()
+        run(index, delta)
+        work[key] = meter.total()
+    meter = CostMeter()
+    spec.batch(patched, query, meter)
+    work["batch"] = meter.total()
+    return SweepRow(label, inc_seconds, unit_seconds, batch_seconds, extras, work)
 
 
-def scc_point(graph: DiGraph, delta: Delta, label: str) -> SweepRow:
-    inc_index = SCCIndex(graph.copy())
-    inc_seconds = timed(lambda: inc_index.apply(delta))
+#: Exp-1 varies |ΔG|: the paper sweeps 5%..40%; we keep its range with
+#: a coarser grid, and prepend a 1% point because pure-Python batch
+#: algorithms have far smaller constants relative to per-update costs
+#: than the paper's Java system, shifting crossovers toward smaller |ΔG|.
+DELTA_FRACTIONS = [0.01, 0.05, 0.10, 0.20, 0.40]
 
-    unit_index = SCCIndex(graph.copy())
-    unit_seconds = timed(lambda: inc_scc_n(unit_index, delta))
-
-    dyn = DynSCC(graph.copy())
-    dyn_seconds = timed(lambda: dyn.apply(delta))
-
-    patched = delta.applied(graph)
-    fresh: dict = {}
-
-    def run_batch() -> None:
-        # Equal footing with the other query classes: recomputation must
-        # rebuild the full maintained state (SCC(G) plus the contracted
-        # graph with ranks), just as compute_kdist/rpq_nfa/vf2 rebuild
-        # kdist/markings/match sets.
-        result = tarjan_scc(patched)
-        Condensation.from_tarjan(patched, result)
-        fresh["partition"] = result.partition()
-
-    batch_seconds = timed(run_batch)
-    expected = fresh["partition"]
-    assert inc_index.components() == expected, f"{label}: IncSCC diverged"
-    assert unit_index.components() == expected, f"{label}: IncSCCn diverged"
-    assert dyn.components() == expected, f"{label}: DynSCC diverged"
-    return SweepRow(
-        label, inc_seconds, unit_seconds, batch_seconds, extras={"DynSCC": dyn_seconds}
-    )
+#: Exp-3 scales |G| under a |ΔG| fixed in absolute terms (a fraction of
+#: the full-scale graph's |E|), like the paper's fixed |ΔG| = 15M.
+SCALE_FACTORS = [0.2, 0.4, 0.6, 0.8, 1.0]
 
 
-def iso_point(graph: DiGraph, pattern: Pattern, delta: Delta, label: str) -> SweepRow:
-    inc_index = ISOIndex(graph.copy(), pattern)
-    inc_seconds = timed(lambda: inc_index.apply(delta))
-
-    unit_index = ISOIndex(graph.copy(), pattern)
-    unit_seconds = timed(lambda: inc_iso_n(unit_index, delta))
-
-    patched = delta.applied(graph)
-    fresh: dict = {}
-
-    def run_batch() -> None:
-        fresh["matches"] = vf2_matches(patched, pattern)
-
-    batch_seconds = timed(run_batch)
-    expected = fresh["matches"]
-    assert inc_index.matches == expected, f"{label}: IncISO diverged"
-    assert unit_index.matches == expected, f"{label}: IncISOn diverged"
-    return SweepRow(label, inc_seconds, unit_seconds, batch_seconds)
+def delta_for(graph: DiGraph, fraction: float, seed: int) -> Delta:
+    return random_delta(graph, round(graph.num_edges * fraction), seed=seed)
 
 
 def matching_pattern(graph: DiGraph, shape: tuple[int, int, int], seed: int) -> Pattern:
@@ -248,86 +236,6 @@ def matching_pattern(graph: DiGraph, shape: tuple[int, int, int], seed: int) -> 
 
 
 # ----------------------------------------------------------------------
-# Exp-1 sweeps: vary |ΔG| as a fraction of |E| (Figures 8(a)-(i))
-# ----------------------------------------------------------------------
-
-#: the paper sweeps 5%..40%; we keep its range with a coarser grid, and
-#: prepend a 1% point because pure-Python batch algorithms have far
-#: smaller constants relative to per-update costs than the paper's Java
-#: system, shifting crossovers toward smaller |ΔG|.
-DELTA_FRACTIONS = [0.01, 0.05, 0.10, 0.20, 0.40]
-
-
-def delta_for(graph: DiGraph, fraction: float, seed: int) -> Delta:
-    return random_delta(graph, round(graph.num_edges * fraction), seed=seed)
-
-
-def sweep_deltas_kws(dataset: str, scale: float, query: KWSQuery, seed: int = 0):
-    graph = by_name(dataset, scale=scale, seed=seed)
-    return [
-        kws_point(graph, query, delta_for(graph, fraction, seed + 1), f"{fraction:.0%}")
-        for fraction in DELTA_FRACTIONS
-    ]
-
-
-def sweep_deltas_rpq(dataset: str, scale: float, query, seed: int = 0):
-    graph = by_name(dataset, scale=scale, seed=seed)
-    return [
-        rpq_point(graph, query, delta_for(graph, fraction, seed + 1), f"{fraction:.0%}")
-        for fraction in DELTA_FRACTIONS
-    ]
-
-
-def sweep_deltas_scc(dataset: str, scale: float, seed: int = 0):
-    graph = by_name(dataset, scale=scale, seed=seed)
-    return [
-        scc_point(graph, delta_for(graph, fraction, seed + 1), f"{fraction:.0%}")
-        for fraction in DELTA_FRACTIONS
-    ]
-
-
-def sweep_deltas_iso(dataset: str, scale: float, pattern: Pattern, seed: int = 0):
-    graph = by_name(dataset, scale=scale, seed=seed)
-    return [
-        iso_point(graph, pattern, delta_for(graph, fraction, seed + 1), f"{fraction:.0%}")
-        for fraction in DELTA_FRACTIONS
-    ]
-
-
-# ----------------------------------------------------------------------
-# Exp-3 sweeps: vary |G| with a fixed ΔG size (Figures 8(m)-(p))
-# ----------------------------------------------------------------------
-
-SCALE_FACTORS = [0.2, 0.4, 0.6, 0.8, 1.0]
-
-
-def sweep_scales(point_fn, make_args, delta_fraction_of_full: float, seed: int = 0):
-    """Generic Exp-3 runner: the delta size is fixed in *absolute* terms
-    (a fraction of the full-scale graph's |E|), exactly like the paper's
-    fixed |ΔG| = 15M against varying |G|."""
-    rows = []
-    full_graph = make_args(1.0)[0]
-    delta_size = round(full_graph.num_edges * delta_fraction_of_full)
-    for scale in SCALE_FACTORS:
-        args = make_args(scale)
-        graph = args[0]
-        size = min(delta_size, graph.num_edges // 2)
-        delta = random_delta(graph, size, seed=seed + 3)
-        rows.append(point_fn(*args, delta, f"x{scale:.1f}"))
-    return rows
-
-
-def benchmark_incremental(benchmark, build_index, delta: Delta) -> None:
-    """pytest-benchmark hook: time one representative incremental apply,
-    with a fresh index per round (construction excluded from timing)."""
-
-    def setup():
-        return (build_index(),), {}
-
-    benchmark.pedantic(lambda index: index.apply(delta), setup=setup, rounds=3)
-
-
-# ----------------------------------------------------------------------
 # Shape assertions (the reproduced claims)
 # ----------------------------------------------------------------------
 
@@ -372,3 +280,16 @@ def assert_batch_less_scale_sensitive(rows: list[SweepRow], slack: float = 1.5) 
         f"incremental grew faster with |G| than batch: "
         f"{inc_growth:.2f}x vs {batch_growth:.2f}x"
     )
+
+
+def assert_beats_dynscc(rows: list[SweepRow], slack: float = 1.0) -> None:
+    """IncSCC beats DynSCC at every point."""
+    for row in rows:
+        assert row.inc_seconds < row.extras["DynSCC"] * slack, (
+            f"IncSCC lost to DynSCC at {row.label}"
+        )
+
+
+def assert_inc_cost_grows(rows: list[SweepRow], slack: float = 1.0) -> None:
+    """Incremental cost grows from the first to the last grid point."""
+    assert rows[-1].inc_seconds > rows[0].inc_seconds * slack, "Inc cost did not grow"

@@ -10,6 +10,11 @@ Every markdown file named in the text under ``src/``, ``benchmarks/``,
 ``tests/`` and ``tools/`` must exist in the checkout: a path
 (``docs/FORMATS.md``) relative to the repository root or to the citing
 file, a bare name (``FORMATS.md``) anywhere.
+
+Every benchmark file that ``README.md``, ``docs/``, the CI workflows or
+the verify skill cite — a ``benchmarks/…py`` path or a bare
+``bench_*.py`` name, brace groups expanded — must exist, so a deleted
+bench cannot leave a CI command or a how-to pointing at nothing.
 """
 
 import importlib
@@ -105,5 +110,52 @@ def test_every_cited_markdown_file_exists():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path, line, name in citations
         if not exists(path, name)
+    ]
+    assert not missing, "\n".join(missing)
+
+
+#: The docs and workflows whose text may cite a benchmark file.
+BENCH_CITING = ("README.md", "docs/*.md", ".github/workflows/*.yml", ".claude/skills/**/*.md")
+#: A ``benchmarks/…py`` path or a bare ``bench_*.py`` name, possibly with
+#: ``*`` globs and ``{a,b}`` brace groups.
+BENCH_NAME = re.compile(
+    r"(?<![\w/.-])((?:benchmarks/(?:[\w*-]+/)*|bench_)[\w*{},-]*\.py)\b"
+)
+
+
+def expand_braces(name: str) -> list[str]:
+    """``bench_{a,b}_x.py`` -> ``[bench_a_x.py, bench_b_x.py]``."""
+    match = re.search(r"\{([^{}]*)\}", name)
+    if match is None:
+        return [name]
+    head, tail = name[: match.start()], name[match.end() :]
+    return [
+        expanded
+        for option in match.group(1).split(",")
+        for expanded in expand_braces(head + option + tail)
+    ]
+
+
+def test_every_cited_benchmark_file_exists():
+    citations = [
+        (path, text.count("\n", 0, match.start()) + 1, match.group(1))
+        for pattern in BENCH_CITING
+        for path in sorted(ROOT.glob(pattern))
+        for text in [path.read_text(encoding="utf-8")]
+        for match in BENCH_NAME.finditer(text)
+    ]
+    assert len(citations) > 20  # the scan itself still finds them
+    benches = [path.relative_to(ROOT) for path in ROOT.glob("benchmarks/**/*.py")]
+
+    def exists(name: str) -> bool:
+        if "/" in name:
+            return any(ROOT.glob(name))
+        return any(path.match(name) for path in benches)
+
+    missing = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, line, cited in citations
+        for name in expand_braces(cited)
+        if not exists(name)
     ]
     assert not missing, "\n".join(missing)

@@ -129,6 +129,22 @@ class Delta:
     def edges(self) -> set[Edge]:
         return {update.edge for update in self.updates}
 
+    def new_nodes(self, graph: DiGraph) -> dict[Node, Label]:
+        """The endpoints this batch creates in ``graph``, in order of
+        first appearance, each with the label of its first declaring
+        insert — the label :meth:`~repro.graph.digraph.DiGraph.add_edge`
+        stamps.  Call it before :meth:`apply_to`."""
+        created: dict[Node, Label] = {}
+        for update in self.updates:
+            if update.is_insert:
+                for node, label in (
+                    (update.source, update.source_label),
+                    (update.target, update.target_label),
+                ):
+                    if node not in graph and node not in created:
+                        created[node] = label
+        return created
+
     # -- normalization -----------------------------------------------------
 
     def is_normalized(self) -> bool:
@@ -183,6 +199,32 @@ class Delta:
         return Delta([update.inverted() for update in reversed(self.updates)])
 
     # -- application -------------------------------------------------------
+
+    def check_applicable(self, graph: DiGraph) -> None:
+        """Raise :class:`InvalidDeltaError` unless every update applies to
+        ``graph`` in sequence order; mutates nothing, so a bad batch is
+        refused before :meth:`apply_to` changes anything."""
+        added: set[Edge] = set()
+        removed: set[Edge] = set()
+        for position, update in enumerate(self.updates):
+            edge = update.edge
+            exists = edge in added or (edge not in removed and graph.has_edge(*edge))
+            if update.is_insert and exists:
+                raise InvalidDeltaError(
+                    f"update #{position} ({update}) inserts an edge that "
+                    "already exists"
+                )
+            if update.is_delete and not exists:
+                raise InvalidDeltaError(
+                    f"update #{position} ({update}) deletes an edge that "
+                    "does not exist"
+                )
+            if update.is_insert:
+                added.add(edge)
+                removed.discard(edge)
+            else:
+                removed.add(edge)
+                added.discard(edge)
 
     def apply_to(self, graph: DiGraph) -> DiGraph:
         """Destructively apply to ``graph`` and return it (``G ⊕ ΔG``).

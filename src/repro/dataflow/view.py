@@ -11,8 +11,9 @@ for its log) — they hold no rows:
   target_label)`` (endpoint labels are denormalized into the row, so
   most programs never join against ``nodes``).
 
-Wrapping the program's output node, :class:`DataflowView` implements
-the full 8-method :class:`~repro.engine.view.IncrementalView` protocol:
+Wrapping the program's output node, :class:`DataflowView` subclasses
+:class:`~repro.engine.view.IncrementalView` (which supplies ``apply``,
+``insert_edge`` and ``delete_edge``) and writes the rest:
 ``absorb`` translates a normalized ΔG into input-var deltas and runs
 one ``stabilize()`` (cost proportional to the change, metered through
 the view's :class:`~repro.core.cost.CostMeter`); ``snapshot`` emits the
@@ -45,8 +46,8 @@ from typing import Any, Callable, Iterator, Optional
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta
 from repro.engine.relevance import DeltaFilter, SubscribeAll
-from repro.engine.view import ViewSnapshot
-from repro.graph.digraph import DiGraph, Node
+from repro.engine.view import IncrementalView, ViewSnapshot
+from repro.graph.digraph import DiGraph
 from repro.kws.kdist import node_order
 
 from repro.dataflow.runtime import Dataflow, Observer, Var, row_order
@@ -212,7 +213,7 @@ def registered_programs() -> tuple[str, ...]:
     return tuple(sorted(_PROGRAMS))
 
 
-class DataflowView:
+class DataflowView(IncrementalView):
     """An incrementally maintained view defined by a dataflow program."""
 
     def __init__(
@@ -254,53 +255,11 @@ class DataflowView:
     # IncrementalView protocol
     # ------------------------------------------------------------------
 
-    def insert_edge(self, source: Node, target: Node, **labels) -> DataflowDelta:
-        """Unit insertion: mutate the graph, restabilize, return ΔO."""
-        from repro.core.delta import insert
-
-        return self.apply(
-            Delta(
-                [
-                    insert(
-                        source,
-                        target,
-                        source_label=labels.get("source_label", ""),
-                        target_label=labels.get("target_label", ""),
-                    )
-                ]
-            )
-        )
-
-    def delete_edge(self, source: Node, target: Node) -> DataflowDelta:
-        """Unit deletion: mutate the graph, restabilize, return ΔO."""
-        from repro.core.delta import delete
-
-        return self.apply(Delta([delete(source, target)]))
-
-    def apply(self, delta: Delta) -> DataflowDelta:
-        """Batch update: mutate the graph once, restabilize, return ΔO."""
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        new_nodes: list[Node] = []
-        for update in delta.deletions:
-            self.graph.remove_edge(update.source, update.target)
-        for update in delta.insertions:
-            for node, label in (
-                (update.source, update.source_label),
-                (update.target, update.target_label),
-            ):
-                if node not in self.graph:
-                    self.graph.add_node(node, label=label)
-                    new_nodes.append(node)
-            self.graph.add_edge(update.source, update.target)
-        return self.absorb(delta, new_nodes)
-
     def absorb(self, delta: Delta, new_nodes) -> DataflowDelta:
-        """Engine fan-out path: the shared graph already holds
-        ``G ⊕ ΔG``; announce the batch to the input relations as row
-        deltas and stabilize.  Work (and meter movement) is proportional
-        to the change the batch induces, not to the graph.  An edge
-        update the graph does not hold raises
+        """The graph already holds ``G ⊕ ΔG``; announce the batch to the
+        input relations as row deltas and stabilize.  Work (and meter
+        movement) is proportional to the change the batch induces, not
+        to the graph.  An edge update the graph does not hold raises
         :class:`~repro.dataflow.runtime.DataflowError` before any
         derived node hears of the batch's edges; the view stays usable."""
         label = self.graph.label

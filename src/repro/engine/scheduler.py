@@ -216,15 +216,7 @@ class FanOutScheduler:
         (:meth:`~repro.engine.session.Engine.deliver`) the graph
         already holds the batch, so no endpoint is new.
         """
-        new_labels: dict[Node, Label] = {}
-        for update in delta:
-            if update.is_insert:
-                for node, label in (
-                    (update.source, update.source_label),
-                    (update.target, update.target_label),
-                ):
-                    if node not in graph and node not in new_labels:
-                        new_labels[node] = label
+        new_labels = delta.new_nodes(graph)
         new_nodes = frozenset(new_labels)
         graph_label = graph.label
 

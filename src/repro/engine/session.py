@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from repro.core.cost import CostMeter, CostSnapshot, NULL_METER
-from repro.core.delta import Delta, InvalidDeltaError, Update, concat, delete, insert
+from repro.core.delta import Delta, Update, concat, delete, insert
 from repro.engine.relevance import DeltaFilter
 from repro.engine.scheduler import FanOutScheduler, RouteStats, Routing, ViewReport
 from repro.engine.view import IncrementalView
@@ -501,7 +501,8 @@ class Engine:
         :meth:`attach` adopted.  ``checkpoint`` (:meth:`rollback`)
         truncates the history to that mark instead of appending, and an
         empty undo batch is not journaled."""
-        self._validate(delta)  # before materializing: a bad batch stays free
+        # before materializing: a bad batch stays free
+        delta.check_applicable(self.graph)
         if rebuild:
             # lazy views build over the imported graph in _rebuild_views
             fallback = [name for name in self._views if name not in self._factories]
@@ -597,32 +598,6 @@ class Engine:
                 routed_updates=len(delta),
             )
         return reports
-
-    def _validate(self, delta: Delta) -> None:
-        """Check sequence-order applicability without mutating anything."""
-        overlay_added: set = set()
-        overlay_removed: set = set()
-        for position, update in enumerate(delta):
-            edge = update.edge
-            exists = edge in overlay_added or (
-                edge not in overlay_removed and self.graph.has_edge(*edge)
-            )
-            if update.is_insert and exists:
-                raise InvalidDeltaError(
-                    f"update #{position} ({update}) inserts an edge that "
-                    "already exists"
-                )
-            if update.is_delete and not exists:
-                raise InvalidDeltaError(
-                    f"update #{position} ({update}) deletes an edge that "
-                    "does not exist"
-                )
-            if update.is_insert:
-                overlay_added.add(edge)
-                overlay_removed.discard(edge)
-            else:
-                overlay_removed.add(edge)
-                overlay_added.discard(edge)
 
     def _record_reports(self, reports: dict[str, ViewReport]) -> None:
         """Fold one dispatch's reports into routing stats + dirty set

@@ -6,18 +6,16 @@ condensation, a match index) over a :class:`~repro.graph.digraph.DiGraph`
 and keeps its answer Q(G) current under updates.  The four query classes
 of the paper — :class:`~repro.kws.KWSIndex`,
 :class:`~repro.rpq.RPQIndex`, :class:`~repro.scc.SCCIndex` and
-:class:`~repro.iso.ISOIndex` — all satisfy the protocol:
+:class:`~repro.iso.ISOIndex` — subclass the protocol, as does
+:class:`~repro.dataflow.DataflowView`.  Following Section 2.2, an
+incremental algorithm computes ΔO from Q, G, Q(G) and ΔG, and
+``G ⊕ ΔG`` is a separate step; a view writes only the first:
 
-* ``insert_edge`` / ``delete_edge`` — unit updates, mutating the view's
-  graph and returning ΔO;
-* ``apply(delta)`` — the batch algorithm: mutate the graph once, repair
-  the auxiliaries, return ΔO;
-* ``absorb(delta, new_nodes)`` — the engine fan-out path: the *shared*
-  graph already holds ``G ⊕ ΔG`` (the engine applied the normalized batch
-  exactly once); the view repairs its auxiliaries without touching the
-  graph and returns ΔO.  ``new_nodes`` is the set of nodes the batch
-  introduced, which standalone ``apply`` discovers itself during
-  mutation.
+* ``absorb(delta, new_nodes)`` — the incremental algorithm: the graph
+  already holds ``G ⊕ ΔG`` for the normalized batch; the view repairs
+  its auxiliaries without touching the graph and returns ΔO.
+  ``new_nodes`` is the set of nodes the batch introduced
+  (:meth:`~repro.core.delta.Delta.new_nodes`).
 * ``snapshot`` / ``restore`` — the persistence pair: ``snapshot()``
   captures the view's auxiliary state as a :class:`ViewSnapshot` of
   serializable token rows, and the classmethod ``restore(graph, state,
@@ -26,11 +24,23 @@ of the paper — :class:`~repro.kws.KWSIndex`,
   disk and replays the delta-log tail through ``absorb``, so recovery is
   itself an incremental computation.
 
-``absorb`` must be behaviorally identical to ``apply`` on the same
-normalized batch, and ``restore(graph, index.snapshot(), meter)`` must be
-behaviorally identical to ``index`` itself — the cross-view property
-tests enforce both by comparing every view's answer against from-scratch
-recomputation after randomized engine batches.
+The protocol supplies the rest once for every view:
+
+* ``apply(delta)`` — normalize, refuse a batch that does not apply
+  (:meth:`~repro.core.delta.Delta.check_applicable`), find the new
+  nodes, apply ``G ⊕ ΔG`` with
+  :meth:`~repro.core.delta.Delta.apply_to`, then ``absorb``.  The
+  engine's fan-out runs the same two steps with the graph shared, so
+  ``absorb ≡ apply`` holds by construction;
+* ``insert_edge`` / ``delete_edge`` — one-update batches through
+  ``apply``.  A view may override them with a unit algorithm (the
+  IncKWSn and IncSCCn comparators of Section 6 do).
+
+``restore(graph, index.snapshot(), meter)`` must be behaviorally
+identical to ``index`` itself, and routed fan-out must match a
+standalone ``apply`` — the cross-view property tests enforce both by
+comparing every view's answer against from-scratch recomputation after
+randomized engine batches.
 
 Two *optional* extensions participate in the engine's routed fan-out
 (:mod:`repro.engine.scheduler`); they are deliberately not part of the
@@ -59,7 +69,7 @@ from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 from repro.core.cost import CostMeter
-from repro.core.delta import Delta
+from repro.core.delta import Delta, delete, insert
 from repro.graph.digraph import DiGraph, Node
 
 
@@ -94,19 +104,29 @@ class ViewSnapshot:
 
 @runtime_checkable
 class IncrementalView(Protocol):
-    """Structural protocol for incrementally maintained query answers."""
+    """Protocol for incrementally maintained query answers; subclass it
+    and write ``absorb`` (plus the persistence and routing methods)."""
 
     graph: DiGraph
     meter: CostMeter
 
+    def apply(self, delta: Delta) -> Any:
+        """Batch update: ``G ⊕ ΔG`` once, then :meth:`absorb`; returns ΔO.
+        A batch that does not apply raises before anything changes."""
+        if not delta.is_normalized():
+            delta = delta.normalized()
+        delta.check_applicable(self.graph)
+        new_nodes = frozenset(delta.new_nodes(self.graph))
+        delta.apply_to(self.graph)
+        return self.absorb(delta, new_nodes)
+
     def insert_edge(self, source: Node, target: Node, **labels) -> Any:
-        """Unit insertion: mutate the graph, repair, return ΔO."""
+        """Unit insertion: a one-update batch through :meth:`apply`."""
+        return self.apply(Delta([insert(source, target, **labels)]))
 
     def delete_edge(self, source: Node, target: Node) -> Any:
-        """Unit deletion: mutate the graph, repair, return ΔO."""
-
-    def apply(self, delta: Delta) -> Any:
-        """Batch update: mutate the graph once, repair, return ΔO."""
+        """Unit deletion: a one-update batch through :meth:`apply`."""
+        return self.apply(Delta([delete(source, target)]))
 
     def absorb(self, delta: Delta, new_nodes: AbstractSet[Node]) -> Any:
         """Repair against a graph that already holds ``G ⊕ ΔG``.

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta
 from repro.engine.relevance import PatternRelevance
-from repro.engine.view import ViewSnapshot
+from repro.engine.view import IncrementalView, ViewSnapshot
 from repro.kws.kdist import node_order
-from repro.graph.digraph import DiGraph, Edge, Node
+from repro.graph.digraph import DiGraph, Edge
 from repro.graph.neighborhood import nodes_within
 from repro.iso.patterns import Match, Pattern, make_match
 from repro.iso.vf2 import anchored_matches, vf2_matches
@@ -53,7 +53,7 @@ class ISODelta:
         return not (self.added or self.removed)
 
 
-class ISOIndex:
+class ISOIndex(IncrementalView):
     """Incrementally maintained Q(G) for one pattern query."""
 
     def __init__(
@@ -86,79 +86,36 @@ class ISOIndex:
 
     # ------------------------------------------------------------------
 
-    def apply(self, delta: Delta) -> ISODelta:
-        """Batch IncISO: deletions by index, insertions by anchored VF2
-        within G_{d_Q}(ΔG+)."""
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        return self._repair_batch(delta, mutate=True)
-
     def absorb(self, delta: Delta, new_nodes) -> ISODelta:
-        """Engine fan-out path: repair the match set for a normalized
-        ``delta`` the shared graph already holds.  IncISO needs no special
-        handling for ``new_nodes`` — a brand-new node participates in a
-        match only through its batch edges, which the anchored search from
-        those edges already explores."""
-        return self._repair_batch(delta, mutate=False)
-
-    def _repair_batch(self, delta: Delta, mutate: bool) -> ISODelta:
+        """Batch IncISO on a graph that already holds ``G ⊕ ΔG``:
+        deletions by index, insertions by anchored VF2 within
+        G_{d_Q}(ΔG+).  ``new_nodes`` need no special handling — a
+        brand-new node participates in a match only through its batch
+        edges, which the anchored search from those edges explores."""
         removed: set[Match] = set()
         for update in delta.deletions:
-            if mutate:
-                self.graph.remove_edge(update.source, update.target)
             for match in self._by_edge.get((update.source, update.target), set()).copy():
                 self._deindex(match)
                 self.matches.discard(match)
                 removed.add(match)
 
+        # The graph holds every batch edge: a new match may use several
+        # of them, and the anchored search from any one sees the others.
         added: set[Match] = set()
-        if delta.insertions:
-            # All graph mutations first: a new match may use several of
-            # the batch's edges, and the anchored search from any one of
-            # them must see the others.
-            if mutate:
-                for update in delta.insertions:
-                    self.graph.add_edge(
-                        update.source,
-                        update.target,
-                        source_label=update.source_label,
-                        target_label=update.target_label,
-                    )
-            for update in delta.insertions:
-                for match in anchored_matches(
-                    self.graph, self.pattern, update.edge, meter=self.meter
-                ):
-                    if match not in self.matches:
-                        self.matches.add(match)
-                        self._index(match)
-                        added.add(match)
+        for update in delta.insertions:
+            for match in anchored_matches(
+                self.graph, self.pattern, update.edge, meter=self.meter
+            ):
+                if match not in self.matches:
+                    self.matches.add(match)
+                    self._index(match)
+                    added.add(match)
 
         # A match deleted and re-created within one batch nets out.
         resurrected = added & removed
         return ISODelta(
             frozenset(added - resurrected), frozenset(removed - resurrected)
         )
-
-    def insert_edge(self, source: Node, target: Node, **labels) -> ISODelta:
-        from repro.core.delta import insert
-
-        return self.apply(
-            Delta(
-                [
-                    insert(
-                        source,
-                        target,
-                        source_label=labels.get("source_label", ""),
-                        target_label=labels.get("target_label", ""),
-                    )
-                ]
-            )
-        )
-
-    def delete_edge(self, source: Node, target: Node) -> ISODelta:
-        from repro.core.delta import delete
-
-        return self.apply(Delta([delete(source, target)]))
 
     # ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@
   edge, walking reverse next-pointers; (B) compute potential values from
   unaffected successors; (C) settle exact values with a priority queue in
   ascending distance order (Ramalingam–Reps style).
-* **batch IncKWS** (:meth:`KWSIndex.apply`, Section 4.2 (3)): interleaves
+* **batch IncKWS** (:meth:`KWSIndex.absorb`, Section 4.2 (3)): interleaves
   all deletions' affected sets and all insertions' improvements through a
   single per-keyword priority queue, so each kdist entry is finalized at
   most once per batch regardless of how many updates touch it.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta
 from repro.engine.relevance import KeywordRelevance
-from repro.engine.view import ViewSnapshot
+from repro.engine.view import IncrementalView, ViewSnapshot
 from repro.graph.digraph import DiGraph, Label, Node
 from repro.kws.batch import compute_kdist
 from repro.kws.kdist import (
@@ -67,7 +67,7 @@ class KWSDelta:
         return not (self.added or self.removed or self.rerouted)
 
 
-class KWSIndex:
+class KWSIndex(IncrementalView):
     """Incrementally maintained keyword-search answers over a graph."""
 
     def __init__(
@@ -219,44 +219,17 @@ class KWSIndex:
     # Batch IncKWS (Section 4.2 (3))
     # ------------------------------------------------------------------
 
-    def apply(self, delta: Delta) -> KWSDelta:
-        """Process a batch with one priority queue per keyword, finalizing
-        each affected entry at most once."""
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        self._begin_op()
-
-        # Realize all graph mutations up front: the paper's phase (a)
-        # computes potentials over the *updated* graph ("this edge has
-        # already been inspected to compute potential dist value").
-        new_nodes: set[Node] = set()
-        for update in delta.deletions:
-            self.graph.remove_edge(update.source, update.target)
-        for update in delta.insertions:
-            labels = {
-                "source_label": update.source_label,
-                "target_label": update.target_label,
-            }
-            new_nodes |= self._realize_endpoints(update.source, update.target, labels)
-            self.graph.add_edge(update.source, update.target)
-
-        self._repair_batch(delta, new_nodes)
-        return self._finish_op()
-
     def absorb(self, delta: Delta, new_nodes: set[Node]) -> KWSDelta:
-        """Engine fan-out path: repair kdist(·) for a normalized ``delta``
-        the shared graph *already* holds (``G ⊕ ΔG``); ``new_nodes`` are the
-        nodes the batch introduced.  Same repair as :meth:`apply`, minus the
-        graph mutations."""
+        """Process a normalized batch the graph already holds
+        (``G ⊕ ΔG``, so the paper's phase (a) computes potentials over the
+        updated graph) with one priority queue per keyword, finalizing
+        each affected entry at most once.  A new node matching a keyword
+        gets its dist-0 entry first."""
         self._begin_op()
         for node in new_nodes:
             label = self.graph.label(node)
             if label in self.query.keywords and self.kdist.get(node, label) is None:
                 self._set(node, label, KDistEntry(0, None))
-        self._repair_batch(delta, set(new_nodes))
-        return self._finish_op()
-
-    def _repair_batch(self, delta: Delta, new_nodes: set[Node]) -> None:
         for keyword in self.query.keywords:
             # Phase (a): affected nodes w.r.t. deletions (plus new nodes,
             # whose distances are unknown), potentials into one queue.
@@ -285,6 +258,7 @@ class KWSIndex:
 
             # Phase (c): one settlement pass decides every exact value.
             self._settle(keyword, affected, queue)
+        return self._finish_op()
 
     # ------------------------------------------------------------------
     # Engine routing (repro.engine.relevance)
@@ -448,19 +422,16 @@ class KWSIndex:
         entry = self.kdist.get(node, keyword)
         return entry.dist if entry is not None else _INF
 
-    def _realize_endpoints(self, source: Node, target: Node, labels: dict) -> set[Node]:
+    def _realize_endpoints(self, source: Node, target: Node, labels: dict) -> None:
         """Create endpoints the graph has not seen; a new node matching a
         keyword gets its dist-0 entry immediately."""
-        created: set[Node] = set()
         for node, label_key in ((source, "source_label"), (target, "target_label")):
             if node in self.graph:
                 continue
             label = labels.get(label_key, "")
             self.graph.add_node(node, label=label)
-            created.add(node)
             if label in self.query.keywords:
                 self._set(node, label, KDistEntry(0, None))
-        return created
 
 
 class _SettleQueue:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta
 from repro.engine.relevance import AlphabetRelevance
-from repro.engine.view import ViewSnapshot
+from repro.engine.view import IncrementalView, ViewSnapshot
 from repro.graph.digraph import DiGraph, Node
 from repro.kws.kdist import node_order, sorted_nodes
 from repro.rpq.batch import compile_query, rpq_nfa
@@ -59,7 +59,7 @@ class RPQDelta:
         return not (self.added or self.removed)
 
 
-class RPQIndex:
+class RPQIndex(IncrementalView):
     """Incrementally maintained Q(G) and pmark_e for one RPQ query."""
 
     def __init__(
@@ -78,63 +78,15 @@ class RPQIndex:
         self._pair_before: dict[tuple[Node, Node], bool] = {}
 
     # ------------------------------------------------------------------
-    # Unit updates (thin wrappers; IncRPQn iterates these)
-    # ------------------------------------------------------------------
-
-    def insert_edge(self, source: Node, target: Node, **labels) -> RPQDelta:
-        from repro.core.delta import insert
-
-        return self.apply(
-            Delta(
-                [
-                    insert(
-                        source,
-                        target,
-                        source_label=labels.get("source_label", ""),
-                        target_label=labels.get("target_label", ""),
-                    )
-                ]
-            )
-        )
-
-    def delete_edge(self, source: Node, target: Node) -> RPQDelta:
-        from repro.core.delta import delete
-
-        return self.apply(Delta([delete(source, target)]))
-
-    # ------------------------------------------------------------------
     # Batch IncRPQ (paper Fig. 5)
     # ------------------------------------------------------------------
 
-    def apply(self, delta: Delta) -> RPQDelta:
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        self._pair_before = {}
-
-        # Phase 0: graph mutations (potentials are computed on G ⊕ ΔG).
-        new_nodes: list[Node] = []
-        for update in delta.deletions:
-            self.graph.remove_edge(update.source, update.target)
-        for update in delta.insertions:
-            for node, label in (
-                (update.source, update.source_label),
-                (update.target, update.target_label),
-            ):
-                if node not in self.graph:
-                    self.graph.add_node(node, label=label)
-                    new_nodes.append(node)
-            self.graph.add_edge(update.source, update.target)
-
-        return self._repair_batch(delta, new_nodes)
-
     def absorb(self, delta: Delta, new_nodes) -> RPQDelta:
-        """Engine fan-out path: repair markings for a normalized ``delta``
-        the shared graph already holds; ``new_nodes`` are the nodes the
-        batch introduced.  Same repair as :meth:`apply`, minus phase 0."""
+        """Repair the markings for a normalized ``delta`` the graph
+        already holds (potentials are computed on ``G ⊕ ΔG``);
+        ``new_nodes`` whose label starts M_Q get their start entries."""
         self._pair_before = {}
-        return self._repair_batch(delta, sorted(new_nodes, key=node_order))
 
-    def _repair_batch(self, delta: Delta, new_nodes: list[Node]) -> RPQDelta:
         # Phase 1: prune cpre/mpre along deleted edges; seed identAff.
         seeds: set[AffKey] = set()
         for update in delta.deletions:
@@ -156,7 +108,7 @@ class RPQIndex:
             self._compute_potential(key, affected, queue)
 
         # Phase 2b: bootstrap entries for new nodes whose label starts M_Q.
-        for node in new_nodes:
+        for node in sorted(new_nodes, key=node_order):
             start_states = self.nfa.start_states(self.graph.label(node))
             for state in start_states:
                 marks = self.markings.source(node)

@@ -17,14 +17,14 @@ topological ranks, and repairs all of them under updates:
   is simply dropped (the DFS tree path witnesses reachability —
   Example 8); any other intra deletion re-runs Tarjan restricted to that
   component (chkReach + split, Example 9).
-* **batch IncSCC** (:meth:`SCCIndex.apply`): groups intra-component
-  updates per component (one local Tarjan per affected component instead
-  of one per update), handles inter deletions by counters, then processes
-  inter insertions.  Rank-violating inter insertions are repaired one at
-  a time because the single-edge search/realloc procedure is only sound
-  when every other G_c edge already satisfies the rank invariant; the
-  grouped intra/deletion phases are where the batch savings shown in the
-  paper's ablation arise.
+* **batch IncSCC** (:meth:`SCCIndex.absorb`): handles inter deletions
+  by counters, groups intra-component updates per component (one local
+  Tarjan per affected component instead of one per update), then
+  processes inter insertions.  Rank-violating inter insertions are
+  repaired one at a time because the single-edge search/realloc
+  procedure is only sound when every other G_c edge already satisfies
+  the rank invariant; the grouped intra/deletion phases are where the
+  batch savings shown in the paper's ablation arise.
 
 Tarjan's ``num``/``lowlink`` are not kept: every restricted Tarjan run
 recomputes them from scratch, and nothing between runs reads them.  The
@@ -53,7 +53,7 @@ from collections.abc import Sequence
 from repro.core.cost import CostMeter, NULL_METER
 from repro.core.delta import Delta, Update
 from repro.engine.relevance import SubscribeAll
-from repro.engine.view import ViewSnapshot
+from repro.engine.view import IncrementalView, ViewSnapshot
 from repro.graph.digraph import DiGraph, Edge, Node
 from repro.kws.kdist import sorted_nodes
 from repro.scc.condensation import CompId, Condensation
@@ -62,15 +62,15 @@ from repro.scc.tarjan import EdgeKind, TarjanResult, tarjan_scc
 SCCDelta = tuple[set[frozenset[Node]], set[frozenset[Node]]]
 
 
-class SCCIndex:
+class SCCIndex(IncrementalView):
     """Incrementally maintained SCC(G) with Tarjan's auxiliary structures."""
 
     def __init__(self, graph: DiGraph, meter: CostMeter = NULL_METER) -> None:
         self.graph = graph
         self.meter = meter
-        # What a split's counter fix-up scan should see; the engine's
-        # absorb path temporarily swaps in an _EdgeOverlay (see
-        # _repair_batch) so counters and scan stay in sync.
+        # What a split's counter fix-up scan should see; absorb
+        # temporarily swaps in an _EdgeOverlay so counters and scan stay
+        # in sync.
         self._split_view: DiGraph | "_EdgeOverlay" = graph
         result = tarjan_scc(graph, meter=meter)
         self.cond = Condensation.from_tarjan(graph, result)
@@ -105,8 +105,8 @@ class SCCIndex:
 
     def insert_edge(self, source: Node, target: Node, **labels) -> SCCDelta:
         """Insert ``(source, target)`` and repair; returns ΔO."""
-        added = self._realize_new_endpoints(source, target, labels)
         self.graph.add_edge(source, target, **labels)
+        added = self._realize_new_endpoints(source, target)
 
         source_comp = self.cond.component(source)
         target_comp = self.cond.component(target)
@@ -124,29 +124,17 @@ class SCCIndex:
         return _fold_delta(added, set(), gained, lost)
 
     def _realize_new_endpoints(
-        self,
-        source: Node,
-        target: Node,
-        labels: dict,
-        mutate_graph: bool = True,
+        self, source: Node, target: Node
     ) -> set[frozenset[Node]]:
-        """Register endpoints the graph has not seen yet as singleton
-        components, placed so the incoming edge cannot violate ranks:
-        a fresh *source* goes above all ranks, a fresh *target* below.
-
-        With ``mutate_graph=False`` (the engine fan-out path) the node is
-        already in the shared graph; only the condensation-side structures
-        are created.
-        """
+        """Register endpoints the condensation has not seen yet as
+        singleton components, placed so the incoming edge cannot violate
+        ranks: a fresh *source* goes above all ranks, a fresh *target*
+        below."""
         added: set[frozenset[Node]] = set()
         for node, is_source in ((source, True), (target, False)):
-            if node in self.cond.comp_of or (mutate_graph and node in self.graph):
-                continue
-            if mutate_graph:
-                label_key = "source_label" if is_source else "target_label"
-                self.graph.add_node(node, label=labels.get(label_key, ""))
-            self.cond.add_singleton(node, above=is_source)
-            added.add(frozenset([node]))
+            if node not in self.cond.comp_of:
+                self.cond.add_singleton(node, above=is_source)
+                added.add(frozenset([node]))
         return added
 
     def _handle_rank_violation(
@@ -342,88 +330,55 @@ class SCCIndex:
     # Batch IncSCC
     # ------------------------------------------------------------------
 
-    def apply(self, delta: Delta) -> SCCDelta:
-        """Process a batch update, grouping work per affected component.
+    def absorb(self, delta: Delta, new_nodes) -> SCCDelta:
+        """Process a normalized batch the graph already holds
+        (``G ⊕ ΔG``), grouping work per affected component.  The batch's
+        new nodes become singleton components, placed by the side of the
+        first insertion that names them.
 
         Returns ΔO = (added components, removed components), net of
         components that appear and disappear within the batch.
         """
-        if not delta.is_normalized():
-            delta = delta.normalized()
-        return self._repair_batch(delta, mutate=True)
-
-    def absorb(self, delta: Delta, new_nodes) -> SCCDelta:
-        """Engine fan-out path: repair the partition for a normalized
-        ``delta`` the shared graph already holds; ``new_nodes`` become
-        singleton components.  Same phases as :meth:`apply`, minus the
-        graph mutations."""
-        return self._repair_batch(delta, mutate=False)
-
-    def _repair_batch(self, delta: Delta, mutate: bool) -> SCCDelta:
         # Phase 0: realize brand-new nodes and classify updates against
-        # the component structure at batch start.
+        # the component structure at batch start.  Inter deletions only
+        # decrement counters, so they are done here: the graph no longer
+        # holds those edges, and from now on the counters agree.
         intra_groups: dict[CompId, list[Update]] = {}
-        inter_updates: list[Update] = []
+        inter_insertions: list[Update] = []
         added_total: set[frozenset[Node]] = set()
         removed_total: set[frozenset[Node]] = set()
-
         for update in delta:
             if update.is_insert:
                 added_total |= self._realize_new_endpoints(
-                    update.source,
-                    update.target,
-                    {
-                        "source_label": update.source_label,
-                        "target_label": update.target_label,
-                    },
-                    mutate_graph=mutate,
+                    update.source, update.target
                 )
             source_comp = self.cond.component(update.source)
             target_comp = self.cond.component(update.target)
             if source_comp == target_comp:
                 intra_groups.setdefault(source_comp, []).append(update)
+            elif update.is_insert:
+                inter_insertions.append(update)
             else:
-                inter_updates.append(update)
+                self.cond.remove_inter_edge(source_comp, target_comp)
 
-        # Engine path: the shared graph already holds G ⊕ ΔG, but the
-        # inter-edge counters are only synced in phases 2-3.  Phase 1's
-        # split fix-up scans the graph to reassign counters, so it must see
-        # the graph the counters currently describe — with the batch's
-        # inter deletions still present and its inter insertions absent,
-        # which is exactly the state the standalone path's lockstep
-        # mutation provides naturally.
-        if not mutate:
-            hidden = {u.edge for u in inter_updates if u.is_insert}
-            restored = {u.edge for u in inter_updates if u.is_delete}
-            if hidden or restored:
-                self._split_view = _EdgeOverlay(self.graph, hidden, restored)
-
-        # Phase 1: intra-component updates, grouped per component.  All
-        # of a component's updates are applied first; then one chkReach
-        # pass over its deleted edges decides whether the component can
-        # possibly have split (if every deleted (v, w) still has v ⇝ w,
-        # every old path can be patched, so the component is intact and
-        # only the caches go stale).  At most one restricted Tarjan runs
-        # per affected component regardless of the batch size.
+        # Phase 1: intra-component updates, grouped per component.  One
+        # chkReach pass over a component's deleted edges decides whether
+        # it can possibly have split (if every deleted (v, w) still has
+        # v ⇝ w, every old path can be patched, so the component is
+        # intact and only the caches go stale).  At most one restricted
+        # Tarjan runs per affected component regardless of the batch
+        # size.  A split's counter fix-up scans the graph, so the inter
+        # insertions — not counted until phase 2 — are hidden from it.
+        if inter_insertions:
+            self._split_view = _EdgeOverlay(
+                self.graph, {update.edge for update in inter_insertions}
+            )
         try:
             for comp, updates in intra_groups.items():
-                deletions_here = []
-                for update in updates:
-                    if update.is_insert:
-                        if mutate:
-                            self.graph.add_edge(
-                                update.source,
-                                update.target,
-                                source_label=update.source_label,
-                                target_label=update.target_label,
-                            )
-                    else:
-                        if mutate:
-                            self.graph.remove_edge(update.source, update.target)
-                        deletions_here.append(update)
                 if all(
                     self._still_reaches(comp, update.source, update.target)
-                    for update in deletions_here
+                    for update in updates
+                    if update.is_delete
                 ):
                     self._mark_stale(comp)
                     continue
@@ -434,30 +389,9 @@ class SCCIndex:
         finally:
             self._split_view = self.graph
 
-        # Phase 2: inter-component deletions — counters only.  Intra
-        # processing can only split components, so an edge crossing
-        # components at batch start still crosses components here.
-        for update in inter_updates:
-            if update.is_delete:
-                if mutate:
-                    self.graph.remove_edge(update.source, update.target)
-                self.cond.remove_inter_edge(
-                    self.cond.component(update.source),
-                    self.cond.component(update.target),
-                )
-
-        # Phase 3: inter-component insertions.  Components may have merged
-        # meanwhile, so classification is re-evaluated per edge.
-        for update in inter_updates:
-            if not update.is_insert:
-                continue
-            if mutate:
-                self.graph.add_edge(
-                    update.source,
-                    update.target,
-                    source_label=update.source_label,
-                    target_label=update.target_label,
-                )
+        # Phase 2: inter-component insertions.  Components may have split
+        # or merged meanwhile, so classification is re-evaluated per edge.
+        for update in inter_insertions:
             source_comp = self.cond.component(update.source)
             target_comp = self.cond.component(update.target)
             if source_comp == target_comp:
@@ -629,38 +563,29 @@ def _fold_delta(
 
 
 class _EdgeOverlay:
-    """Adjacency view of ``graph`` with ``hidden`` edges masked out and
-    ``restored`` (already-removed) edges made visible again.
+    """Adjacency view of ``graph`` with ``hidden`` edges masked out.
 
     Used by :meth:`SCCIndex.absorb` during phase 1 so
     :meth:`Condensation.split`'s counter fix-up scan sees the edge set the
-    inter-edge counters describe, not the pre-applied final graph.  Only
-    ``successors``/``predecessors`` are needed by the scan.
+    inter-edge counters describe: the final graph minus the batch's
+    not-yet-counted inter insertions.  Only ``successors``/
+    ``predecessors`` are needed by the scan.
     """
 
-    __slots__ = ("_graph", "_hidden", "_restored")
+    __slots__ = ("_graph", "_hidden")
 
-    def __init__(
-        self, graph: DiGraph, hidden: set[Edge], restored: set[Edge]
-    ) -> None:
+    def __init__(self, graph: DiGraph, hidden: set[Edge]) -> None:
         self._graph = graph
         self._hidden = hidden
-        self._restored = restored
 
     def successors(self, node: Node):
         for target in self._graph.successors(node):
             if (node, target) not in self._hidden:
                 yield target
-        for source, target in self._restored:
-            if source == node:
-                yield target
 
     def predecessors(self, node: Node):
         for source in self._graph.predecessors(node):
             if (source, node) not in self._hidden:
-                yield source
-        for source, target in self._restored:
-            if target == node:
                 yield source
 
 

@@ -1,10 +1,19 @@
-"""Fixture: a view candidate missing half the protocol."""
+"""Fixture: a view candidate that re-creates the apply fork."""
 
 
 class BrokenView:
-    """Defines absorb+snapshot (so it *is* a view candidate), forgets
-    five protocol methods, breaks absorb's arity, and restores via an
-    instance method."""
+    """Defines absorb+snapshot (so it *is* a view candidate) without
+    subclassing IncrementalView, writes its own apply, forgets two
+    required methods, breaks absorb's and insert_edge's arities, and
+    restores via an instance method."""
+
+    def apply(self, delta):
+        """A second maintenance path: the protocol owns apply."""
+        return delta
+
+    def insert_edge(self, source):
+        """Wrong arity: callers pass (source, target, **labels)."""
+        return source
 
     def absorb(self, delta):
         """Wrong arity: the engine calls absorb(delta, new_nodes)."""

@@ -1,14 +1,15 @@
 """Fixture: a user-defined dataflow view that dodges the pair trigger.
 
-Defines ``apply`` + ``snapshot`` but never ``absorb`` — outside
-``src/repro/dataflow/`` this is not a view candidate at all; inside it,
-the strict any-method trigger holds the class to the full table.
+Defines ``apply`` + ``snapshot`` but never ``absorb`` and does not
+subclass ``IncrementalView`` — outside ``src/repro/dataflow/`` this is
+not a view candidate at all; inside it, the strict any-method trigger
+holds the class to the full table.
 """
 
 
 class PartialUserView:
-    """Implements the interactive half of the protocol, forgets the
-    engine fan-out and persistence half entirely."""
+    """Implements its own batch path and persistence half, forgets the
+    engine fan-out half entirely."""
 
     def apply(self, delta):
         """Batch path."""

@@ -1,8 +1,37 @@
-"""Fixture: the complete IncrementalView method table."""
+"""Fixture: a conforming IncrementalView subclass."""
+
+from repro.engine.view import IncrementalView
 
 
-class CompleteView:
-    """A minimal conforming view."""
+class CompleteView(IncrementalView):
+    """A minimal conforming view: absorb plus persistence and routing;
+    apply comes from the protocol."""
+
+    def absorb(self, delta, new_nodes):
+        """Fan-out path."""
+        return None
+
+    def snapshot(self):
+        """Serialize."""
+        return ()
+
+    @classmethod
+    def restore(cls, graph, state, meter=None):
+        """Rebuild."""
+        return cls()
+
+    def relevance(self):
+        """Routing filter."""
+        return None
+
+    def empty_output(self):
+        """Empty ΔO."""
+        return None
+
+
+class UnitView(IncrementalView):
+    """Overrides the unit updates with a unit algorithm at the
+    protocol's arities."""
 
     def insert_edge(self, source, target, **labels):
         """Unit insert."""
@@ -10,10 +39,6 @@ class CompleteView:
 
     def delete_edge(self, source, target):
         """Unit delete."""
-        return None
-
-    def apply(self, delta):
-        """Batch path."""
         return None
 
     def absorb(self, delta, new_nodes):

@@ -1,25 +1,16 @@
 """Fixture: a conforming user-defined dataflow view (plus bystanders).
 
-The complete 8-method table satisfies the strict any-method trigger;
-runtime-style helper classes defining no protocol method at all are
-never candidates, even under ``src/repro/dataflow/``.
+An ``IncrementalView`` subclass with the required table satisfies the
+strict any-method trigger; runtime-style helper classes defining no
+protocol method at all are never candidates, even under
+``src/repro/dataflow/``.
 """
 
+from repro.engine import view
 
-class UserView:
+
+class UserView(view.IncrementalView):
     """A minimal conforming dataflow view."""
-
-    def insert_edge(self, source, target, **labels):
-        """Unit insert."""
-        return None
-
-    def delete_edge(self, source, target):
-        """Unit delete."""
-        return None
-
-    def apply(self, delta):
-        """Batch path."""
-        return None
 
     def absorb(self, delta, new_nodes):
         """Fan-out path."""

@@ -145,20 +145,46 @@ def _install_dataflow_fixture(tmp_path, kind: str, target: str) -> Path:
 def test_view_protocol_dataflow_any_method_triggers(tmp_path):
     """Under ``src/repro/dataflow/`` a class defining any protocol
     method is held to the full table: the partial view (apply/snapshot/
-    relevance, no absorb) is missing the other five methods."""
+    relevance, no absorb, no IncrementalView base) does not subclass the
+    protocol, overrides its apply, and is missing three required
+    methods."""
     root = _install_dataflow_fixture(tmp_path, "flag", "src/repro/dataflow/mod.py")
     findings = run_rule(root, "view-protocol")
     assert len(findings) == 5, [finding.render() for finding in findings]
     missing = {
         name
         for finding in findings
-        for name in ("insert_edge", "delete_edge", "absorb", "restore",
-                     "empty_output")
+        for name in ("absorb", "restore", "empty_output")
         if f"missing {name}" in finding.message
     }
-    assert missing == {
-        "insert_edge", "delete_edge", "absorb", "restore", "empty_output"
-    }
+    assert missing == {"absorb", "restore", "empty_output"}
+    messages = " ".join(finding.message for finding in findings)
+    assert "does not subclass IncrementalView" in messages
+    assert "PartialUserView.apply overrides" in messages
+
+
+def test_view_protocol_subclass_is_a_candidate(tmp_path):
+    """An ``IncrementalView`` subclass is checked even without the
+    absorb+snapshot pair: forgetting absorb is a finding."""
+    target = tmp_path / "src" / "repro" / "kws" / "mod.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        '"""Module."""\n\n\n'
+        "class HalfView(IncrementalView):\n"
+        '    """Writes persistence and routing, forgets absorb."""\n\n'
+        "    def snapshot(self):\n"
+        '        """Serialize."""\n\n'
+        "    @classmethod\n"
+        "    def restore(cls, graph, state, meter):\n"
+        '        """Rebuild."""\n\n'
+        "    def relevance(self):\n"
+        '        """Filter."""\n\n'
+        "    def empty_output(self):\n"
+        '        """Empty."""\n',
+        encoding="utf-8",
+    )
+    findings = run_rule(tmp_path, "view-protocol")
+    assert ["missing absorb" in finding.message for finding in findings] == [True]
 
 
 def test_view_protocol_pair_trigger_unchanged_outside_dataflow(tmp_path):

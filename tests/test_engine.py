@@ -161,6 +161,18 @@ class TestValidation:
         assert set(engine["kws"].roots()) == roots_before
         assert engine.applied_count == 0
 
+    def test_standalone_apply_refuses_a_bad_batch_untouched(self):
+        """The protocol's ``apply`` checks the batch before ``G ⊕ ΔG``, so
+        a late bad update leaves the view's graph and answer as they were."""
+        for index in (SCCIndex(sample_graph()), ISOIndex(sample_graph(), ISO_PATTERN)):
+            edges_before = set(index.graph.edges())
+            snapshot_before = index.snapshot()
+            with pytest.raises(InvalidDeltaError, match="does not exist"):
+                index.apply(Delta([insert(5, 1), insert(9, 1, "a"), delete(1, 5)]))
+            assert set(index.graph.edges()) == edges_before
+            assert 9 not in index.graph
+            assert index.snapshot() == snapshot_before
+
     def test_sequence_order_validation(self):
         engine = four_view_engine(sample_graph())
         # delete then re-insert the same edge is a valid sequence, and

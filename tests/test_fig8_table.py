@@ -50,6 +50,7 @@ def test_point_cross_checks_and_meters_the_same_work_twice(panel):
     assert min(first.work.values()) > 0
     assert first.work == second.work
     assert set(first.extras) == ({"DynSCC"} if CLASSES[panel.algo].rival else set())
+    assert first.graph_seconds > 0 and "graph" in first.milliseconds()
 
 
 def test_point_fails_on_a_diverged_answer(monkeypatch):

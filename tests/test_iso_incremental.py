@@ -140,6 +140,7 @@ class TestLocality:
         report = check_locality(
             index.graph, delta, meter, radius=pattern.diameter
         )
+        assert report.touched, "the meter touched no node: a vacuous check"
         assert report.is_local, f"escaped: {report.escaped}"
 
     def test_insertion_region_cost_independent_of_graph_size(self):

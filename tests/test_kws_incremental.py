@@ -226,6 +226,7 @@ class TestLocality:
         index.insert_edge(5, "t")
         delta = Delta([insert(5, "t")])
         report = check_locality(index.graph, delta, meter, radius=2 * bound)
+        assert report.touched, "the meter touched no node: a vacuous check"
         assert report.is_local, f"escaped: {report.escaped}"
 
     def test_unit_delete_confined_to_neighborhood(self):
@@ -242,6 +243,7 @@ class TestLocality:
         report = check_locality(
             index.graph, Delta([delete(0, "t")]), meter, radius=2 * bound
         )
+        assert report.touched, "the meter touched no node: a vacuous check"
         assert report.is_local, f"escaped: {report.escaped}"
 
     def test_batch_confined_to_neighborhood(self):
@@ -254,4 +256,5 @@ class TestLocality:
         delta = random_delta(graph, 6, seed=52)
         index.apply(delta)
         report = check_locality(index.graph, delta, meter, radius=2 * bound)
+        assert report.touched, "the meter touched no node: a vacuous check"
         assert report.is_local, f"escaped: {report.escaped}"

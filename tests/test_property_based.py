@@ -30,8 +30,11 @@ def graphs(draw) -> DiGraph:
 
 
 @st.composite
-def graph_with_delta(draw):
-    """A graph plus an applicable normalized batch update."""
+def graph_with_delta(draw, fresh: bool = True):
+    """A graph plus an applicable normalized batch update.  With
+    ``fresh``, up to two brand-new endpoints (labeled from the alphabet)
+    join through some of the insertions, so the views' new-node
+    bootstraps are exercised."""
     graph = draw(graphs())
     nodes = list(graph.nodes())
     edges = list(graph.edges())
@@ -51,8 +54,21 @@ def graph_with_delta(draw):
         if non_edges
         else st.just([])
     )
+    labels = {node: graph.label(node) for node in nodes}
+    if fresh:
+        count = draw(st.integers(min_value=0, max_value=2))
+        new = range(MAX_NODES, MAX_NODES + count)
+        labels.update((node, draw(st.sampled_from(LABELS))) for node in new)
+        joining = [
+            (s, t) for s in labels for t in labels if s != t and (s in new or t in new)
+        ]
+        insertions += draw(
+            st.lists(st.sampled_from(joining), unique=True, max_size=3)
+            if joining
+            else st.just([])
+        )
     updates = [delete(*edge) for edge in deletions]
-    updates += [insert(*edge) for edge in insertions]
+    updates += [insert(s, t, labels[s], labels[t]) for s, t in insertions]
     order = draw(st.permutations(updates))
     return graph, Delta(list(order))
 
@@ -135,7 +151,7 @@ def test_ssrp_incremental_equation(case):
 
 
 @settings(max_examples=50, deadline=None)
-@given(graph_with_delta())
+@given(graph_with_delta(fresh=False))
 def test_delta_invert_roundtrip(case):
     graph, delta = case
     patched = delta.applied(graph)

@@ -1,5 +1,6 @@
-"""Rule ``view-protocol`` — every view implements the full
-``IncrementalView`` contract with compatible signatures.
+"""Rule ``view-protocol`` — every view subclasses ``IncrementalView``,
+writes the incremental half of the contract, and leaves ``apply`` to
+the protocol.
 
 Invariant protected: the engine fan-out, the snapshot store, and the
 router all duck-type against :class:`repro.engine.view.IncrementalView`
@@ -11,23 +12,26 @@ first routed batch.  Python's ``Protocol`` only checks method *names*
 at ``isinstance`` time, and only for the methods the protocol itself
 declares — this rule checks the whole table, statically.
 
-A class is a *view candidate* when it defines both ``absorb`` and
-``snapshot`` methods (the pair nothing but a view defines).  Under
-``src/repro/dataflow/`` the trigger is stricter: the dataflow package
-exists to let users define *new* view classes, so there a class
-defining **any** method from the table is a candidate — a user view
-that implements ``apply`` and ``snapshot`` but forgets ``restore``
-must be caught even though it never defined ``absorb``.  Every
-candidate must then define the complete method table below, each
-callable with the engine's calling convention (positional arity range,
-``classmethod`` where required):
+The protocol writes ``apply`` once — ``G ⊕ ΔG`` with
+``Delta.apply_to``, then ``absorb`` — so the engine's fan-out and a
+standalone ``apply`` run the same code.  A view that defines its own
+``apply`` re-creates a second maintenance path and is a finding.
+
+A class is a *view candidate* when it subclasses ``IncrementalView``
+or defines both ``absorb`` and ``snapshot`` methods (the pair nothing
+but a view defines).  Under ``src/repro/dataflow/`` the trigger is
+stricter: the dataflow package exists to let users define *new* view
+classes, so there a class defining **any** method from the tables
+below is a candidate — a user view that implements ``apply`` and
+``snapshot`` but forgets ``restore`` must be caught even though it
+never defined ``absorb``.  Every candidate must subclass
+``IncrementalView``, must not define ``apply``, and must define the
+required table, each callable with the engine's calling convention
+(positional arity range, ``classmethod`` where required):
 
 ============== ============================= =====================
 method          called as                     flavor
 ============== ============================= =====================
-insert_edge     (source, target, **labels)    instance
-delete_edge     (source, target)              instance
-apply           (delta)                       instance
 absorb          (delta, new_nodes)            instance
 snapshot        ()                            instance
 restore         (graph, state, meter)         classmethod
@@ -35,10 +39,16 @@ relevance       ()                            instance
 empty_output    ()                            instance
 ============== ============================= =====================
 
+``insert_edge (source, target, **labels)`` and ``delete_edge (source,
+target)`` have defaults on the protocol (one-update batches through
+``apply``); a view that overrides them with a unit algorithm keeps
+those arities.
+
 The checker also guards itself against protocol drift: when the file
 defining ``IncrementalView`` is in the scanned set, any protocol
-method missing from this table is reported — so extending the protocol
-forces the rule (and with it every implementation) to catch up.
+method missing from these tables is reported — so extending the
+protocol forces the rule (and with it every implementation) to catch
+up.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ from tools.analysis.core import Checker, Finding, SourceFile
 
 __all__ = ["ViewProtocolChecker"]
 
-#: The structural protocol class (skipped as an implementation — its
-#: bodies are docstring stubs) and its defining module.
+#: The protocol class: checked for drift against the tables below, not
+#: as an implementation, and the base every view subclasses.
 _PROTOCOL_CLASS = "IncrementalView"
 
 #: Under this prefix, defining *any* protocol method makes a class a
@@ -74,10 +84,6 @@ class _MethodSpec:
 
 
 _REQUIRED: dict[str, _MethodSpec] = {
-    "insert_edge": _MethodSpec(2, allows_kwargs=True,
-                               rendered="(source, target, **labels)"),
-    "delete_edge": _MethodSpec(2, rendered="(source, target)"),
-    "apply": _MethodSpec(1, rendered="(delta)"),
     "absorb": _MethodSpec(2, rendered="(delta, new_nodes)"),
     "snapshot": _MethodSpec(0, rendered="()"),
     "restore": _MethodSpec(3, classmethod_required=True,
@@ -86,6 +92,19 @@ _REQUIRED: dict[str, _MethodSpec] = {
     "empty_output": _MethodSpec(0, rendered="()"),
 }
 
+#: Written on the protocol; a view may override them with a unit
+#: algorithm at the same arity.
+_OVERRIDABLE: dict[str, _MethodSpec] = {
+    "insert_edge": _MethodSpec(2, allows_kwargs=True,
+                               rendered="(source, target, **labels)"),
+    "delete_edge": _MethodSpec(2, rendered="(source, target)"),
+}
+
+#: Written once on the protocol; an override is a second maintenance path.
+_FINAL = "apply"
+
+_TABLE = {*_REQUIRED, *_OVERRIDABLE, _FINAL}
+
 
 def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     return {
@@ -93,6 +112,14 @@ def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+
+
+def _subclasses_protocol(cls: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(base, ast.Name) and base.id == _PROTOCOL_CLASS)
+        or (isinstance(base, ast.Attribute) and base.attr == _PROTOCOL_CLASS)
+        for base in cls.bases
+    )
 
 
 def _is_classmethod(method: ast.FunctionDef) -> bool:
@@ -129,8 +156,8 @@ class ViewProtocolChecker(Checker):
 
     name = "view-protocol"
     description = (
-        "classes defining absorb+snapshot must implement the complete "
-        "IncrementalView table"
+        "view classes must subclass IncrementalView, leave apply to it, "
+        "and implement the rest of its table"
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -144,31 +171,55 @@ class ViewProtocolChecker(Checker):
             if node.name == _PROTOCOL_CLASS:
                 yield from self._check_protocol_drift(source, node, methods)
                 continue
+            subclass = _subclasses_protocol(node)
             if source.rel.startswith(_STRICT_PREFIX):
-                if not any(name in methods for name in _REQUIRED):
-                    continue
-            elif "absorb" not in methods or "snapshot" not in methods:
-                continue
-            yield from self._check_candidate(source, node, methods)
+                candidate = subclass or not _TABLE.isdisjoint(methods)
+            else:
+                candidate = subclass or (
+                    "absorb" in methods and "snapshot" in methods
+                )
+            if candidate:
+                yield from self._check_candidate(source, node, methods, subclass)
 
     def _check_candidate(
         self,
         source: SourceFile,
         cls: ast.ClassDef,
         methods: dict[str, ast.FunctionDef],
+        subclass: bool,
     ) -> Iterator[Finding]:
+        if not subclass:
+            yield Finding(
+                source.rel,
+                cls.lineno,
+                self.name,
+                f"view class {cls.name!r} does not subclass "
+                f"{_PROTOCOL_CLASS} — the protocol supplies apply, "
+                "insert_edge and delete_edge",
+            )
+        if _FINAL in methods:
+            yield Finding(
+                source.rel,
+                methods[_FINAL].lineno,
+                self.name,
+                f"{cls.name}.{_FINAL} overrides the protocol's single "
+                "maintenance path (G ⊕ ΔG, then absorb) — write absorb "
+                "only",
+            )
         for name, spec in _REQUIRED.items():
-            method = methods.get(name)
-            if method is None:
+            if name not in methods:
                 yield Finding(
                     source.rel,
                     cls.lineno,
                     self.name,
-                    f"view class {cls.name!r} (defines absorb/snapshot) "
-                    f"is missing {name}{spec.rendered} — required by the "
+                    f"view class {cls.name!r} is missing "
+                    f"{name}{spec.rendered} — required by the "
                     "IncrementalView contract (engine fan-out, routing, "
                     "and snapshot recovery all duck-type against it)",
                 )
+        for name, spec in {**_REQUIRED, **_OVERRIDABLE}.items():
+            method = methods.get(name)
+            if method is None:
                 continue
             if spec.classmethod_required and not _is_classmethod(method):
                 yield Finding(
@@ -198,7 +249,7 @@ class ViewProtocolChecker(Checker):
         for name, method in methods.items():
             if name.startswith("_"):
                 continue
-            if name not in _REQUIRED:
+            if name not in _TABLE:
                 yield Finding(
                     source.rel,
                     method.lineno,
